@@ -23,9 +23,9 @@
 // popcount(i) function).
 //
 // These are free-standing operations over (WordBitset<W>, b1) so that both
-// the sequential container (which caches per-word usage) and the lock-free
-// container (which must keep all state inside the 64-bit word) share one
-// implementation.
+// the sequential and the lock-free container share one implementation.
+// Neither keeps per-word usage outside the word: hierarchy_bits() derives
+// it in a few in-register popcounts.
 #pragma once
 
 #include <cassert>
@@ -51,9 +51,8 @@ struct Hcbf {
   using Word = bits::WordBitset<W>;
 
   /// Total occupied bits: b1 plus the packed hierarchy levels. Derived by
-  /// walking the level-size invariant |v_{j+1}| = popcount(v_j); used by
-  /// the lock-free container and by validation (the sequential container
-  /// caches the same value).
+  /// walking the level-size invariant |v_{j+1}| = popcount(v_j); one
+  /// iteration per counter level, so a few popcounts per word.
   static unsigned occupied_bits(const Word& w, unsigned b1) noexcept {
     unsigned start = 0;
     unsigned size = b1;

@@ -88,7 +88,6 @@ class Mpcbf {
     engine::validate_shape(cfg.k, cfg.g, "Mpcbf");
     const std::size_t l = cfg.memory_bits / W;
     if (l == 0) throw std::invalid_argument("Mpcbf: memory smaller than one word");
-    store_.init(l);
 
     n_max_ = cfg.n_max;
     if (n_max_ == 0) {
@@ -106,6 +105,7 @@ class Mpcbf {
           "Mpcbf: n_max*ceil(k/g) leaves no first-level bits in a " +
           std::to_string(W) + "-bit word");
     }
+    store_.init(l);
   }
 
   /// Convenience: size the filter for `expected_n` elements at `memory_bits`
@@ -234,24 +234,18 @@ class Mpcbf {
     underflow_events_ = 0;
   }
 
-  /// Releases the word and usage arrays eagerly: the page-aligned
-  /// interior's resident pages are dropped via madvise(MADV_DONTNEED)
-  /// and the heap buffers freed, so a retired segment's memory returns
-  /// to the OS now rather than lingering in the allocator arena.
-  /// Returns the heap bytes released. The filter holds no storage
-  /// afterwards — its only remaining legal operation is destruction.
+  /// Releases the word array eagerly: the page-aligned interior's
+  /// resident pages are dropped via madvise(MADV_DONTNEED) and the heap
+  /// buffer freed, so a retired segment's memory returns to the OS now
+  /// rather than lingering in the allocator arena. Returns the heap
+  /// bytes released. The filter holds no storage afterwards — its only
+  /// remaining legal operation is destruction.
   std::size_t release_storage() noexcept {
     auto& words = store_.words();
-    auto& usage = store_.usage();
-    const std::size_t bytes =
-        words.capacity() * sizeof(bits::WordBitset<W>) +
-        usage.capacity() * sizeof(std::uint16_t);
+    const std::size_t bytes = words.capacity() * sizeof(bits::WordBitset<W>);
     util::drop_resident_pages(words.data(),
                               words.size() * sizeof(bits::WordBitset<W>));
-    util::drop_resident_pages(usage.data(),
-                              usage.size() * sizeof(std::uint16_t));
     std::vector<bits::WordBitset<W>>().swap(words);
-    std::vector<std::uint16_t>().swap(usage);
     stash_.clear();
     size_ = 0;
     return bytes;
@@ -287,16 +281,20 @@ class Mpcbf {
   void reset_stats() noexcept { stats_.reset(); }
 
   /// Aggregate hierarchy occupancy across words — the quantity whose
-  /// per-word cap is k/g * n_max.
+  /// per-word cap is k/g * n_max. Derived from the words: O(l).
   [[nodiscard]] std::uint64_t total_hierarchy_bits() const noexcept {
     std::uint64_t t = 0;
-    for (auto u : store_.usage()) t += u;
+    for (std::size_t w = 0; w < store_.size(); ++w) {
+      t += store_.hierarchy_bits(w, b1_);
+    }
     return t;
   }
 
   [[nodiscard]] unsigned max_word_hierarchy_bits() const noexcept {
     unsigned m = 0;
-    for (auto u : store_.usage()) m = std::max<unsigned>(m, u);
+    for (std::size_t w = 0; w < store_.size(); ++w) {
+      m = std::max(m, store_.hierarchy_bits(w, b1_));
+    }
     return m;
   }
 
@@ -314,11 +312,9 @@ class Mpcbf {
   [[nodiscard]] FillReport fill_report() const {
     FillReport report;
     report.hierarchy_histogram.assign(W - b1_ + 1, 0);
-    for (const auto u : store_.usage()) {
-      ++report.hierarchy_histogram[u];
-    }
     report.total_positions = store_.size() * b1_;
     for (std::size_t w = 0; w < store_.size(); ++w) {
+      ++report.hierarchy_histogram[store_.hierarchy_bits(w, b1_)];
       for (unsigned pos = 0; pos < b1_; ++pos) {
         const unsigned c = store_.counter(w, b1_, pos);
         if (c >= report.counter_histogram.size()) {
@@ -334,14 +330,10 @@ class Mpcbf {
   }
 
   /// Structural self-check for tests: every word satisfies the HCBF
-  /// invariants and its cached usage matches the derived value.
+  /// invariants.
   [[nodiscard]] bool validate() const {
-    for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (!Hcbf<W>::validate(store_.words()[w], b1_)) return false;
-      if (Hcbf<W>::hierarchy_bits(store_.words()[w], b1_) !=
-          store_.usage()[w]) {
-        return false;
-      }
+    for (const auto& w : store_.words()) {
+      if (!Hcbf<W>::validate(w, b1_)) return false;
     }
     return true;
   }
@@ -409,18 +401,19 @@ class Mpcbf {
   bool merge(const Mpcbf& other) {
     if (!compatible(other)) return false;
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (store_.usage()[w] + other.store_.usage()[w] >
-          static_cast<unsigned>(W - b1_)) {
+      if (store_.hierarchy_bits(w, b1_) + other.store_.hierarchy_bits(w, b1_) >
+          W - b1_) {
         ++overflow_events_;
         return false;
       }
     }
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (other.store_.usage()[w] == 0) continue;
+      if (other.store_.hierarchy_bits(w, b1_) == 0) continue;
+      unsigned used = store_.hierarchy_bits(w, b1_);
       for (unsigned pos = 0; pos < b1_; ++pos) {
         const unsigned c = other.store_.counter(w, b1_, pos);
         for (unsigned i = 0; i < c; ++i) {
-          const HcbfResult r = store_.increment(w, b1_, pos);
+          const HcbfResult r = store_.increment(w, b1_, pos, used++);
           assert(r.ok);
           (void)r;
         }
@@ -441,6 +434,8 @@ class Mpcbf {
   static constexpr std::uint64_t kMaxLoadBytes = 1ull << 31;
   static constexpr std::uint64_t kMaxStashEntries = 1ull << 24;
   static constexpr std::uint64_t kMaxStashKeyLen = 1ull << 20;
+  /// Usages derived (save) or checked (load) per stack-buffer chunk.
+  static constexpr std::size_t kUsageChunk = 4096;
 
   /// Serializes the full filter state (layout, words, stash, counters)
   /// as a v2 frame: the v1 payload wrapped with magic, format version,
@@ -486,11 +481,30 @@ class Mpcbf {
     io::write_pod<std::uint64_t>(os, overflow_events_);
     io::write_pod<std::uint64_t>(os, underflow_events_);
     io::write_pod_vector(os, store_.words());
-    io::write_pod_vector(os, store_.usage());
-    io::write_pod<std::uint64_t>(os, stash_.size());
-    for (const auto& [key, count] : stash_) {
-      io::write_string(os, key);
-      io::write_pod<std::uint32_t>(os, count);
+    // Per-word hierarchy usages: derived here, checked again on load.
+    io::write_pod<std::uint64_t>(os, store_.size());
+    std::array<std::uint16_t, kUsageChunk> usage{};
+    for (std::size_t base = 0; base < store_.size(); base += kUsageChunk) {
+      const std::size_t n = std::min(kUsageChunk, store_.size() - base);
+      for (std::size_t i = 0; i < n; ++i) {
+        usage[i] = static_cast<std::uint16_t>(
+            store_.hierarchy_bits(base + i, b1_));
+      }
+      os.write(reinterpret_cast<const char*>(usage.data()),
+               static_cast<std::streamsize>(n * sizeof(std::uint16_t)));
+    }
+    // Stash entries in key order: the map's own iteration order depends
+    // on its insertion history, so a reloaded filter would re-save them
+    // shuffled. Sorted, save -> load -> save is byte-identical.
+    std::vector<const typename decltype(stash_)::value_type*> stash;
+    stash.reserve(stash_.size());
+    for (const auto& entry : stash_) stash.push_back(&entry);
+    std::sort(stash.begin(), stash.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    io::write_pod<std::uint64_t>(os, stash.size());
+    for (const auto* entry : stash) {
+      io::write_string(os, entry->first);
+      io::write_pod<std::uint32_t>(os, entry->second);
     }
   }
 
@@ -503,9 +517,12 @@ class Mpcbf {
  private:
   /// Parses the v1 body (everything after the magic) with full
   /// cross-validation: every length is memory-capped before allocation,
-  /// the stash must be consistent with the overflow policy, and the
-  /// persisted element count must match the hierarchy-bit conservation
-  /// law where it is derivable.
+  /// each word must be a valid HCBF whose derived usage matches the
+  /// persisted one, the stash must be consistent with the overflow
+  /// policy, and the persisted element count must match the
+  /// hierarchy-bit conservation law where it is derivable. The words
+  /// are read straight into the constructed filter's (huge-page
+  /// advised) store — no second copy.
   static Mpcbf load_body(std::istream& is) {
     const auto width = io::read_pod<std::uint32_t>(is);
     if (width != W) {
@@ -528,12 +545,14 @@ class Mpcbf {
     const auto underflows = io::read_pod<std::uint64_t>(is);
     constexpr std::uint64_t kMaxWords =
         kMaxLoadBytes / sizeof(bits::WordBitset<W>);
-    auto words = io::read_pod_vector<bits::WordBitset<W>>(is, kMaxWords);
-    auto hier = io::read_pod_vector<std::uint16_t>(is, kMaxWords);
-    if (words.empty() || words.size() != hier.size()) {
+    const auto num_words = io::read_pod<std::uint64_t>(is);
+    if (num_words > kMaxWords) {
+      throw std::runtime_error("binary read: vector length out of range");
+    }
+    if (num_words == 0) {
       throw std::runtime_error("Mpcbf::load: inconsistent word arrays");
     }
-    cfg.memory_bits = words.size() * W;
+    cfg.memory_bits = num_words * W;
     Mpcbf f = [&] {
       try {
         return Mpcbf(cfg);
@@ -546,8 +565,17 @@ class Mpcbf {
     if (f.b1_ != b1) {
       throw std::runtime_error("Mpcbf::load: layout mismatch");
     }
-    f.store_.words() = std::move(words);
-    f.store_.usage() = std::move(hier);
+    auto& words = f.store_.words();
+    is.read(reinterpret_cast<char*>(words.data()),
+            static_cast<std::streamsize>(num_words *
+                                         sizeof(bits::WordBitset<W>)));
+    if (!is) {
+      throw std::runtime_error("binary read: truncated vector");
+    }
+    if (io::read_pod<std::uint64_t>(is) != num_words) {
+      throw std::runtime_error("Mpcbf::load: inconsistent word arrays");
+    }
+    const std::uint64_t hierarchy_total = f.check_usages(is);
     f.size_ = size;
     f.overflow_events_ = overflows;
     f.underflow_events_ = underflows;
@@ -571,9 +599,6 @@ class Mpcbf {
       throw std::runtime_error(
           "Mpcbf::load: stash entries under a non-stash overflow policy");
     }
-    if (!f.validate()) {
-      throw std::runtime_error("Mpcbf::load: corrupt filter state");
-    }
     // Conservation law (docs/hcbf-format.md): every successful non-stash
     // insert adds exactly k hierarchy bits and every successful erase
     // removes k, so with no underflows on record the persisted element
@@ -582,12 +607,37 @@ class Mpcbf {
       if (size < stash_total) {
         throw std::runtime_error("Mpcbf::load: size below stash total");
       }
-      if (f.total_hierarchy_bits() != (size - stash_total) * f.k_) {
+      if (hierarchy_total != (size - stash_total) * f.k_) {
         throw std::runtime_error(
             "Mpcbf::load: element count inconsistent with word state");
       }
     }
     return f;
+  }
+
+  /// Reads the persisted u16 usage array chunk by chunk and checks every
+  /// word: a valid HCBF whose derived usage equals the persisted value.
+  /// Returns the total hierarchy bits.
+  std::uint64_t check_usages(std::istream& is) const {
+    std::array<std::uint16_t, kUsageChunk> usage{};
+    std::uint64_t total = 0;
+    for (std::size_t base = 0; base < store_.size(); base += kUsageChunk) {
+      const std::size_t n = std::min(kUsageChunk, store_.size() - base);
+      is.read(reinterpret_cast<char*>(usage.data()),
+              static_cast<std::streamsize>(n * sizeof(std::uint16_t)));
+      if (!is) {
+        throw std::runtime_error("binary read: truncated vector");
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t w = base + i;
+        const unsigned used = store_.hierarchy_bits(w, b1_);
+        if (!Hcbf<W>::validate(store_.words()[w], b1_) || used != usage[i]) {
+          throw std::runtime_error("Mpcbf::load: corrupt filter state");
+        }
+        total += used;
+      }
+    }
+    return total;
   }
 
   /// The layout scalars the engine needs; trivially constructed per op.
@@ -610,7 +660,8 @@ class Mpcbf {
   bool insert_derived(std::string_view key, const engine::Targets& t,
                       std::uint64_t derive_bits, bool timed,
                       std::uint64_t t0) {
-    if (!engine::capacity_ok(t, store_.hier_used_span(), W - b1_)) {
+    engine::WordUsage usage;
+    if (!engine::capacity_ok(store_, b1_, t, usage)) {
       ++overflow_events_;
       switch (policy_) {
         case OverflowPolicy::kThrow:
@@ -637,7 +688,7 @@ class Mpcbf {
       // non-zero counters" machinery; depth is the hierarchy bits the
       // walk claimed across all target words.
       MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
-      extra_bits = engine::LevelWalk<W>::increment_all(store_, b1_, t);
+      extra_bits = engine::LevelWalk<W>::increment_all(store_, b1_, t, usage);
       walk.set_arg("depth", extra_bits);
     }
     ++size_;

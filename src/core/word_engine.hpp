@@ -15,9 +15,10 @@
 //   * LevelWalk<W> — the hierarchical increment/decrement/min-counter
 //     walk applied across a target set, storage-policy agnostic.
 //   * PlainWords<W> / AtomicWords64 — the two storage policies: a plain
-//     word vector with a cached hierarchy-usage sidecar (external
-//     synchronization), and a seq-consistent CAS-loop word vector that
-//     re-derives capacity from the word value (lock-free, W == 64).
+//     huge-page-advised word vector (external synchronization), and a
+//     seq-consistent CAS-loop word vector (lock-free, W == 64). Neither
+//     keeps out-of-word metadata: a word's hierarchy usage is re-derived
+//     from its value, once per distinct word per operation.
 //   * evaluate_lazy / evaluate_eager — membership evaluation over
 //     pre-derived targets replaying each scalar query's exact visit order
 //     and accounting, which is what makes batch and scalar stats
@@ -37,12 +38,12 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bitvec/word_bitset.hpp"
+#include "common/page_reclaim.hpp"
 #include "core/hcbf.hpp"
 #include "hash/hash_stream.hpp"
 #include "metrics/access_stats.hpp"
@@ -234,50 +235,71 @@ template <class TestBit>
   return ev;
 }
 
-/// All-or-nothing capacity check: aggregates the increments each distinct
-/// word would receive (g hash words can collide) before mutating.
-/// `capacity` is the word's hierarchy budget, W - b1.
-[[nodiscard]] inline bool capacity_ok(
-    const Targets& t, std::span<const std::uint16_t> hier_used,
-    unsigned capacity) noexcept {
+/// Hierarchy usage of the distinct words one insert touches: derived from
+/// the word values by capacity_ok, then advanced by
+/// LevelWalk::increment_all as each increment lands.
+struct WordUsage {
   std::array<std::size_t, kMaxG> word{};
-  std::array<unsigned, kMaxG> needed{};
-  std::size_t n_distinct = 0;
-  for (unsigned i = 0; i < t.total_positions; ++i) {
-    bool found = false;
-    for (std::size_t s = 0; s < n_distinct; ++s) {
-      if (word[s] == t.word_of[i]) {
-        ++needed[s];
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      word[n_distinct] = t.word_of[i];
-      needed[n_distinct] = 1;
-      ++n_distinct;
-    }
+  std::array<unsigned, kMaxG> used{};
+  unsigned count = 0;
+
+  /// The usage slot of `w`, which must be one of the recorded words.
+  [[nodiscard]] unsigned& of(std::size_t w) noexcept {
+    unsigned s = 0;
+    while (word[s] != w) ++s;
+    return used[s];
   }
-  for (std::size_t s = 0; s < n_distinct; ++s) {
-    if (hier_used[word[s]] + needed[s] > capacity) return false;
+};
+
+/// All-or-nothing capacity check: derives each distinct target word's
+/// usage once and aggregates the increments it would receive (g hash
+/// words can collide) before mutating. The budget is the word's
+/// hierarchy capacity, W - b1. `u` receives the derived usages, which
+/// increment_all consumes.
+template <class Storage>
+[[nodiscard]] MPCBF_ENGINE_INLINE bool capacity_ok(const Storage& s,
+                                                   unsigned b1,
+                                                   const Targets& t,
+                                                   WordUsage& u) noexcept {
+  std::array<unsigned, kMaxG> needed{};
+  u.count = 0;
+  for (unsigned i = 0; i < t.total_positions; ++i) {
+    const std::size_t w = t.word_of[i];
+    unsigned slot = 0;
+    while (slot < u.count && u.word[slot] != w) ++slot;
+    if (slot == u.count) {
+      u.word[slot] = w;
+      u.used[slot] = s.hierarchy_bits(w, b1);
+      needed[slot] = 0;
+      ++u.count;
+    }
+    ++needed[slot];
+  }
+  const unsigned capacity = Storage::kWordBits - b1;
+  for (unsigned slot = 0; slot < u.count; ++slot) {
+    if (u.used[slot] + needed[slot] > capacity) return false;
   }
   return true;
 }
 
 // --- storage policies ----------------------------------------------------
 
-/// Plain storage: a word vector plus the cached per-word hierarchy usage
-/// (derivable from the word state; kept in sync by increment/decrement).
-/// Mutations require external synchronization; const reads are safe
-/// concurrently with each other.
+/// Plain storage: a word vector, advised for transparent huge pages so a
+/// DRAM-resident filter pays one cache miss per word fetch and no page
+/// walk. Mutations require external synchronization; const reads are
+/// safe concurrently with each other.
 template <unsigned W>
 class PlainWords {
  public:
   using Word = bits::WordBitset<W>;
+  static constexpr unsigned kWordBits = W;
 
+  /// Allocates `l` zeroed words, advising the array for huge pages
+  /// between allocation and the zero-fill that first touches it.
   void init(std::size_t l) {
+    words_.reserve(l);
+    util::advise_huge_pages(words_.data(), l * sizeof(Word));
     words_.resize(l);
-    hier_used_.assign(l, 0);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
@@ -294,17 +316,15 @@ class PlainWords {
     }
   }
 
-  /// Increments the counter at (w, pos), keeping the usage cache in sync.
-  HcbfResult increment(std::size_t w, unsigned b1, unsigned pos) noexcept {
-    const HcbfResult r = Hcbf<W>::increment(words_[w], b1, pos, hier_used_[w]);
-    if (r.ok) ++hier_used_[w];
-    return r;
+  /// Increments the counter at (w, pos); `used` is the word's current
+  /// hierarchy usage (the caller advances it on success).
+  HcbfResult increment(std::size_t w, unsigned b1, unsigned pos,
+                       unsigned used) noexcept {
+    return Hcbf<W>::increment(words_[w], b1, pos, used);
   }
 
   HcbfResult decrement(std::size_t w, unsigned b1, unsigned pos) noexcept {
-    const HcbfResult r = Hcbf<W>::decrement(words_[w], b1, pos);
-    if (r.ok) --hier_used_[w];
-    return r;
+    return Hcbf<W>::decrement(words_[w], b1, pos);
   }
 
   [[nodiscard]] unsigned counter(std::size_t w, unsigned b1,
@@ -312,35 +332,24 @@ class PlainWords {
     return Hcbf<W>::counter(words_[w], b1, pos);
   }
 
-  [[nodiscard]] std::uint16_t hier_used(std::size_t w) const noexcept {
-    return hier_used_[w];
-  }
-  [[nodiscard]] std::span<const std::uint16_t> hier_used_span()
-      const noexcept {
-    return hier_used_;
+  /// Hierarchy bits word `w` uses (== the sum of its counters).
+  [[nodiscard]] unsigned hierarchy_bits(std::size_t w,
+                                        unsigned b1) const noexcept {
+    return Hcbf<W>::hierarchy_bits(words_[w], b1);
   }
 
   void reset() {
     for (auto& w : words_) w.reset();
-    std::fill(hier_used_.begin(), hier_used_.end(), std::uint16_t{0});
   }
 
-  // Raw access for serialization, merge and structural validation — the
-  // usage cache and word vector move as a pair.
+  // Raw access for serialization, merge and structural validation.
   [[nodiscard]] std::vector<Word>& words() noexcept { return words_; }
   [[nodiscard]] const std::vector<Word>& words() const noexcept {
     return words_;
   }
-  [[nodiscard]] std::vector<std::uint16_t>& usage() noexcept {
-    return hier_used_;
-  }
-  [[nodiscard]] const std::vector<std::uint16_t>& usage() const noexcept {
-    return hier_used_;
-  }
 
  private:
   std::vector<Word> words_;
-  std::vector<std::uint16_t> hier_used_;
 };
 
 /// Lock-free storage over 64-bit words: every mutation is a
@@ -444,15 +453,19 @@ struct EagerEval {
 template <unsigned W>
 struct LevelWalk {
   /// Applies every increment; the caller must have verified capacity
-  /// (capacity_ok), so failure is a programming error. Returns the
-  /// hierarchy-addressing bits the walk claimed (update bandwidth).
+  /// (capacity_ok, which also derived `u`), so failure is a programming
+  /// error. Returns the hierarchy-addressing bits the walk claimed
+  /// (update bandwidth).
   template <class Storage>
   static std::uint64_t increment_all(Storage& s, unsigned b1,
-                                     const Targets& t) noexcept {
+                                     const Targets& t,
+                                     WordUsage& u) noexcept {
     std::uint64_t extra_bits = 0;
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      const HcbfResult r = s.increment(t.word_of[i], b1, t.pos[i]);
+      unsigned& used = u.of(t.word_of[i]);
+      const HcbfResult r = s.increment(t.word_of[i], b1, t.pos[i], used);
       assert(r.ok);
+      ++used;
       extra_bits += r.extra_bits;
     }
     return extra_bits;

@@ -3,7 +3,10 @@
 // stability, and cross-width/g parameter sweeps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -331,6 +334,91 @@ TEST(Mpcbf, QueryAccessesAreExactlyG) {
     EXPECT_NEAR(f.stats().mean_query_accesses(), static_cast<double>(g),
                 0.02);
   }
+}
+
+// Word usage is derived from the word value on every insert, never
+// cached. A soak over 4-word filters, where one key's g groups often land
+// in the same word and full words divert to the stash, must keep every
+// word a valid HCBF and the hierarchy total at exactly k bits per in-word
+// element after every single step.
+template <unsigned W>
+void run_usage_soak(unsigned k, unsigned g, unsigned n_max,
+                    std::uint64_t seed) {
+  MpcbfConfig cfg;
+  cfg.memory_bits = 4 * W;
+  cfg.k = k;
+  cfg.g = g;
+  cfg.n_max = n_max;
+  cfg.policy = OverflowPolicy::kStash;
+  cfg.seed = seed;
+  Mpcbf<W> f(cfg);
+  Xoshiro256 rng(seed);
+  std::vector<std::string> live;
+  std::uint64_t next_key = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (live.empty() || rng.bounded(2) == 0) {
+      live.push_back("soak-" + std::to_string(next_key++));
+      ASSERT_TRUE(f.insert(live.back()));
+    } else {
+      const std::size_t i = rng.bounded(live.size());
+      std::swap(live[i], live.back());
+      ASSERT_TRUE(f.erase(live.back())) << live.back();
+      live.pop_back();
+    }
+    ASSERT_TRUE(f.validate()) << "W=" << W << " step " << step;
+    // Keys are unique, so every stash entry holds exactly one copy.
+    ASSERT_EQ(f.total_hierarchy_bits(),
+              std::uint64_t{k} * (f.size() - f.stash_size()))
+        << "W=" << W << " step " << step;
+  }
+  EXPECT_GT(f.overflow_events(), 0u) << "soak never filled a word";
+  // Fewer distinct words than g per insert on average: groups collided.
+  EXPECT_LT(f.stats().mean_update_accesses(), static_cast<double>(g));
+  for (const auto& key : live) ASSERT_TRUE(f.contains(key)) << key;
+}
+
+TEST(Mpcbf, DerivedUsageSoakWidth64) { run_usage_soak<64>(4, 2, 6, 41); }
+TEST(Mpcbf, DerivedUsageSoakWidth128) { run_usage_soak<128>(5, 3, 8, 42); }
+TEST(Mpcbf, DerivedUsageSoakWidth256) { run_usage_soak<256>(8, 4, 12, 43); }
+
+// The word array of a DRAM-sized filter is advised for transparent huge
+// pages before its first touch. Only eligibility is asserted: whether the
+// kernel found free 2 MiB pages (AnonHugePages) depends on fragmentation.
+TEST(Mpcbf, WordArrayIsHugePageEligible) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string modes;
+  if (!std::getline(thp, modes)) {
+    GTEST_SKIP() << "kernel exposes no transparent huge page setting";
+  }
+  if (modes.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are disabled: " << modes;
+  }
+  const auto f = Mpcbf<64>::with_memory(std::size_t{1} << 26, 3, 1, 1000);
+  const auto addr =
+      reinterpret_cast<std::uintptr_t>(&f.word(f.num_words() / 2));
+
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool in_mapping = false;
+  int eligible = -1;
+  while (std::getline(smaps, line)) {
+    std::istringstream fields(line);
+    std::string head;
+    fields >> head;
+    if (head.empty()) continue;
+    if (head.back() != ':') {  // "start-end perms ..." opens a mapping
+      const auto dash = head.find('-');
+      const auto start = std::stoull(head.substr(0, dash), nullptr, 16);
+      const auto end = std::stoull(head.substr(dash + 1), nullptr, 16);
+      in_mapping = start <= addr && addr < end;
+    } else if (in_mapping && head == "THPeligible:") {
+      fields >> eligible;
+    }
+  }
+  if (eligible < 0) {
+    GTEST_SKIP() << "/proc/self/smaps lacks THPeligible for the word array";
+  }
+  EXPECT_EQ(eligible, 1);
 }
 
 }  // namespace

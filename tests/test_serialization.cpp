@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -218,8 +219,8 @@ TEST(MpcbfIo, CorruptPayloadRejected) {
   std::stringstream ss;
   f.save(ss);
   std::string data = ss.str();
-  // Flip a bit deep inside the word payload: validate() must notice the
-  // inconsistency with the cached hierarchy usage.
+  // Flip a bit deep inside the word payload: load must notice that the
+  // word no longer matches its persisted hierarchy usage.
   data[data.size() / 2] ^= 0x10;
   std::stringstream corrupted(data);
   EXPECT_THROW((void)Mpcbf<64>::load(corrupted), std::runtime_error);
@@ -288,6 +289,48 @@ TEST(MpcbfIo, InconsistentSizeFieldRejected) {
   EXPECT_THROW((void)Mpcbf<64>::load(is), std::runtime_error);
 }
 
+// Per-word usages are derived on save and checked on load, not stored
+// in the filter: a save -> load -> save cycle must still reproduce every
+// byte, stash entries and event counters included.
+TEST(MpcbfIo, SaveLoadSaveIsByteIdentical) {
+  const std::string first = v1_payload_with_stash();
+  std::istringstream is(first);
+  const Mpcbf<64> loaded = Mpcbf<64>::load(is);
+  ASSERT_GT(loaded.stash_size(), 0u);
+  ASSERT_GT(loaded.overflow_events(), 0u);
+  std::ostringstream payload;
+  loaded.save_payload(payload);
+  EXPECT_EQ(payload.str(), first);
+
+  std::stringstream framed;
+  loaded.save(framed);
+  const std::string framed_first = framed.str();
+  const Mpcbf<64> reloaded = Mpcbf<64>::load(framed);
+  std::ostringstream framed_again;
+  reloaded.save(framed_again);
+  EXPECT_EQ(framed_again.str(), framed_first);
+}
+
+TEST(MpcbfIo, TamperedUsageWithIntactWordsRejected) {
+  // v1_payload_with_stash() holds 2 words; the u16 usages follow them
+  // and their own u64 count.
+  constexpr std::size_t kUsageOffset = kV1WordCountOffset + 8 + 2 * 8 + 8;
+  const std::string clean = v1_payload_with_stash();
+  for (const std::size_t word : {0, 1}) {
+    std::string data = clean;
+    data[kUsageOffset + 2 * word] ^= 0x01;
+    std::istringstream is(data);
+    try {
+      (void)Mpcbf<64>::load(is);
+      ADD_FAILURE() << "tampered usage of word " << word << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "Mpcbf::load: corrupt filter state");
+    }
+  }
+  std::istringstream is(clean);
+  EXPECT_NO_THROW((void)Mpcbf<64>::load(is));
+}
+
 #ifdef MPCBF_TEST_DATA_DIR
 // The golden blob was written by a pre-frame (v1) build: a bare
 // "MPCBFv1\0" stream of 80 keys (24 of them stashed) at
@@ -327,6 +370,28 @@ TEST(MpcbfIo, LoadsV1GoldenBlob) {
   for (const auto& k : keys) {
     EXPECT_TRUE(upgraded.contains(k)) << k;
   }
+}
+
+// Re-saving the bare v1 golden payload reproduces it byte for byte up to
+// the stash: the words, and the per-word usages that are now derived on
+// save. (The pre-frame build wrote its stash in hash-map order; saves now
+// sort it, so only the order of the stash entries may differ.)
+TEST(MpcbfIo, V1GoldenBlobResavesIdenticallyUpToTheStash) {
+  const std::string dir = MPCBF_TEST_DATA_DIR;
+  std::ifstream blob(dir + "/mpcbf_v1_golden.bin", std::ios::binary);
+  ASSERT_TRUE(blob) << "missing golden blob";
+  const std::string original{std::istreambuf_iterator<char>(blob), {}};
+  std::istringstream is(original);
+  const Mpcbf<64> f = Mpcbf<64>::load(is);
+  std::ostringstream resaved;
+  f.save_payload(resaved);
+  const std::size_t stash_offset =
+      kV1WordCountOffset + 8 + f.num_words() * 8 + 8 + f.num_words() * 2;
+  ASSERT_EQ(resaved.str().size(), original.size());
+  EXPECT_EQ(resaved.str().substr(0, stash_offset),
+            original.substr(0, stash_offset));
+  std::istringstream again(resaved.str());
+  EXPECT_EQ(Mpcbf<64>::load(again).stash_size(), f.stash_size());
 }
 #endif  // MPCBF_TEST_DATA_DIR
 

@@ -188,13 +188,49 @@ TEST(WordEngine, GroupByWordSingleWordAbsorbsEverything) {
 
 TEST(WordEngine, CapacityOkAggregatesCollidingGroups) {
   // Word 2 receives three increments; capacity checks must see the sum,
-  // not each position in isolation.
+  // not each position in isolation. Usage is derived from the words.
+  constexpr unsigned kB1 = 51;  // hierarchy capacity 64 - 51 = 13
+  engine::PlainWords<64> store;
+  store.init(8);
+  const auto bump = [&](std::size_t w, unsigned times) {
+    for (unsigned i = 0; i < times; ++i) {
+      ASSERT_TRUE(store.increment(w, kB1, i % 7, store.hierarchy_bits(w, kB1))
+                      .ok);
+    }
+  };
+  bump(2, 10);
+  bump(5, 11);
   const auto t = make_targets({{2, 0}, {2, 1}, {5, 3}, {2, 4}});
-  std::vector<std::uint16_t> used = {0, 0, 10, 0, 0, 11};
-  EXPECT_TRUE(engine::capacity_ok(t, used, 13));   // 10+3<=13, 11+1<=13
-  EXPECT_FALSE(engine::capacity_ok(t, used, 12));  // word 2 would hit 13
-  used[5] = 12;
-  EXPECT_FALSE(engine::capacity_ok(t, used, 12));  // word 5 full too
+  engine::WordUsage u;
+  EXPECT_TRUE(engine::capacity_ok(store, kB1, t, u));  // 10+3, 11+1 <= 13
+  ASSERT_EQ(u.count, 2u);
+  EXPECT_EQ(u.word[0], 2u);
+  EXPECT_EQ(u.used[0], 10u);
+  EXPECT_EQ(u.word[1], 5u);
+  EXPECT_EQ(u.used[1], 11u);
+  bump(2, 1);
+  EXPECT_FALSE(engine::capacity_ok(store, kB1, t, u));  // word 2 would hit 14
+  ASSERT_TRUE(store.decrement(2, kB1, 0).ok);
+  bump(5, 2);
+  EXPECT_FALSE(engine::capacity_ok(store, kB1, t, u));  // word 5 full
+}
+
+TEST(WordEngine, IncrementAllAdvancesTheDerivedUsage) {
+  constexpr unsigned kB1 = 40;
+  engine::PlainWords<64> store;
+  store.init(4);
+  const auto t = make_targets({{1, 3}, {3, 3}, {1, 3}, {1, 9}});
+  for (int round = 0; round < 3; ++round) {
+    engine::WordUsage u;
+    ASSERT_TRUE(engine::capacity_ok(store, kB1, t, u));
+    engine::LevelWalk<64>::increment_all(store, kB1, t, u);
+    for (unsigned s = 0; s < u.count; ++s) {
+      EXPECT_EQ(u.used[s], store.hierarchy_bits(u.word[s], kB1));
+    }
+  }
+  EXPECT_EQ(store.hierarchy_bits(1, kB1), 9u);
+  EXPECT_EQ(store.hierarchy_bits(3, kB1), 3u);
+  EXPECT_EQ(store.counter(1, kB1, 3), 6u);
 }
 
 // --- evaluate_lazy ------------------------------------------------------
