@@ -159,7 +159,7 @@ BENCHMARK(BM_VICBF_InsertErase);
 //
 // The batch benches use a filter much larger than the last-level cache so
 // every word access is a real memory round-trip — the regime the engine's
-// derive → prefetch → resolve pipeline targets. One benchmark iteration
+// derive → gather → resolve pipeline targets. One benchmark iteration
 // processes kBatchLen keys, so values here are ns per *batch*, directly
 // comparable between the Scalar and Batch variants of the same filter.
 constexpr std::size_t kBatchMemory = 1u << 28;  // 256 Mb = 32 MiB of words
@@ -256,6 +256,87 @@ BENCHMARK(BM_ATOMIC_QueryScalarLoop4k);
 BENCHMARK(BM_ATOMIC_QueryBatch4k);
 BENCHMARK(BM_SHARDED_QueryScalarLoop4k);
 BENCHMARK(BM_SHARDED_QueryBatch4k);
+
+// --- DRAM-resident MPCBF-1 batch calls ------------------------------------
+//
+// A 512 MiB Mpcbf<64> (k=3, g=1), several times any last-level cache, so
+// nearly every word fetch is a DRAM access. Every iteration builds
+// kBatchLen keys the filter has not seen in this process (timing paused),
+// then times one batch call on them — cold words, as in a serving
+// workload, rather than a cycled key set a large L3 could learn. Values
+// are ns per batch, like the series above.
+constexpr std::size_t kDramMemory = std::size_t{1} << 32;  // 512 MiB
+constexpr std::uint64_t kDramPreload = std::uint64_t{1} << 22;
+
+void dram_key(char tag, std::uint64_t i, std::string& out) {
+  out.assign(1, tag);
+  out += std::to_string(i);
+}
+
+core::Mpcbf<64>& dram_filter() {
+  static const auto f = [] {
+    core::MpcbfConfig cfg;
+    cfg.memory_bits = kDramMemory;
+    cfg.k = 3;
+    cfg.g = 1;
+    cfg.expected_n = 4 * kDramPreload;
+    cfg.policy = core::OverflowPolicy::kStash;
+    auto filter = std::make_unique<core::Mpcbf<64>>(cfg);
+    std::vector<std::string> keys(kBatchLen);
+    std::vector<std::uint8_t> ok(kBatchLen);
+    for (std::uint64_t i = 0; i < kDramPreload; i += kBatchLen) {
+      for (std::size_t j = 0; j < kBatchLen; ++j) dram_key('d', i + j, keys[j]);
+      filter->insert_batch(keys, ok);
+    }
+    return filter;
+  }();
+  return *f;
+}
+
+// Half preloaded members (spread over the whole preload), half fresh
+// misses, alternating — both verdicts, like batch_mixed().
+void BM_MPCBF1_QueryBatch_DRAM(benchmark::State& state) {
+  auto& f = dram_filter();
+  static std::uint64_t next = 0;
+  std::vector<std::string> keys(kBatchLen);
+  std::vector<std::uint8_t> out(kBatchLen);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t j = 0; j < kBatchLen; ++j, ++next) {
+      if (j % 2 == 0) {
+        dram_key('d', (next * 0x9E3779B97F4A7C15ull) % kDramPreload, keys[j]);
+      } else {
+        dram_key('q', next, keys[j]);
+      }
+    }
+    state.ResumeTiming();
+    f.contains_batch(keys, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatchLen));
+}
+
+void BM_MPCBF1_InsertBatch_DRAM(benchmark::State& state) {
+  auto& f = dram_filter();
+  static std::uint64_t next = 0;
+  std::vector<std::string> keys(kBatchLen);
+  std::vector<std::uint8_t> ok(kBatchLen);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (auto& key : keys) dram_key('i', next++, key);
+    state.ResumeTiming();
+    f.insert_batch(keys, ok);
+    benchmark::DoNotOptimize(ok.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatchLen));
+}
+
+BENCHMARK(BM_MPCBF1_QueryBatch_DRAM);
+BENCHMARK(BM_MPCBF1_InsertBatch_DRAM);
 
 // --- HCBF word primitives -----------------------------------------------
 

@@ -4,7 +4,7 @@
 //  1. AtomicMpcbf (lock-free CAS) vs ShardedMpcbf (striped locks) vs a
 //     globally locked Mpcbf, across thread counts, on a mixed
 //     insert/query/erase workload;
-//  2. scalar contains() vs contains_batch() (prefetch-pipelined) on large
+//  2. scalar contains() vs contains_batch() (gather-pipelined) on large
 //     filters where queries miss cache.
 //
 // Usage: bench_scaling [--ops 200000] [--threads-max 8] [--seed 11]
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   report.write();
 
   // --- batched vs scalar queries -------------------------------------------
-  std::cout << "\n=== Batched vs scalar queries (prefetch pipelining) ===\n";
+  std::cout << "\n=== Batched vs scalar queries (gather pipelining) ===\n";
   {
     const std::size_t big_n = 200000;
     const auto keys = workload::generate_unique_strings(big_n, 6, seed + 1);

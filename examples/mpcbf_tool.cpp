@@ -187,7 +187,7 @@ int cmd_query(const mpcbf::util::CliArgs& args) {
   const auto keys = read_keys(args.get_string("keys", ""));
   std::size_t hits = 0;
   if (args.get_bool("batch")) {
-    // Engine batch pipeline (derive → prefetch → resolve): same verdicts
+    // Engine batch pipeline (derive → gather → resolve): same verdicts
     // as the scalar loop, fewer memory stalls on large filters.
     std::vector<std::uint8_t> out(keys.size());
     filter.contains_batch(keys, out);

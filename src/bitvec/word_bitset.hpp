@@ -123,7 +123,8 @@ class WordBitset {
     return removed;
   }
 
-  /// Raw limb access for the concurrent variant (W == 64 only) and tests.
+  /// Raw limb access for the concurrent variant (W == 64 only), the
+  /// batch gather and tests.
   [[nodiscard]] constexpr std::uint64_t limb(unsigned j) const noexcept {
     return limbs_[j];
   }

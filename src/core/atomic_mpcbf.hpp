@@ -169,11 +169,11 @@ class AtomicMpcbf {
 
   // --- batch operations --------------------------------------------------
 
-  /// Membership for a batch of keys through the engine's software
-  /// pipeline: a chunk of keys is hashed and its word plans built first,
-  /// every distinct word prefetched, then each key resolved from a
-  /// snapshot — hiding the per-word cache miss behind the next key's
-  /// hashing. `out[i]` receives the verdict for `keys[i]`.
+  /// Membership for a batch of keys through the engine's derive → gather
+  /// → resolve pipeline: a chunk of keys is hashed and its word plans
+  /// built first, every distinct word then loaded in one tight loop so
+  /// the cache misses overlap, then each key resolved from a fresh
+  /// snapshot. `out[i]` receives the verdict for `keys[i]`.
   ///
   /// Stats parity with scalar contains(): evaluation stops at the same
   /// first-miss word and hashing is eager in both, so a batch and a
@@ -361,14 +361,12 @@ class AtomicMpcbf {
     engine::BatchStatsAccumulator acc;
     bool timed = false;
     std::uint64_t t0 = 0;
-    engine::chunked_pipeline(
+    engine::batch_pipeline(
         keys.size(),
         [&](std::size_t key_i, std::size_t slot) {
           bits[slot] = derive(keys[key_i], plans[slot]);
-          for (unsigned s = 0; s < plans[slot].num_words; ++s) {
-            store_.prefetch(plans[slot].word[s], /*for_write=*/false);
-          }
         },
+        [&](std::size_t slot) { return gather(plans[slot]); },
         [&](std::size_t key_i, std::size_t slot) {
           const engine::EagerEval ev =
               engine::evaluate_eager(store_, plans[slot], b1_);
@@ -397,14 +395,12 @@ class AtomicMpcbf {
     span.set_arg("keys", keys.size());
     std::array<engine::WordPlan, engine::kBatchChunk> plans;
     std::array<std::uint64_t, engine::kBatchChunk> bits;
-    engine::chunked_pipeline(
+    engine::batch_pipeline(
         keys.size(),
         [&](std::size_t key_i, std::size_t slot) {
           bits[slot] = derive(keys[key_i], plans[slot]);
-          for (unsigned s = 0; s < plans[slot].num_words; ++s) {
-            store_.prefetch(plans[slot].word[s], /*for_write=*/true);
-          }
         },
+        [&](std::size_t slot) { return gather(plans[slot]); },
         [&](std::size_t key_i, std::size_t slot) {
           MPCBF_TRACE_SPAN(op, kCore, "atomic_mpcbf.insert");
           const bool timed = stats_.should_sample();
@@ -413,6 +409,14 @@ class AtomicMpcbf {
               insert_planned(plans[slot], bits[slot], op, timed, t0) ? 1 : 0;
         },
         [](std::size_t) {}, [](std::size_t) {});
+  }
+
+  /// The batch gather of one plan: a relaxed load of each distinct word.
+  /// It only warms the cache — every CAS and snapshot reloads the word.
+  [[nodiscard]] std::uint64_t gather(const engine::WordPlan& p) const {
+    std::uint64_t v = 0;
+    for (unsigned s = 0; s < p.num_words; ++s) v += store_.gather(p.word[s]);
+    return v;
   }
 
   engine::AtomicWords64 store_;

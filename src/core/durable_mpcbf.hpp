@@ -151,7 +151,7 @@ class DurableMpcbf {
   /// Batched inserts with the WAL invariant intact: every key is
   /// journaled (group-commit flushes included) before any is applied in
   /// memory, so an acknowledged batch survives a crash mid-apply. The
-  /// in-memory application then runs the engine's prefetch pipeline.
+  /// in-memory application then runs the engine's batch pipeline.
   /// `ok[i]` receives insert(keys[i])'s return value.
   void insert_batch(std::span<const std::string> keys,
                     std::span<std::uint8_t> ok) {

@@ -181,33 +181,11 @@ class Mpcbf {
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.erase");
     const bool timed = stats_.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-    if (!stash_.empty()) {
-      auto it = stash_.find(key);
-      if (it != stash_.end() && it->second > 0) {
-        if (--it->second == 0) stash_.erase(it);
-        --size_;
-        record_op(metrics::OpClass::kDelete, 0, 0, timed, t0);
-        return true;
-      }
-    }
+    if (erase_stashed(key, timed, t0)) return true;
     engine::Targets t;
     hash::HashBitStream stream(key, seed_);
     deriver().derive_all(stream, t);
-
-    typename engine::LevelWalk<W>::DecrementResult walk_result;
-    {
-      MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
-      walk_result = engine::LevelWalk<W>::decrement_all(store_, b1_, t);
-      walk.set_arg("depth", walk_result.extra_bits);
-    }
-    underflow_events_ += walk_result.underflows;
-    // A fully/partially underflowed erase removed nothing that was ever
-    // counted: size_ only tracks successful operations, so a
-    // contract-violating delete must not drift it low.
-    if (walk_result.ok && size_ > 0) --size_;
-    record_op(metrics::OpClass::kDelete, t.distinct_words,
-              stream.accounted_bits() + walk_result.extra_bits, timed, t0);
-    return walk_result.ok;
+    return erase_derived(t, stream.accounted_bits(), timed, t0);
   }
 
   /// Multiplicity estimate: the minimum of the key's counters (plus any
@@ -344,11 +322,14 @@ class Mpcbf {
 
   // --- batch queries ------------------------------------------------------
 
-  /// Membership for a batch of keys. Hashes are derived for a chunk of
-  /// keys first and the target words prefetched before any is read, hiding
-  /// the per-word cache miss behind the next key's hashing — the software
-  /// analogue of the pipelined lookups the paper targets in hardware.
-  /// `out[i]` is set to the verdict for `keys[i]`; sizes must match.
+  /// Membership for a batch of keys through the engine's derive → gather
+  /// → resolve pipeline (engine::batch_pipeline): a chunk of keys is
+  /// hashed first, then its words are demand-loaded in one tight loop so
+  /// their cache misses overlap, then each key is resolved. On a
+  /// DRAM-resident filter this costs about half the ns/key of a prefetch
+  /// issued between hashes, which the core did not overlap
+  /// (docs/architecture.md has the measurements). `out[i]` is set to the
+  /// verdict for `keys[i]`; sizes must match.
   ///
   /// AccessStats parity with scalar contains(): evaluation replays the
   /// scalar visit order (short_circuit_ honoured, duplicate words
@@ -369,7 +350,7 @@ class Mpcbf {
     contains_batch_impl<std::string_view>(keys, out);
   }
 
-  /// Inserts a batch of keys through the same derive → prefetch → resolve
+  /// Inserts a batch of keys through the same derive → gather → resolve
   /// pipeline; `ok[i]` receives insert(keys[i])'s return value. Stats and
   /// overflow behaviour match a scalar insert loop op for op (each key
   /// records its own kInsert tallies and sampled latency), so batch and
@@ -381,6 +362,20 @@ class Mpcbf {
   void insert_batch(std::span<const std::string_view> keys,
                     std::span<std::uint8_t> ok) {
     insert_batch_impl<std::string_view>(keys, ok);
+  }
+
+  /// Erases a batch of keys through the same pipeline; `ok[i]` receives
+  /// erase(keys[i])'s return value. Each key resolves exactly as a scalar
+  /// erase, in key order against the live words: stash first, underflows
+  /// counted, size() shrunk only on success, and a key listed twice is
+  /// erased twice.
+  void erase_batch(std::span<const std::string> keys,
+                   std::span<std::uint8_t> ok) {
+    erase_batch_impl<std::string>(keys, ok);
+  }
+  void erase_batch(std::span<const std::string_view> keys,
+                   std::span<std::uint8_t> ok) {
+    erase_batch_impl<std::string_view>(keys, ok);
   }
 
   // --- merge ---------------------------------------------------------------
@@ -697,6 +692,39 @@ class Mpcbf {
     return true;
   }
 
+  /// The erase of a stashed copy, which scalar erase() tries before
+  /// deriving anything. Returns false when `key` holds no stashed copy.
+  bool erase_stashed(std::string_view key, bool timed, std::uint64_t t0) {
+    if (stash_.empty()) return false;
+    auto it = stash_.find(key);
+    if (it == stash_.end() || it->second == 0) return false;
+    if (--it->second == 0) stash_.erase(it);
+    --size_;
+    record_op(metrics::OpClass::kDelete, 0, 0, timed, t0);
+    return true;
+  }
+
+  /// The erase body after derivation — level walk, underflow and size
+  /// bookkeeping, accounting — shared by scalar erase() and the batch
+  /// pipeline.
+  bool erase_derived(const engine::Targets& t, std::uint64_t derive_bits,
+                     bool timed, std::uint64_t t0) {
+    typename engine::LevelWalk<W>::DecrementResult walk_result;
+    {
+      MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
+      walk_result = engine::LevelWalk<W>::decrement_all(store_, b1_, t);
+      walk.set_arg("depth", walk_result.extra_bits);
+    }
+    underflow_events_ += walk_result.underflows;
+    // A fully/partially underflowed erase removed nothing that was ever
+    // counted: size_ only tracks successful operations, so a
+    // contract-violating delete must not drift it low.
+    if (walk_result.ok && size_ > 0) --size_;
+    record_op(metrics::OpClass::kDelete, t.distinct_words,
+              derive_bits + walk_result.extra_bits, timed, t0);
+    return walk_result.ok;
+  }
+
   template <class Key>
   void contains_batch_impl(std::span<const Key> keys,
                            std::span<std::uint8_t> out) const {
@@ -710,15 +738,14 @@ class Mpcbf {
     engine::BatchStatsAccumulator acc;
     bool timed = false;
     std::uint64_t t0 = 0;
-    engine::chunked_pipeline(
+    engine::batch_pipeline(
         keys.size(),
         [&](std::size_t key_i, std::size_t slot) {
-          targets[slot].total_positions = 0;
           hash::HashBitStream stream(keys[key_i], seed_);
           der.derive_all(stream, targets[slot]);
-          for (unsigned p = 0; p < targets[slot].total_positions; ++p) {
-            store_.prefetch(targets[slot].word_of[p], /*for_write=*/false);
-          }
+        },
+        [&](std::size_t slot) {
+          return engine::gather_targets(store_, targets[slot], g_);
         },
         [&](std::size_t key_i, std::size_t slot) {
           const engine::BatchEval ev = engine::evaluate_lazy(
@@ -754,29 +781,52 @@ class Mpcbf {
     }
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.insert_batch");
     span.set_arg("keys", keys.size());
+    mutate_batch(keys, [&](std::size_t key_i, const engine::Targets& t,
+                           std::uint64_t derive_bits, bool timed,
+                           std::uint64_t t0) {
+      ok[key_i] = insert_derived(keys[key_i], t, derive_bits, timed, t0);
+    });
+  }
+
+  template <class Key>
+  void erase_batch_impl(std::span<const Key> keys,
+                        std::span<std::uint8_t> ok) {
+    if (keys.size() != ok.size()) {
+      throw std::invalid_argument("erase_batch: size mismatch");
+    }
+    MPCBF_TRACE_SPAN(span, kCore, "mpcbf.erase_batch");
+    span.set_arg("keys", keys.size());
+    mutate_batch(keys, [&](std::size_t key_i, const engine::Targets& t,
+                           std::uint64_t derive_bits, bool timed,
+                           std::uint64_t t0) {
+      ok[key_i] = erase_stashed(keys[key_i], timed, t0) ||
+                  erase_derived(t, derive_bits, timed, t0);
+    });
+  }
+
+  /// The batch pipeline of the two mutations: `apply(key_i, targets,
+  /// derive_bits, timed, t0)` runs each key's scalar body in key order
+  /// against the live words, with per-key sampled timing exactly as the
+  /// scalar operation records it.
+  template <class Key, class Apply>
+  void mutate_batch(std::span<const Key> keys, Apply&& apply) {
     const engine::TargetDeriver der = deriver();
     std::array<engine::Targets, engine::kBatchChunk> targets;
     std::array<std::uint64_t, engine::kBatchChunk> derive_bits;
-    engine::chunked_pipeline(
+    engine::batch_pipeline(
         keys.size(),
         [&](std::size_t key_i, std::size_t slot) {
-          targets[slot].total_positions = 0;
           hash::HashBitStream stream(keys[key_i], seed_);
           der.derive_all(stream, targets[slot]);
           derive_bits[slot] = stream.accounted_bits();
-          for (unsigned p = 0; p < targets[slot].total_positions; ++p) {
-            store_.prefetch(targets[slot].word_of[p], /*for_write=*/true);
-          }
+        },
+        [&](std::size_t slot) {
+          return engine::gather_targets(store_, targets[slot], g_);
         },
         [&](std::size_t key_i, std::size_t slot) {
-          // Per-key accounting exactly as scalar insert(): each op records
-          // its own kInsert tallies and sampled latency.
           const bool timed = stats_.should_sample();
           const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-          ok[key_i] = insert_derived(keys[key_i], targets[slot],
-                                     derive_bits[slot], timed, t0)
-                          ? 1
-                          : 0;
+          apply(key_i, targets[slot], derive_bits[slot], timed, t0);
         },
         [](std::size_t) {}, [](std::size_t) {});
   }

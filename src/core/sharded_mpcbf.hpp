@@ -93,10 +93,10 @@ class ShardedMpcbf {
 
   /// Batched membership: keys are first grouped by shard, then each shard
   /// is locked once and queried through the Mpcbf engine pipeline
-  /// (derive → prefetch → resolve), and the verdicts scattered back to
+  /// (derive → gather → resolve), and the verdicts scattered back to
   /// the caller's order. One lock acquisition per touched shard instead
-  /// of one per key, and the per-shard pipeline keeps its prefetch
-  /// locality. `out[i]` receives the verdict for `keys[i]`.
+  /// of one per key, and the per-shard pipeline keeps its overlapped
+  /// word loads. `out[i]` receives the verdict for `keys[i]`.
   void contains_batch(std::span<const std::string> keys,
                       std::span<std::uint8_t> out) const {
     contains_batch_impl<std::string>(keys, out);

@@ -5,7 +5,7 @@
 // word runs the hierarchical counter walk of core/hcbf.hpp. Before this
 // header existed that kernel was hand-copied into Mpcbf, AtomicMpcbf and
 // (indirectly) ShardedMpcbf/DurableMpcbf, each copy drifting on limits and
-// missing the batched prefetch pipeline. This header is the single source:
+// missing the batch pipeline. This header is the single source:
 //
 //   * TargetDeriver — HashBitStream -> Targets (words + positions) in the
 //     one canonical derivation order every operation must agree on, with
@@ -23,10 +23,12 @@
 //     pre-derived targets replaying each scalar query's exact visit order
 //     and accounting, which is what makes batch and scalar stats
 //     bit-for-bit comparable (tests/test_stats_parity.cpp).
-//   * chunked_pipeline + BatchStatsAccumulator — the software-pipelined
-//     batch skeleton (derive a chunk -> prefetch its words -> resolve)
-//     and the one-publish-per-class stats plumbing shared by every
-//     contains_batch/insert_batch.
+//   * batch_pipeline + BatchStatsAccumulator — the batch skeleton every
+//     contains_batch/insert_batch/erase_batch runs: derive a chunk's
+//     targets (pure compute), gather its words with plain demand loads in
+//     one tight loop so the out-of-order core overlaps the cache misses,
+//     then resolve each key in key order — plus the one-publish-per-class
+//     stats plumbing.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
 // AccessStats and the MPCBF_TRACE_* macros at the filter layer, so the
@@ -34,6 +36,7 @@
 // instrumentation out exactly as before.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -103,19 +106,42 @@ struct SeenWords {
   }
 };
 
+/// Position values Targets can hold: positions are packed into 13 bits
+/// next to a 3-bit group index (kMaxG = 8), so b1 (or PCBF's counters
+/// per word) must stay below this.
+inline constexpr unsigned kPosBits = 13;
+inline constexpr unsigned kMaxPositionRange = 1u << kPosBits;
+static_assert(kMaxG <= (1u << (16 - kPosBits)), "group index must fit");
+
 /// An operation's derived targets in canonical (derivation) order:
 /// word t, then its positions — the order queries consume, so inserts,
-/// deletes and queries agree on every hash bit.
+/// deletes and queries agree on every hash bit. Compact on purpose: each
+/// entry is one u16 (group index << kPosBits | position) and the word
+/// index lives once per group, so a 32-key batch chunk's targets fit in
+/// L1d next to the words being resolved.
 struct Targets {
-  std::array<std::size_t, kMaxPositions> word_of;
-  std::array<unsigned, kMaxPositions> pos;
   // Word index per hash group, including groups with zero positions
-  // (uneven k/g splits): those words have no word_of entry yet still cost
-  // a memory touch, which batch accounting must replicate.
+  // (uneven k/g splits): those words have no entry yet still cost a
+  // memory touch, which batch accounting and the gather must replicate.
   std::array<std::size_t, kMaxG> group_word;
+  std::array<std::uint16_t, kMaxPositions> entry;
   unsigned total_positions = 0;
   std::size_t distinct_words = 0;
+
+  [[nodiscard]] std::size_t word_of(unsigned i) const noexcept {
+    return group_word[entry[i] >> kPosBits];
+  }
+  [[nodiscard]] unsigned pos(unsigned i) const noexcept {
+    return entry[i] & (kMaxPositionRange - 1);
+  }
+  /// Appends position `pos` of hash group `group`.
+  void push(unsigned group, unsigned pos) noexcept {
+    assert(group < kMaxG && pos < kMaxPositionRange);
+    entry[total_positions++] =
+        static_cast<std::uint16_t>(group << kPosBits | pos);
+  }
 };
+static_assert(sizeof(Targets) <= 640, "a batch chunk's targets must fit L1d");
 
 /// The same targets regrouped by distinct word (first-seen order),
 /// positions contiguous per word in derivation order — the layout a
@@ -124,7 +150,7 @@ struct Targets {
 struct WordPlan {
   std::array<std::size_t, kMaxG> word;
   std::array<unsigned, kMaxG + 1> offset;
-  std::array<unsigned, kMaxPositions> pos;
+  std::array<std::uint16_t, kMaxPositions> pos;
   unsigned num_words = 0;
 };
 
@@ -134,7 +160,9 @@ class TargetDeriver {
  public:
   TargetDeriver(std::size_t num_words, unsigned k, unsigned g,
                 unsigned b1) noexcept
-      : num_words_(num_words), k_(k), g_(g), b1_(b1) {}
+      : num_words_(num_words), k_(k), g_(g), b1_(b1) {
+    assert(g <= kMaxG && b1 <= kMaxPositionRange);
+  }
 
   /// Derives all g word indices and k positions in the canonical order.
   /// Consumed-bit accounting accrues in the stream itself.
@@ -148,10 +176,7 @@ class TargetDeriver {
       seen.add(w);
       const unsigned kw = model::hashes_per_word(k_, g_, wi);
       for (unsigned i = 0; i < kw; ++i) {
-        t.word_of[t.total_positions] = w;
-        t.pos[t.total_positions] =
-            static_cast<unsigned>(stream.next_index(b1_));
-        ++t.total_positions;
+        t.push(wi, static_cast<unsigned>(stream.next_index(b1_)));
       }
     }
     t.distinct_words = seen.count;
@@ -179,16 +204,18 @@ inline void group_by_word(const Targets& t, WordPlan& p) noexcept {
   for (unsigned i = 0; i < t.total_positions; ++i) {
     bool known = false;
     for (unsigned s = 0; s < p.num_words; ++s) {
-      if (p.word[s] == t.word_of[i]) {
+      if (p.word[s] == t.word_of(i)) {
         known = true;
         break;
       }
     }
     if (known) continue;
-    const std::size_t w = t.word_of[i];
+    const std::size_t w = t.word_of(i);
     p.word[p.num_words] = w;
     for (unsigned j = i; j < t.total_positions; ++j) {
-      if (t.word_of[j] == w) p.pos[filled++] = t.pos[j];
+      if (t.word_of(j) == w) {
+        p.pos[filled++] = static_cast<std::uint16_t>(t.pos(j));
+      }
     }
     p.offset[++p.num_words] = filled;
   }
@@ -225,7 +252,7 @@ template <class TestBit>
     ev.words_touched = seen.count;
     for (unsigned i = 0; i < kw; ++i) {
       ev.hash_bits += log2_b1;
-      if (!test(w, t.pos[idx + i])) {
+      if (!test(w, t.pos(idx + i))) {
         ev.positive = false;
         if (short_circuit) break;
       }
@@ -264,7 +291,7 @@ template <class Storage>
   std::array<unsigned, kMaxG> needed{};
   u.count = 0;
   for (unsigned i = 0; i < t.total_positions; ++i) {
-    const std::size_t w = t.word_of[i];
+    const std::size_t w = t.word_of(i);
     unsigned slot = 0;
     while (slot < u.count && u.word[slot] != w) ++slot;
     if (slot == u.count) {
@@ -306,14 +333,15 @@ class PlainWords {
   [[nodiscard]] bool test(std::size_t w, unsigned pos) const noexcept {
     return words_[w].test(pos);
   }
-  void prefetch(std::size_t w, bool for_write) const noexcept {
-    // GCC requires the rw argument to be a literal constant (clang folds
-    // the ternary even at -O0); branch so both accept it.
-    if (for_write) {
-      __builtin_prefetch(&words_[w], 1, 1);
-    } else {
-      __builtin_prefetch(&words_[w], 0, 1);
-    }
+  /// Demand-loads word `w` for the batch gather: its first and last limb,
+  /// which between them touch every cache line a word of at most 64
+  /// bytes spans however the array is aligned. The loads are folded with
+  /// `+`, never `^`: for a one-limb word `x ^ x` folds to 0 at compile
+  /// time and the optimiser would drop the load.
+  [[nodiscard]] std::uint64_t gather(std::size_t w) const noexcept {
+    static_assert(sizeof(Word) <= 64, "gather covers at most two lines");
+    const Word& word = words_[w];
+    return word.limb(0) + word.limb(Word::kLimbs - 1);
   }
 
   /// Increments the counter at (w, pos); `used` is the word's current
@@ -375,14 +403,9 @@ class AtomicWords64 {
   void store_relaxed(std::size_t w, std::uint64_t v) noexcept {
     words_[w].store(v, std::memory_order_relaxed);
   }
-  void prefetch(std::size_t w, bool for_write) const noexcept {
-    // GCC requires the rw argument to be a literal constant (clang folds
-    // the ternary even at -O0); branch so both accept it.
-    if (for_write) {
-      __builtin_prefetch(&words_[w], 1, 1);
-    } else {
-      __builtin_prefetch(&words_[w], 0, 1);
-    }
+  /// Demand-loads word `w` for the batch gather (see PlainWords).
+  [[nodiscard]] std::uint64_t gather(std::size_t w) const noexcept {
+    return words_[w].load(std::memory_order_relaxed);
   }
 
   /// CAS loop applying all of plan group `s`'s increments (or decrements)
@@ -462,8 +485,9 @@ struct LevelWalk {
                                      WordUsage& u) noexcept {
     std::uint64_t extra_bits = 0;
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      unsigned& used = u.of(t.word_of[i]);
-      const HcbfResult r = s.increment(t.word_of[i], b1, t.pos[i], used);
+      const std::size_t w = t.word_of(i);
+      unsigned& used = u.of(w);
+      const HcbfResult r = s.increment(w, b1, t.pos(i), used);
       assert(r.ok);
       ++used;
       extra_bits += r.extra_bits;
@@ -485,7 +509,7 @@ struct LevelWalk {
                                        const Targets& t) noexcept {
     DecrementResult out;
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      const HcbfResult r = s.decrement(t.word_of[i], b1, t.pos[i]);
+      const HcbfResult r = s.decrement(t.word_of(i), b1, t.pos(i));
       if (r.ok) {
         out.extra_bits += r.extra_bits;
       } else {
@@ -503,7 +527,7 @@ struct LevelWalk {
                                             const Targets& t) noexcept {
     unsigned min_c = ~0u;
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      min_c = std::min(min_c, s.counter(t.word_of[i], b1, t.pos[i]));
+      min_c = std::min(min_c, s.counter(t.word_of(i), b1, t.pos(i)));
       if (min_c == 0) break;
     }
     return min_c;
@@ -512,27 +536,62 @@ struct LevelWalk {
 
 // --- batch pipeline ------------------------------------------------------
 
-/// Keys per pipeline chunk: large enough to hide a memory round-trip
-/// behind the next keys' hashing, small enough that a chunk's targets
-/// stay cache-resident.
+/// Keys per pipeline chunk: enough independent word loads in one gather
+/// to keep the core's miss-handling slots busy, few enough that a chunk's
+/// targets stay in L1d.
 inline constexpr std::size_t kBatchChunk = 32;
 
-/// The software-pipelined batch skeleton shared by every variant:
-/// derive(i) hashes key i and issues its prefetches; resolve(i) runs
-/// after the whole chunk derived, by which time the words are in flight
-/// or resident — the software analogue of the pipelined lookups the
-/// paper targets in hardware. `chunk_begin(count)` / `chunk_end(count)`
-/// bracket each chunk for sampled timing.
-template <class DeriveFn, class ResolveFn, class ChunkBegin, class ChunkEnd>
-void chunked_pipeline(std::size_t n, DeriveFn&& derive, ResolveFn&& resolve,
-                      ChunkBegin&& chunk_begin, ChunkEnd&& chunk_end) {
+/// Hands `v` to an empty asm statement so the optimiser must keep every
+/// load folded into it, even though nothing else reads the value. Other
+/// compilers may drop the gather, which costs speed, never correctness.
+MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+  asm volatile("" : : "r"(v));
+#else
+  (void)v;
+#endif
+}
+
+/// The batch skeleton shared by every variant. Each chunk of kBatchChunk
+/// keys runs in three phases:
+///   1. derive(key_i, slot) — hash the key into its targets: pure compute,
+///      no memory hint;
+///   2. gather(slot) — demand-load the slot's words and return them
+///      folded into one value, in a tight loop over the chunk. The loads
+///      are independent, so the out-of-order core keeps many cache misses
+///      in flight at once — the software analogue of the pipelined
+///      lookups the paper targets in hardware. The gather only warms the
+///      cache: mutations still resolve against the live word, so keys of
+///      one chunk that share a word see each other's writes;
+///   3. resolve(key_i, slot) — each key in key order, exactly as the
+///      scalar operation would.
+/// `chunk_begin(count)` / `chunk_end(count)` bracket each chunk for
+/// sampled timing.
+template <class DeriveFn, class GatherFn, class ResolveFn, class ChunkBegin,
+          class ChunkEnd>
+void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
+                    ResolveFn&& resolve, ChunkBegin&& chunk_begin,
+                    ChunkEnd&& chunk_end) {
   for (std::size_t base = 0; base < n; base += kBatchChunk) {
     const std::size_t count = std::min(kBatchChunk, n - base);
     chunk_begin(count);
     for (std::size_t i = 0; i < count; ++i) derive(base + i, i);
+    std::uint64_t loaded = 0;
+    for (std::size_t i = 0; i < count; ++i) loaded += gather(i);
+    keep_loads(loaded);
     for (std::size_t i = 0; i < count; ++i) resolve(base + i, i);
     chunk_end(count);
   }
+}
+
+/// Gathers the g group words of one key's targets (duplicates included:
+/// a repeated word is an L1 hit, cheaper than the branch that skips it).
+template <class Storage>
+[[nodiscard]] MPCBF_ENGINE_INLINE std::uint64_t gather_targets(
+    const Storage& s, const Targets& t, unsigned g) noexcept {
+  std::uint64_t v = 0;
+  for (unsigned wi = 0; wi < g; ++wi) v += s.gather(t.group_word[wi]);
+  return v;
 }
 
 /// Call-local query tallies indexed by verdict (negative=0, positive=1),

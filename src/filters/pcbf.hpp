@@ -46,6 +46,9 @@ class Pcbf {
     if (num_words_ == 0) {
       throw std::invalid_argument("Pcbf: memory smaller than one word");
     }
+    if (counters_per_word_ > core::engine::kMaxPositionRange) {
+      throw std::invalid_argument("Pcbf: too many counters per word");
+    }
   }
 
   Pcbf(std::size_t memory_bits, unsigned k, unsigned g = 1,
@@ -57,7 +60,7 @@ class Pcbf {
     hash::HashBitStream stream(key, seed_);
     deriver().derive_all(stream, t);
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      counters_.increment(counter_index(t.word_of[i], t.pos[i]));
+      counters_.increment(counter_index(t.word_of(i), t.pos(i)));
     }
     ++size_;
     stats_.record(metrics::OpClass::kInsert, t.distinct_words,
@@ -94,7 +97,7 @@ class Pcbf {
     deriver().derive_all(stream, t);
     bool ok = true;
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      ok &= counters_.decrement(counter_index(t.word_of[i], t.pos[i]));
+      ok &= counters_.decrement(counter_index(t.word_of(i), t.pos(i)));
     }
     if (size_ > 0) --size_;
     stats_.record(metrics::OpClass::kDelete, t.distinct_words,
@@ -108,8 +111,8 @@ class Pcbf {
     deriver().derive_all(stream, t);
     std::uint32_t min_c = ~std::uint32_t{0};
     for (unsigned i = 0; i < t.total_positions; ++i) {
-      min_c = std::min(min_c, counters_.get(counter_index(t.word_of[i],
-                                                          t.pos[i])));
+      min_c = std::min(min_c,
+                       counters_.get(counter_index(t.word_of(i), t.pos(i))));
     }
     return min_c;
   }

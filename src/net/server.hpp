@@ -246,6 +246,21 @@ struct ReplSource {
   }
 };
 
+/// An ERASE frame's keys: through the filter's own erase_batch pipeline
+/// where it has one (Mpcbf), otherwise a scalar erase loop. Both give
+/// the same verdicts, state and stats.
+template <typename F>
+void erase_batch(F& f, std::span<const std::string_view> keys,
+                 std::span<std::uint8_t> ok) {
+  if constexpr (requires { f.erase_batch(keys, ok); }) {
+    f.erase_batch(keys, ok);
+  } else {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ok[i] = f.erase(keys[i]) ? 1 : 0;
+    }
+  }
+}
+
 }  // namespace detail
 
 /// Wraps a concrete filter in a FilterBackend. Works with Mpcbf,
@@ -282,9 +297,7 @@ template <typename F>
   b.erase_batch = [f, mu](std::span<const std::string_view> keys,
                           std::span<std::uint8_t> ok) {
     std::unique_lock lock(*mu);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ok[i] = f->erase(keys[i]) ? 1 : 0;
-    }
+    detail::erase_batch(*f, keys, ok);
   };
   if constexpr (requires {
                   { f->count(std::string_view{}) }
@@ -495,9 +508,7 @@ template <typename F>
   };
   b.erase_batch = [f](std::span<const std::string_view> keys,
                       std::span<std::uint8_t> ok) {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ok[i] = f->erase(keys[i]) ? 1 : 0;
-    }
+    detail::erase_batch(*f, keys, ok);
   };
   if constexpr (requires {
                   { f->count(std::string_view{}) }

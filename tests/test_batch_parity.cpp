@@ -1,8 +1,9 @@
-// Batch/scalar parity for the non-sequential variants, mirroring
-// tests/test_stats_parity.cpp (which pins the plain Mpcbf): a
-// contains_batch/insert_batch call on AtomicMpcbf or ShardedMpcbf must
-// return bit-identical verdicts AND identical per-op-class AccessStats
-// to the equivalent scalar loop. Also exercises contains_batch under
+// Batch/scalar parity: a contains_batch/insert_batch/erase_batch call on
+// Mpcbf (every word width and g), AtomicMpcbf or ShardedMpcbf must return
+// bit-identical verdicts, leave byte-identical filter state AND record
+// identical per-op-class AccessStats to the equivalent scalar loop — with
+// several keys of one pipeline chunk sharing a word, stash diversions and
+// underflowing erases in the mix. Also exercises contains_batch under
 // concurrent inserts (run under TSan in CI) and the DurableMpcbf batch
 // journaling path.
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -58,6 +60,155 @@ std::vector<std::string> mixed_workload(const std::vector<std::string>& keys,
     mixed.push_back(probes[i]);
   }
   return mixed;
+}
+
+// --- Mpcbf: insert / contains / erase at W = 64, 128, 256 ----------------
+
+// The full persisted state: words, size, overflow/underflow counts and
+// the stash, in save()'s byte-stable encoding.
+template <class Filter>
+std::string saved_bytes(const Filter& f) {
+  std::ostringstream os;
+  f.save(os);
+  return os.str();
+}
+
+template <unsigned W>
+void expect_same_state(const Mpcbf<W>& scalar, const Mpcbf<W>& batch) {
+  ASSERT_EQ(scalar.num_words(), batch.num_words());
+  for (std::size_t w = 0; w < scalar.num_words(); ++w) {
+    ASSERT_EQ(scalar.word(w), batch.word(w)) << "word " << w;
+  }
+  EXPECT_EQ(scalar.size(), batch.size());
+  EXPECT_EQ(scalar.overflow_events(), batch.overflow_events());
+  EXPECT_EQ(scalar.underflow_events(), batch.underflow_events());
+  EXPECT_EQ(scalar.stash_size(), batch.stash_size());
+  EXPECT_EQ(saved_bytes(scalar), saved_bytes(batch));
+  expect_same_accounting(scalar.stats(), batch.stats());
+}
+
+// Drives the same insert → query → erase sequence through scalar loops on
+// one filter and the batch calls on an identically-built twin, comparing
+// verdicts and full state after every phase. The key lists repeat keys
+// back to back (same chunk, same words) and the erase list adds keys that
+// were never inserted or are erased once too often, so underflows occur.
+template <unsigned W>
+void run_mpcbf_parity(MpcbfConfig cfg, std::size_t n_keys,
+                      std::uint64_t seed) {
+  const auto keys = generate_unique_strings(n_keys, 6, seed);
+  const auto probes = generate_unique_strings(n_keys, 8, seed + 1);
+  Mpcbf<W> scalar_f(cfg);
+  Mpcbf<W> batch_f(cfg);
+
+  const auto scalar_loop = [](auto&& op, const std::vector<std::string>& ks) {
+    std::vector<std::uint8_t> out(ks.size());
+    for (std::size_t i = 0; i < ks.size(); ++i) out[i] = op(ks[i]) ? 1 : 0;
+    return out;
+  };
+
+  std::vector<std::string> inserts;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    inserts.push_back(keys[i]);
+    if (i % 5 == 0) inserts.push_back(keys[i]);  // a second copy
+  }
+  const auto scalar_ok = scalar_loop(
+      [&](const std::string& k) { return scalar_f.insert(k); }, inserts);
+  std::vector<std::uint8_t> batch_ok(inserts.size(), 0xFF);
+  batch_f.insert_batch(inserts, batch_ok);
+  ASSERT_EQ(scalar_ok, batch_ok);
+  expect_same_state(scalar_f, batch_f);
+
+  const auto mixed = mixed_workload(keys, probes);
+  const auto scalar_out = scalar_loop(
+      [&](const std::string& k) { return scalar_f.contains(k); }, mixed);
+  std::vector<std::uint8_t> batch_out(mixed.size(), 0xFF);
+  batch_f.contains_batch(mixed, batch_out);
+  ASSERT_EQ(scalar_out, batch_out);
+  expect_same_state(scalar_f, batch_f);
+
+  std::vector<std::string> erases;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    erases.push_back(keys[i]);
+    if (i % 5 == 0 || i % 7 == 0) erases.push_back(keys[i]);
+    if (i % 3 == 0) erases.push_back(probes[i]);  // never inserted
+  }
+  const auto scalar_erased = scalar_loop(
+      [&](const std::string& k) { return scalar_f.erase(k); }, erases);
+  std::vector<std::uint8_t> batch_erased(erases.size(), 0xFF);
+  batch_f.erase_batch(erases, batch_erased);
+  ASSERT_EQ(scalar_erased, batch_erased);
+  EXPECT_GT(scalar_f.underflow_events(), 0u);
+  expect_same_state(scalar_f, batch_f);
+  EXPECT_TRUE(batch_f.validate());
+}
+
+MpcbfConfig parity_config(std::size_t words, unsigned w_bits, unsigned k,
+                          unsigned g, unsigned n_max, OverflowPolicy policy) {
+  MpcbfConfig cfg;
+  cfg.memory_bits = words * w_bits;
+  cfg.k = k;
+  cfg.g = g;
+  cfg.n_max = n_max;
+  cfg.policy = policy;
+  return cfg;
+}
+
+// 16 words: every 32-key chunk lands several keys on one word, and the
+// words fill up, so inserts overflow into the stash (or are rejected).
+TEST(MpcbfBatchParity, W64G1CollidingChunkWithStash) {
+  run_mpcbf_parity<64>(parity_config(16, 64, 3, 1, 4, OverflowPolicy::kStash),
+                       300, 601);
+}
+TEST(MpcbfBatchParity, W64G1CollidingChunkWithReject) {
+  run_mpcbf_parity<64>(
+      parity_config(16, 64, 3, 1, 4, OverflowPolicy::kReject), 300, 603);
+}
+TEST(MpcbfBatchParity, W64G1Roomy) {
+  run_mpcbf_parity<64>(
+      parity_config(4096, 64, 3, 1, 4, OverflowPolicy::kStash), 2000, 605);
+}
+TEST(MpcbfBatchParity, W128G2CollidingChunkWithStash) {
+  run_mpcbf_parity<128>(
+      parity_config(16, 128, 4, 2, 6, OverflowPolicy::kStash), 300, 607);
+}
+TEST(MpcbfBatchParity, W128G2Roomy) {
+  run_mpcbf_parity<128>(
+      parity_config(2048, 128, 4, 2, 6, OverflowPolicy::kReject), 2000, 609);
+}
+TEST(MpcbfBatchParity, W256G3UnevenKCollidingChunkWithStash) {
+  // k = 7, g = 3 splits 3 + 3 + 1.
+  run_mpcbf_parity<256>(
+      parity_config(16, 256, 7, 3, 8, OverflowPolicy::kStash), 300, 611);
+}
+TEST(MpcbfBatchParity, W256G3UnevenKRoomy) {
+  run_mpcbf_parity<256>(
+      parity_config(1024, 256, 7, 3, 8, OverflowPolicy::kStash), 2000, 613);
+}
+
+TEST(MpcbfBatchParity, StringViewOverloadsMatchStringOverloads) {
+  const auto keys = generate_unique_strings(200, 6, 615);
+  const std::vector<std::string_view> views(keys.begin(), keys.end());
+  const auto cfg = parity_config(64, 64, 3, 1, 4, OverflowPolicy::kStash);
+  Mpcbf<64> a(cfg);
+  Mpcbf<64> b(cfg);
+  std::vector<std::uint8_t> ok_a(keys.size()), ok_b(keys.size());
+  a.insert_batch(keys, ok_a);
+  b.insert_batch(std::span<const std::string_view>(views),
+                 std::span<std::uint8_t>(ok_b));
+  EXPECT_EQ(ok_a, ok_b);
+  a.erase_batch(keys, ok_a);
+  b.erase_batch(std::span<const std::string_view>(views),
+                std::span<std::uint8_t>(ok_b));
+  EXPECT_EQ(ok_a, ok_b);
+  expect_same_state(a, b);
+  EXPECT_EQ(b.size(), 0u);
+}
+
+TEST(MpcbfBatchParity, EraseBatchRejectsSizeMismatch) {
+  auto f = Mpcbf<64>::with_memory(1 << 12, 3, 1, 100);
+  const std::vector<std::string> keys = {"a", "b"};
+  std::vector<std::uint8_t> ok(1);
+  EXPECT_THROW(f.erase_batch(keys, ok), std::invalid_argument);
 }
 
 // --- AtomicMpcbf --------------------------------------------------------
@@ -119,6 +270,45 @@ TEST(AtomicBatchParity, InsertBatchMatchesScalarLoopIncludingOverflow) {
   }
 }
 
+TEST(AtomicBatchParity, CollidingChunkLeavesIdenticalWords) {
+  // 8 words: each 32-key chunk puts several keys (and repeated keys) on
+  // one word, so every CAS of the resolve phase must see the writes of
+  // the chunk's earlier keys. Scalar erases afterwards must agree too.
+  const auto unique = generate_unique_strings(120, 6, 312);
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < unique.size(); ++i) {
+    keys.push_back(unique[i]);
+    if (i % 4 == 0) keys.push_back(unique[i]);
+  }
+  AtomicMpcbf scalar_f(8 * 64, 3, 1, 0, 0xCD, /*n_max=*/4);
+  AtomicMpcbf batch_f(8 * 64, 3, 1, 0, 0xCD, /*n_max=*/4);
+  std::vector<std::uint8_t> scalar_ok(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    scalar_ok[i] = scalar_f.insert(keys[i]) ? 1 : 0;
+  }
+  std::vector<std::uint8_t> batch_ok(keys.size(), 0xFF);
+  batch_f.insert_batch(keys, batch_ok);
+  ASSERT_EQ(scalar_ok, batch_ok);
+  EXPECT_GT(scalar_f.overflow_events(), 0u);
+  EXPECT_EQ(saved_bytes(scalar_f), saved_bytes(batch_f));
+  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+
+  std::vector<std::uint8_t> scalar_out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    scalar_out[i] = scalar_f.contains(keys[i]) ? 1 : 0;
+  }
+  std::vector<std::uint8_t> batch_out(keys.size(), 0xFF);
+  batch_f.contains_batch(keys, batch_out);
+  ASSERT_EQ(scalar_out, batch_out);
+  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+
+  for (const auto& key : keys) {
+    EXPECT_EQ(scalar_f.erase(key), batch_f.erase(key));
+  }
+  EXPECT_EQ(saved_bytes(scalar_f), saved_bytes(batch_f));
+  EXPECT_EQ(scalar_f.underflow_events(), batch_f.underflow_events());
+}
+
 TEST(AtomicBatchParity, StringViewOverloadMatchesStringOverload) {
   const auto keys = generate_unique_strings(300, 6, 304);
   AtomicMpcbf f(1 << 16, 4, 2, keys.size());
@@ -134,7 +324,9 @@ TEST(AtomicBatchParity, StringViewOverloadMatchesStringOverload) {
   EXPECT_EQ(out_str, out_view);
   // Every accepted key must query positive (rejected keys may not).
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (ok[i]) EXPECT_EQ(out_str[i], 1);
+    if (ok[i]) {
+      EXPECT_EQ(out_str[i], 1);
+    }
   }
 }
 
@@ -142,7 +334,7 @@ TEST(AtomicBatchParity, ContainsBatchUnderConcurrentInserts) {
   // Pre-inserted keys must stay positive while other threads insert:
   // counters only grow, so a batch query racing lock-free inserts can
   // never lose an established key. This is the TSan workout for the
-  // prefetch + snapshot-resolve pipeline against the CAS write path.
+  // gather + snapshot-resolve pipeline against the CAS write path.
   const std::size_t n_established = 512;
   const std::size_t n_per_writer = 2000;
   const unsigned n_writers = 4;

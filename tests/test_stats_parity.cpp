@@ -154,6 +154,47 @@ TEST(StatsParity, StashedKeysCountPositive) {
   EXPECT_EQ(scalar_f.stats().ops(OpClass::kQueryPositive), 4u);
 }
 
+TEST(StatsParity, MutationBatchesAccountLikeScalarLoops) {
+  // insert_batch / erase_batch must record exactly the kInsert / kDelete
+  // tallies of scalar loops: stash diversions, stash-first erases (no
+  // words, no bits), underflowing erases of never-inserted keys.
+  MpcbfConfig cfg;
+  cfg.memory_bits = 8 * 64;
+  cfg.k = 4;
+  cfg.g = 2;
+  cfg.n_max = 2;
+  cfg.policy = OverflowPolicy::kStash;
+  const auto keys = generate_unique_strings(80, 6, 111);
+  const auto phantoms = generate_unique_strings(20, 8, 112);
+  std::vector<std::string> erases = keys;
+  erases.insert(erases.end(), phantoms.begin(), phantoms.end());
+  Mpcbf<64> scalar_f(cfg);
+  Mpcbf<64> batch_f(cfg);
+
+  std::vector<std::uint8_t> scalar_ok(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    scalar_ok[i] = scalar_f.insert(keys[i]) ? 1 : 0;
+  }
+  std::vector<std::uint8_t> batch_ok(keys.size(), 0xFF);
+  batch_f.insert_batch(keys, batch_ok);
+  ASSERT_EQ(scalar_ok, batch_ok);
+  ASSERT_GT(scalar_f.stash_size(), 0u);
+  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+
+  std::vector<std::uint8_t> scalar_erased(erases.size());
+  for (std::size_t i = 0; i < erases.size(); ++i) {
+    scalar_erased[i] = scalar_f.erase(erases[i]) ? 1 : 0;
+  }
+  std::vector<std::uint8_t> batch_erased(erases.size(), 0xFF);
+  batch_f.erase_batch(erases, batch_erased);
+  ASSERT_EQ(scalar_erased, batch_erased);
+  EXPECT_GT(scalar_f.underflow_events(), 0u);
+  EXPECT_EQ(scalar_f.underflow_events(), batch_f.underflow_events());
+  EXPECT_EQ(scalar_f.size(), batch_f.size());
+  EXPECT_EQ(batch_f.stash_size(), 0u);
+  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+}
+
 TEST(StatsParity, FailedEraseDoesNotShrinkSize) {
   // Regression: erase() used to decrement size_ even when every target
   // counter underflowed, so erasing phantom keys drifted size() toward

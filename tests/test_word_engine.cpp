@@ -7,7 +7,9 @@
 // on the other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/atomic_mpcbf.hpp"
@@ -131,8 +133,8 @@ TEST(WordEngine, DeriveAllMatchesManualStreamConsumption) {
     EXPECT_EQ(t.group_word[wi], w);
     const unsigned kw = mpcbf::model::hashes_per_word(k, g, wi);
     for (unsigned i = 0; i < kw; ++i, ++idx) {
-      EXPECT_EQ(t.word_of[idx], w);
-      EXPECT_EQ(t.pos[idx], s2.next_index(b1));
+      EXPECT_EQ(t.word_of(idx), w);
+      EXPECT_EQ(t.pos(idx), s2.next_index(b1));
     }
   }
   EXPECT_EQ(t.total_positions, k);
@@ -141,19 +143,43 @@ TEST(WordEngine, DeriveAllMatchesManualStreamConsumption) {
 
 // --- group_by_word ------------------------------------------------------
 
+// Builds targets from (word, position) entries in derivation order; a
+// change of word starts a new hash group, as derive_all would record it.
 engine::Targets make_targets(
     std::initializer_list<std::pair<std::size_t, unsigned>> entries) {
   engine::Targets t;
   t.total_positions = 0;
+  unsigned groups = 0;
   engine::SeenWords seen;
   for (const auto& [w, pos] : entries) {
-    t.word_of[t.total_positions] = w;
-    t.pos[t.total_positions] = pos;
-    ++t.total_positions;
+    if (groups == 0 || t.group_word[groups - 1] != w) {
+      t.group_word[groups++] = w;
+    }
+    t.push(groups - 1, pos);
     seen.add(w);
   }
   t.distinct_words = seen.count;
   return t;
+}
+
+TEST(WordEngine, TargetsPackGroupAndPosition) {
+  // The largest legal shape: kMaxG groups, positions up to the packing
+  // limit, every entry round-trips through the u16 encoding.
+  engine::Targets t;
+  t.total_positions = 0;
+  for (unsigned wi = 0; wi < engine::kMaxG; ++wi) {
+    t.group_word[wi] = (std::size_t{1} << 40) + wi;
+    for (unsigned i = 0; i < engine::kMaxKPerWord; ++i) {
+      t.push(wi, engine::kMaxPositionRange - 1 - i);
+    }
+  }
+  ASSERT_EQ(t.total_positions, engine::kMaxPositions);
+  for (unsigned i = 0; i < t.total_positions; ++i) {
+    const unsigned wi = i / engine::kMaxKPerWord;
+    EXPECT_EQ(t.word_of(i), (std::size_t{1} << 40) + wi);
+    EXPECT_EQ(t.pos(i),
+              engine::kMaxPositionRange - 1 - i % engine::kMaxKPerWord);
+  }
 }
 
 TEST(WordEngine, GroupByWordKeepsFirstSeenOrderAndDerivationOrder) {
@@ -267,33 +293,72 @@ TEST(WordEngine, EvaluateLazyConsumesFullBudgetWithoutShortCircuit) {
   EXPECT_EQ(ev.hash_bits, 17u);
 }
 
-// --- chunked_pipeline ---------------------------------------------------
+// --- batch_pipeline -----------------------------------------------------
 
-TEST(WordEngine, ChunkedPipelineDerivesWholeChunkBeforeResolving) {
+TEST(WordEngine, BatchPipelineDerivesThenGathersThenResolvesPerChunk) {
+  // Phase order within a chunk: every derive, then every gather, then
+  // the resolves in key order; chunks run one after another.
   const std::size_t n = engine::kBatchChunk + 5;  // one full + one partial
-  std::vector<char> derived(n, 0);
+  std::vector<std::string> events;
   std::vector<std::size_t> chunk_sizes;
-  std::size_t resolved = 0;
-  engine::chunked_pipeline(
+  engine::batch_pipeline(
       n,
-      [&](std::size_t key_i, std::size_t) { derived[key_i] = 1; },
-      [&](std::size_t key_i, std::size_t) {
-        // Pipelining contract: by resolve time the whole chunk derived.
-        const std::size_t chunk_base =
-            (key_i / engine::kBatchChunk) * engine::kBatchChunk;
-        const std::size_t chunk_end =
-            std::min(chunk_base + engine::kBatchChunk, n);
-        for (std::size_t j = chunk_base; j < chunk_end; ++j) {
-          ASSERT_EQ(derived[j], 1) << "key " << j << " not derived yet";
-        }
-        ++resolved;
+      [&](std::size_t key_i, std::size_t slot) {
+        EXPECT_EQ(slot, key_i % engine::kBatchChunk);
+        events.push_back("d" + std::to_string(key_i));
+      },
+      [&](std::size_t slot) {
+        events.push_back("g" + std::to_string(slot));
+        return std::uint64_t{slot};
+      },
+      [&](std::size_t key_i, std::size_t slot) {
+        EXPECT_EQ(slot, key_i % engine::kBatchChunk);
+        events.push_back("r" + std::to_string(key_i));
       },
       [&](std::size_t count) { chunk_sizes.push_back(count); },
-      [](std::size_t) {});
-  EXPECT_EQ(resolved, n);
+      [&](std::size_t count) { events.push_back("e" + std::to_string(count)); });
+
+  std::vector<std::string> expected;
+  for (std::size_t base = 0; base < n; base += engine::kBatchChunk) {
+    const std::size_t count = std::min(engine::kBatchChunk, n - base);
+    for (std::size_t i = 0; i < count; ++i) {
+      expected.push_back("d" + std::to_string(base + i));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      expected.push_back("g" + std::to_string(i));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      expected.push_back("r" + std::to_string(base + i));
+    }
+    expected.push_back("e" + std::to_string(count));
+  }
+  EXPECT_EQ(events, expected);
   ASSERT_EQ(chunk_sizes.size(), 2u);
   EXPECT_EQ(chunk_sizes[0], engine::kBatchChunk);
   EXPECT_EQ(chunk_sizes[1], 5u);
+}
+
+TEST(WordEngine, GatherReadsEveryLimbBoundaryOfTheWord) {
+  // A 512-bit word spans two cache lines unless 64-byte aligned; the
+  // gather folds its first and last limb, so both lines are loaded.
+  engine::PlainWords<512> store;
+  store.init(3);
+  auto& words = store.words();
+  words[1].set_limb(0, 0xF0);
+  words[1].set_limb(7, 0x0F);
+  EXPECT_EQ(store.gather(1), 0xFFu);
+  EXPECT_EQ(store.gather(0), 0u);
+  engine::Targets t;
+  t.group_word = {1, 1, 2};
+  EXPECT_EQ(engine::gather_targets(store, t, 3), 0x1FEu);
+  EXPECT_EQ(engine::gather_targets(store, t, 1), 0xFFu);
+
+  // A one-limb word's gather must still depend on the loaded value; a
+  // fold that cancelled (limb(0) ^ limb(0)) would let the load vanish.
+  engine::PlainWords<64> narrow;
+  narrow.init(2);
+  narrow.words()[1].set_limb(0, 0x40);
+  EXPECT_NE(narrow.gather(1), 0u);
 }
 
 // --- default seed constant ----------------------------------------------
