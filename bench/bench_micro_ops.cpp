@@ -2,7 +2,8 @@
 // filter in the lineup — insert, positive query, negative query, delete —
 // plus the HCBF word primitives the core is built from. Complements the
 // figure benches: Fig. 8 measures a realistic mixed stream; these isolate
-// single-operation cost.
+// single-operation cost. Also times the CRC32C kernels every frame and
+// snapshot goes through.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -11,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/atomic_mpcbf.hpp"
@@ -23,6 +25,7 @@
 #include "filters/dlcbf.hpp"
 #include "filters/pcbf.hpp"
 #include "filters/vicbf.hpp"
+#include "io/crc32c.hpp"
 #include "workload/string_sets.hpp"
 
 namespace {
@@ -374,6 +377,48 @@ void BM_WordBitset_InsertRemove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WordBitset_InsertRemove);
+
+// --- CRC32C ----------------------------------------------------------------
+//
+// The checksum every frame and snapshot carries, through the kernel
+// Crc32c::update picks on this CPU and through the portable slice-by-8
+// kernel. Sizes: a short record, a batch-64 QUERY frame (1330 B), and a
+// 64 KiB block. Values are ns per call.
+
+const std::string& crc_input() {
+  static const auto v = [] {
+    std::string s(64 << 10, '\0');
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (auto& c : s) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      c = static_cast<char>(x);
+    }
+    return s;
+  }();
+  return v;
+}
+
+void BM_Crc32c_Dispatched(benchmark::State& state) {
+  const std::string_view bytes(crc_input().data(),
+                               static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) benchmark::DoNotOptimize(io::crc32c(bytes));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Crc32c_Portable(benchmark::State& state) {
+  const std::string_view bytes(crc_input().data(),
+                               static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(~io::detail::crc32c_update_portable(
+        ~std::uint32_t{0}, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+BENCHMARK(BM_Crc32c_Dispatched)->Arg(64)->Arg(1330)->Arg(64 << 10);
+BENCHMARK(BM_Crc32c_Portable)->Arg(64)->Arg(1330)->Arg(64 << 10);
 
 }  // namespace
 

@@ -388,10 +388,9 @@ class AtomicWords64 {
  public:
   static constexpr unsigned kWordBits = 64;
 
-  void init(std::size_t l) {
-    words_ = std::vector<std::atomic<std::uint64_t>>(l);
-    for (auto& w : words_) w.store(0, std::memory_order_relaxed);
-  }
+  /// Allocates `l` zeroed words; the allocator advises the array for
+  /// huge pages before the zeroing constructors first touch it.
+  void init(std::size_t l) { words_ = Words(l); }
 
   [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
   [[nodiscard]] std::uint64_t load_acquire(std::size_t w) const noexcept {
@@ -439,7 +438,9 @@ class AtomicWords64 {
   }
 
  private:
-  std::vector<std::atomic<std::uint64_t>> words_;
+  using Words = std::vector<std::atomic<std::uint64_t>,
+                            util::HugePageAllocator<std::atomic<std::uint64_t>>>;
+  Words words_;
 };
 
 /// Eager-evaluation verdict: one atomic snapshot per distinct word, test

@@ -1,11 +1,8 @@
 #include "net/fault_proxy.hpp"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
 namespace mpcbf::net {
 
@@ -143,9 +140,8 @@ void FaultProxy::run() {
     // Accept — or, while partitioned, refuse by immediate close.
     if ((pfds[0].revents & POLLIN) != 0) {
       for (;;) {
-        const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-        if (fd < 0) break;
-        Socket client(fd);
+        Socket client = accept_tcp(listener_);
+        if (!client.valid()) break;
         if (partitioned) continue;  // dropped on the floor
         try {
           std::string host;
@@ -157,7 +153,6 @@ void FaultProxy::run() {
           }
           Socket upstream =
               connect_tcp(host, tport, std::chrono::milliseconds(1000));
-          set_nonblocking(client.fd(), true);
           set_nonblocking(upstream.fd(), true);
           auto p = std::make_unique<Pair>();
           p->client = std::move(client);

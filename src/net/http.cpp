@@ -1,10 +1,6 @@
 #include "net/http.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -118,13 +114,11 @@ void AdminServer::service_loop() {
     for (const auto& e : events) {
       if (e.data == nullptr) {  // listener
         for (;;) {
-          const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-          if (fd < 0) break;
-          Socket sock(fd);
+          Socket sock = accept_tcp(listener_);
+          if (!sock.valid()) break;
           if (conns.size() >= options_.max_connections) {
             continue;  // over cap: close immediately (Socket dtor)
           }
-          set_nonblocking(fd, true);
           auto conn = std::make_unique<Conn>(std::move(sock));
           loop_->add(conn->sock.fd(), false, conn.get());
           conns.push_back(std::move(conn));
@@ -145,26 +139,17 @@ void AdminServer::service_loop() {
             }
             if (n == 0 && c.wpos == c.wbuf.size()) c.dead = true;
           } else {
-            for (;;) {
-              const std::size_t old = c.rbuf.size();
-              if (old + kReadChunk > kMaxRequestBytes + kReadChunk) {
-                // Headers over the cap: answer 431 and stop reading.
-                // The buffer never grows past cap + one chunk.
-                respond(c, HttpRequest{},
-                        HttpResponse{431, "text/plain; charset=utf-8",
-                                     "request header fields too large\n"});
-                break;
-              }
-              c.rbuf.resize(old + kReadChunk);
-              const std::ptrdiff_t n =
-                  read_some(c.sock.fd(), c.rbuf.data() + old, kReadChunk);
-              c.rbuf.resize(old +
-                            (n > 0 ? static_cast<std::size_t>(n) : 0));
-              if (n == 0) {  // EOF before a full request
-                c.dead = true;
-                break;
-              }
-              if (n < 0) break;  // EAGAIN
+            char chunk[kReadChunk];
+            const ReadStatus st = read_available(
+                c.sock.fd(), c.rbuf, chunk, kMaxRequestBytes + kReadChunk);
+            if (st == ReadStatus::kFull) {
+              // Headers over the cap: answer 431 and stop reading.
+              // The buffer never grows past cap + one chunk.
+              respond(c, HttpRequest{},
+                      HttpResponse{431, "text/plain; charset=utf-8",
+                                   "request header fields too large\n"});
+            } else if (st == ReadStatus::kEof) {  // before a full request
+              c.dead = true;
             }
             if (!c.dead && !c.responded) (void)try_serve(c);
           }

@@ -1,11 +1,6 @@
 #include "net/server.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -20,17 +15,6 @@
 namespace mpcbf::net {
 
 namespace {
-
-/// Read chunk size. Large enough that a 64-key batch of short keys
-/// arrives in one syscall; small enough that a slow connection does not
-/// pin memory.
-constexpr std::size_t kReadChunk = 64 * 1024;
-
-/// A read buffer may hold at most one maximal frame plus one read chunk
-/// of the next; a peer that streams more without ever completing a
-/// frame is hostile or broken.
-constexpr std::size_t kMaxReadBuffer =
-    kHeaderSize + kMaxPayload + kReadChunk;
 
 /// Sharded mode: run the shard's maintenance hook (elastic compaction
 /// step) after this many mutation sub-batches.
@@ -189,6 +173,10 @@ struct Server::Connection {
 struct Server::Worker {
   std::size_t index = 0;
   EventLoop loop;
+  /// Every read lands here first; a connection's buffer then grows by
+  /// the bytes that arrived, never by a zero-filled chunk.
+  std::unique_ptr<char[]> read_chunk =
+      std::make_unique_for_overwrite<char[]>(kReadChunk);
   std::mutex mu;
   std::vector<Socket> intake;  ///< accepted sockets awaiting adoption
   std::vector<std::unique_ptr<Connection>> conns;
@@ -374,10 +362,8 @@ void Server::acceptor_loop() {
     (void)accept_loop_->wait(events, -1);
     if (stopping_.load(std::memory_order_acquire)) break;
     for (;;) {
-      const int fd = ::accept(listener_.fd(), nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN (or transient): back to the loop
-      Socket conn(fd);
-      set_nonblocking(fd, true);
+      Socket conn = accept_tcp(listener_);
+      if (!conn.valid()) break;  // EAGAIN (or transient): back to the loop
       accepted_.fetch_add(1, std::memory_order_relaxed);
       metrics_->connections.inc();
       Worker& w = *workers_[next_worker];
@@ -547,35 +533,31 @@ void Server::service_connection(Worker& w, Connection& c, bool readable,
                                 bool broken) {
   try {
     if (readable || broken) {
-      for (;;) {
-        const std::size_t old = c.rbuf.size();
-        if (old + kReadChunk > kMaxReadBuffer) {
-          // One frame can never legitimately need this much buffer.
-          metrics_->proto_errors.inc();
+      const ReadStatus st =
+          read_available(c.sock.fd(), c.rbuf,
+                         std::span<char>(w.read_chunk.get(), kReadChunk),
+                         kMaxReadBuffer);
+      if (st == ReadStatus::kFull) {
+        // One frame can never legitimately need this much buffer.
+        metrics_->proto_errors.inc();
+        c.dead = true;
+        return;
+      }
+      if (st == ReadStatus::kEof) {  // serve what we have, then close
+        c.eof = true;
+        if (!drain_frames(w, c)) {
           c.dead = true;
           return;
         }
-        c.rbuf.resize(old + kReadChunk);
-        const std::ptrdiff_t n =
-            read_some(c.sock.fd(), c.rbuf.data() + old, kReadChunk);
-        c.rbuf.resize(old + (n > 0 ? static_cast<std::size_t>(n) : 0));
-        if (n == 0) {  // EOF: serve what we have, then close
-          c.eof = true;
-          if (!drain_frames(w, c)) {
-            c.dead = true;
-            return;
-          }
-          // Stop watching the fd (level-triggered EOF would spin);
-          // in-flight sub-batches finish via the rings and
-          // pump_replies closes once the pipeline empties.
-          w.loop.del(c.sock.fd());
-          if (c.pipeline.empty()) {
-            (void)flush_writes(c);
-            c.dead = true;
-          }
-          return;
+        // Stop watching the fd (level-triggered EOF would spin);
+        // in-flight sub-batches finish via the rings and
+        // pump_replies closes once the pipeline empties.
+        w.loop.del(c.sock.fd());
+        if (c.pipeline.empty()) {
+          (void)flush_writes(c);
+          c.dead = true;
         }
-        if (n < 0) break;  // EAGAIN: drained the socket
+        return;
       }
       if (!drain_frames(w, c)) {
         c.dead = true;

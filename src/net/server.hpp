@@ -555,6 +555,17 @@ template <typename F>
 
 class Server {
  public:
+  /// Bytes one read(2) asks for. Large enough that a 64-key batch of
+  /// short keys arrives in one syscall; small enough that a slow
+  /// connection does not pin memory.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+  /// A read buffer may hold at most one maximal frame plus one read
+  /// chunk of the next; a peer that streams more without ever
+  /// completing a frame is hostile or broken and is closed as a
+  /// protocol error.
+  static constexpr std::size_t kMaxReadBuffer =
+      kHeaderSize + kMaxPayload + kReadChunk;
+
   struct Options {
     std::string bind_address = "127.0.0.1";
     /// 0 = kernel-assigned ephemeral port; read back via port().

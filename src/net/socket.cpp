@@ -100,6 +100,18 @@ Socket connect_tcp(const std::string& host, std::uint16_t port,
   return sock;
 }
 
+Socket accept_tcp(const Socket& listener) {
+  Socket sock(::accept4(listener.fd(), nullptr, nullptr,
+                        SOCK_NONBLOCK | SOCK_CLOEXEC));
+  if (!sock.valid()) return sock;
+  // Request/response round trips are latency-bound; never Nagle-delay a
+  // small batched reply behind an unacked previous one.
+  const int one = 1;
+  (void)::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one,
+                     sizeof one);
+  return sock;
+}
+
 void set_nonblocking(int fd, bool enable) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0) throw_errno("fcntl(F_GETFL)");
@@ -115,6 +127,17 @@ std::ptrdiff_t read_some(int fd, void* buf, std::size_t len) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
     if (errno == ECONNRESET) return 0;  // peer reset == stream over
     throw_errno("read");
+  }
+}
+
+ReadStatus read_available(int fd, std::string& buf, std::span<char> chunk,
+                          std::size_t cap) {
+  for (;;) {
+    if (buf.size() + chunk.size() > cap) return ReadStatus::kFull;
+    const std::ptrdiff_t n = read_some(fd, chunk.data(), chunk.size());
+    if (n == 0) return ReadStatus::kEof;
+    if (n < 0) return ReadStatus::kDrained;  // EAGAIN
+    buf.append(chunk.data(), static_cast<std::size_t>(n));
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -65,12 +66,33 @@ class Socket {
                                  std::uint16_t port,
                                  std::chrono::milliseconds io_timeout);
 
+/// Accepts one pending connection on a nonblocking listener. The socket
+/// comes back nonblocking, close-on-exec and with TCP_NODELAY set; it is
+/// invalid when no connection is pending (or accept failed transiently),
+/// so callers loop until then.
+[[nodiscard]] Socket accept_tcp(const Socket& listener);
+
 void set_nonblocking(int fd, bool enable);
 
 /// read(2) retrying EINTR. Returns bytes read (0 = EOF), -1 with errno
 /// EAGAIN/EWOULDBLOCK preserved for nonblocking callers; throws NetError
 /// on hard errors.
 std::ptrdiff_t read_some(int fd, void* buf, std::size_t len);
+
+/// How read_available stopped.
+enum class ReadStatus {
+  kDrained,  ///< the socket has nothing more for now
+  kEof,      ///< the peer closed its write half (or reset)
+  kFull,     ///< `buf` cannot take another chunk; nothing more was read
+};
+
+/// Appends everything a nonblocking `fd` has ready to `buf`, reading
+/// until EAGAIN or EOF, one read(2) of at most `chunk.size()` bytes at a
+/// time into `chunk`, so `buf` grows only by the bytes that arrived.
+/// Before each read, stops with kFull when `buf.size() + chunk.size() >
+/// cap`. Throws NetError on hard errors.
+ReadStatus read_available(int fd, std::string& buf, std::span<char> chunk,
+                          std::size_t cap);
 
 /// write(2) retrying EINTR; same contract as read_some.
 std::ptrdiff_t write_some(int fd, const void* buf, std::size_t len);

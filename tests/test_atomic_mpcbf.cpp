@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/atomic_mpcbf.hpp"
+#include "core/mpcbf.hpp"
 #include "workload/string_sets.hpp"
 
 namespace {
@@ -225,6 +226,40 @@ TEST(AtomicMpcbf, SaveLoadRoundTrip) {
   }
   for (const auto& k : keys) {
     ASSERT_EQ(loaded.count(k), 0u) << k;
+  }
+}
+
+TEST(AtomicMpcbf, HugePageAdvisedWordsStartZeroedWithUnchangedVerdicts) {
+  // 8 MiB of words spans 2 MiB-aligned blocks, so the word array is
+  // advised for huge pages before its first touch. The advice must leave
+  // every word zero and every verdict what the plain filter says.
+  constexpr std::size_t kBits = std::size_t{1} << 26;
+  mpcbf::core::engine::AtomicWords64 store;
+  store.init(kBits / 64);
+  ASSERT_EQ(store.size(), kBits / 64);
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    ASSERT_EQ(store.load_relaxed(i), 0u) << "word " << i;
+  }
+
+  constexpr std::size_t kKeys = 20000;
+  const auto keys = generate_unique_strings(kKeys, 6, 101);
+  const auto probes = generate_unique_strings(kKeys, 8, 102);
+  AtomicMpcbf atomic(kBits, 3, 1, kKeys);
+  mpcbf::core::MpcbfConfig cfg;
+  cfg.memory_bits = kBits;
+  cfg.k = 3;
+  cfg.g = 1;
+  cfg.expected_n = kKeys;
+  mpcbf::core::Mpcbf<64> plain(cfg);
+  ASSERT_EQ(atomic.b1(), plain.b1());
+  for (const auto& k : keys) {
+    ASSERT_TRUE(atomic.insert(k));
+    ASSERT_TRUE(plain.insert(k));
+  }
+  EXPECT_TRUE(atomic.validate());
+  for (const auto& k : keys) ASSERT_TRUE(atomic.contains(k)) << k;
+  for (const auto& p : probes) {
+    ASSERT_EQ(atomic.contains(p), plain.contains(p)) << p;
   }
 }
 

@@ -6,6 +6,7 @@
 // concurrent scrape-during-mutation-storm run for the TSan job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -134,6 +135,62 @@ TEST(AdminServer, HostileInputs) {
   // the service loop.
   { Socket s = connect_tcp("127.0.0.1", port, std::chrono::milliseconds(1000)); }
   EXPECT_EQ(status_of(http_get(port, "/ok")), 200);
+  srv.stop();
+}
+
+TEST(AdminServer, RequestTrickledByteByByteIsServed) {
+  AdminServer srv({});
+  srv.handle("/ok", [](const HttpRequest&) { return HttpResponse{}; });
+  srv.start();
+  Socket s =
+      connect_tcp("127.0.0.1", srv.port(), std::chrono::milliseconds(5000));
+  const std::string req = "GET /ok HTTP/1.1\r\nHost: t\r\n\r\n";
+  for (const char ch : req) {
+    write_all(s.fd(), &ch, 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const auto n = read_some(s.fd(), buf, sizeof buf);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(status_of(response), 200);
+  srv.stop();
+}
+
+TEST(AdminServer, RequestCapIsExact) {
+  // A request of exactly kMaxRequestBytes is served; one byte more is
+  // answered 431, whether it arrives whole or in pieces.
+  AdminServer srv({});
+  srv.handle("/ok", [](const HttpRequest&) { return HttpResponse{}; });
+  srv.start();
+  const auto request_of_size = [](std::size_t total) {
+    const std::string head = "GET /ok HTTP/1.1\r\nX-Pad: ";
+    const std::string tail = "\r\n\r\n";
+    return head + std::string(total - head.size() - tail.size(), 'a') + tail;
+  };
+  const std::string at_cap = request_of_size(AdminServer::kMaxRequestBytes);
+  const std::string over = request_of_size(AdminServer::kMaxRequestBytes + 1);
+  EXPECT_EQ(status_of(http_raw(srv.port(), at_cap)), 200);
+  EXPECT_EQ(status_of(http_raw(srv.port(), over)), 431);
+
+  Socket s =
+      connect_tcp("127.0.0.1", srv.port(), std::chrono::milliseconds(5000));
+  for (std::size_t off = 0; off < over.size(); off += 1000) {
+    write_all(s.fd(), over.data() + off,
+              std::min<std::size_t>(1000, over.size() - off));
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const auto n = read_some(s.fd(), buf, sizeof buf);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(status_of(response), 431);
   srv.stop();
 }
 
