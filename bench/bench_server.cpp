@@ -10,12 +10,9 @@
 // are regression-gated by scripts/bench_compare.py. Min-of-reps is
 // reported (interference only adds time).
 //
-// A saturation section compares the single-mutex flat backend against
-// the shared-nothing sharded server at 1/2/4 cores under a mixed
-// 70/20/10 query/insert/erase workload, reporting aggregate QPS and
-// p99 frame latency. The 2x-QPS-at-4-cores acceptance gate only fires
-// on machines with >= 4 hardware threads — on smaller boxes the curve
-// is reported but cannot show parallel speedup.
+// A saturation section drives a 4-worker server under a mixed
+// 70/20/10 query/insert/erase workload and reports aggregate QPS and
+// p99 frame latency (no gate).
 //
 // Usage: bench_server [--frames 400] [--reps 3] [--clients 4]
 //        [--workers 2] [--n 20000] [--seed 7]
@@ -28,8 +25,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "net/protocol.hpp"
 
 #include "bench_json.hpp"
 #include "common/cli.hpp"
@@ -244,32 +239,6 @@ SatResult saturation_run(net::Server& server,
   return best;
 }
 
-/// Shared-nothing server over `cores` in-memory shards, pre-seeded with
-/// `keys` routed the same way the decode path routes them.
-std::unique_ptr<net::Server> make_sharded_server(
-    const std::vector<std::string>& keys, std::size_t cores,
-    std::size_t n) {
-  net::ShardSet set;
-  std::vector<std::shared_ptr<core::Mpcbf<64>>> filters;
-  for (std::size_t i = 0; i < cores; ++i) {
-    core::MpcbfConfig cfg;
-    cfg.memory_bits = std::max<std::size_t>((1u << 22) / cores, 64 * 64);
-    cfg.expected_n = std::max<std::size_t>(n / cores, 1);
-    cfg.policy = core::OverflowPolicy::kStash;
-    filters.push_back(std::make_shared<core::Mpcbf<64>>(cfg));
-    set.shards.push_back(net::make_shard_backend(filters.back(), i));
-  }
-  for (const auto& k : keys) {
-    filters[net::shard_of(k, static_cast<std::uint32_t>(cores))]
-        ->insert(k);
-  }
-  net::Server::Options opts;
-  opts.workers = cores;
-  auto server = std::make_unique<net::Server>(std::move(set), opts);
-  server->start();
-  return server;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -305,8 +274,7 @@ int main(int argc, char** argv) {
   std::printf("query batch=64 x %zu clients  %10.1f ns/key aggregate\n",
               clients, mt);
 
-  // Saturation curve: the flat single-mutex backend at 4 workers vs
-  // the shared-nothing sharded server at 1/2/4 cores, mixed workload.
+  // Saturation: the single-mutex backend at 4 workers, mixed workload.
   const std::size_t sat_frames = std::max<std::size_t>(frames / 8, 40);
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("\nsaturation (mixed 70/20/10, %zu clients x %zu frames, "
@@ -325,17 +293,6 @@ int main(int argc, char** argv) {
     std::printf("flat  mutex   4 workers  %12.0f qps  p99 %8.1f us\n",
                 flat.qps, flat.p99_us);
   }
-  SatResult shard[3];
-  const std::size_t shard_cores[3] = {1, 2, 4};
-  for (int i = 0; i < 3; ++i) {
-    auto srv = make_sharded_server(s.keys, shard_cores[i], n);
-    shard[i] = saturation_run(*srv, s.keys, clients, sat_frames, reps);
-    srv->stop();
-    std::printf("shard nolock %zu cores    %12.0f qps  p99 %8.1f us\n",
-                shard_cores[i], shard[i].qps, shard[i].p99_us);
-  }
-  const double scaleout = shard[2].qps / flat.qps;
-  std::printf("sharded-4 over flat-mutex: %.2fx qps\n", scaleout);
 
   const double failover_ns = failover_first_query_ns(s, reps);
   std::printf("failover: first query after endpoint death  %10.1f us\n",
@@ -360,27 +317,13 @@ int main(int argc, char** argv) {
   // QPS series deliberately avoid "ns" in the name (bench_compare
   // gates ns-metrics on increase, qps-metrics on decrease).
   report.metric("saturation_flat_mutex_qps", flat.qps);
-  report.metric("saturation_shard1_qps", shard[0].qps);
-  report.metric("saturation_shard2_qps", shard[1].qps);
-  report.metric("saturation_shard4_qps", shard[2].qps);
   report.metric("saturation_flat_mutex_p99_us", flat.p99_us);
-  report.metric("saturation_shard4_p99_us", shard[2].p99_us);
-  report.metric("saturation_shard4_scaleout_x", scaleout);
   report.write();
 
   if (speedup < 5.0) {
     std::fprintf(stderr,
                  "FAIL: batch-64 speedup %.1fx below the 5x gate\n",
                  speedup);
-    return 1;
-  }
-  // Parallel speedup needs parallel hardware: only gate the 2x
-  // scale-out claim where 4 shard workers can actually run at once.
-  if (hw >= 4 && (scaleout < 2.0 || shard[2].p99_us > 2.0 * flat.p99_us)) {
-    std::fprintf(stderr,
-                 "FAIL: sharded-4 %.2fx qps (gate >= 2x) at p99 %.1f us "
-                 "vs flat %.1f us (gate <= 2x flat)\n",
-                 scaleout, shard[2].p99_us, flat.p99_us);
     return 1;
   }
   return 0;

@@ -22,11 +22,6 @@
 //   serve --dir D | --filter F | (sizing)     run mpcbfd (docs/server.md)
 //         [--port P] [--bind A] [--workers N] until SIGINT/SIGTERM; durable
 //         [--port-file PATH]                  dirs snapshot on shutdown
-//         [--cores N]                         shared-nothing mode: the key
-//                                             space splits across N worker-
-//                                             owned shards (lock-free data
-//                                             path); with --dir each shard
-//                                             journals to D/shard-NN/
 //         [--admin-port P] [--admin-bind A]   HTTP admin plane (/metrics,
 //         [--admin-port-file PATH]            /healthz, /readyz, /statusz,
 //                                             /tracez) on a separate port
@@ -72,7 +67,6 @@
 // DurableMpcbf directory (write-ahead journal + checksummed snapshots,
 // see docs/persistence.md); `snapshot` creates one on first use from the
 // sizing flags (--memory-bits/--k/--g/--expected-n/--n-max).
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -630,6 +624,14 @@ std::vector<mpcbf::net::Endpoint> parse_endpoints(
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
 // resolved port for scripted callers (the CI smoke test uses it).
 int cmd_serve(const mpcbf::util::CliArgs& args) {
+  args.reject_unknown(
+      {"dir", "filter", "follow", "elastic", "namespaces", "ns-root",
+       "probes", "maintenance-ms", "bind", "port", "port-file", "workers",
+       "slow-request-threshold-us", "admin-port", "admin-bind",
+       "admin-port-file", "log-level", "log-json", "log-file", "prometheus",
+       // durable_config / elastic_config sizing flags
+       "memory-bits", "k", "g", "expected-n", "n-max", "route-bits",
+       "grow-score", "probe-stride", "max-segments"});
   mpcbf::net::ShutdownSignal::install();
 
   // Logging first, so every later subsystem (backend open, replication,
@@ -660,34 +662,18 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
   const std::string filter_path = args.get_string("filter", "");
   const std::string follow = args.get_string("follow", "");
   const bool elastic = args.get_bool("elastic");
-  const std::size_t cores = args.get_uint("cores", 1);
-  if (cores > 1) {
-    // Shared-nothing mode partitions the key space across per-worker
-    // shards (docs/server.md#threading); modes that assume one filter
-    // object are rejected up front with the reason.
-    if (!follow.empty()) {
-      std::cerr << "serve: --cores " << cores
-                << " cannot combine with --follow: follower-side "
-                   "sharding has not landed yet (the replication agent "
-                   "applies one sequential stream into one durable "
-                   "directory). Run the follower with --cores 1; a "
-                   "sharded primary still serves REPLICATE to flat "
-                   "followers.\n";
-      return 2;
-    }
-    if (!filter_path.empty()) {
-      std::cerr << "serve: --cores " << cores
-                << " cannot combine with --filter: a pre-built snapshot "
-                   "is one flat filter, not a shard set. Serve it with "
-                   "--cores 1, or rebuild into a sharded --dir.\n";
-      return 2;
-    }
-    if (elastic) {
-      std::cerr << "serve: --cores " << cores
-                << " cannot combine with --elastic yet (per-shard "
-                   "segment chains are an open roadmap item)\n";
-      return 2;
-    }
+  if (!dir.empty() &&
+      std::filesystem::exists(std::filesystem::path(dir) /
+                              "shards.manifest")) {
+    // A directory the removed sharded server wrote keeps its state in
+    // per-shard subdirectories; opened flat it would serve an empty
+    // filter.
+    std::cerr << "serve: " << dir
+              << " was written by the sharded server (--cores), which has "
+                 "been removed. " << dir
+              << "/merged.filter holds the union of its shards as of the "
+                 "last clean shutdown; serve it with --filter.\n";
+    return 2;
   }
   if (!follow.empty() && dir.empty()) {
     std::cerr << "serve: --follow requires --dir (the follower's own "
@@ -711,103 +697,9 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
   std::shared_ptr<mpcbf::core::ElasticMpcbf<64>> elastic_plain;
   std::unique_ptr<mpcbf::core::ElasticMaintainer> maintainer;
   std::unique_ptr<mpcbf::net::Replicator> replicator;
-  std::vector<std::shared_ptr<mpcbf::core::Mpcbf<64>>> shard_plain;
-  std::vector<std::shared_ptr<mpcbf::core::DurableMpcbf<64>>> shard_durable;
-  std::shared_ptr<std::atomic<std::uint64_t>> seq_counter;
-  mpcbf::net::ShardSet shard_set;
   mpcbf::net::FilterBackend backend;
   std::function<void(std::string&)> status_extra;  // extra /statusz lines
-  if (cores > 1) {
-    // Shared-nothing: split the sizing across the shards, so --cores N
-    // at fixed flags serves the same aggregate capacity as --cores 1.
-    mpcbf::core::MpcbfConfig shard_cfg = durable_config(args);
-    shard_cfg.memory_bits = std::max<std::size_t>(
-        shard_cfg.memory_bits / cores, std::size_t{64} * 64);
-    if (shard_cfg.expected_n > 0) {
-      shard_cfg.expected_n =
-          std::max<std::size_t>(shard_cfg.expected_n / cores, 1);
-    }
-    const std::size_t probes = args.get_uint("probes", 512);
-    if (!dir.empty()) {
-      // One global sequence counter stamps every shard's WAL records
-      // (DurableMpcbf Options::seq_source), so the per-shard journals
-      // hold disjoint subsequences of one stream and REPLICATE can
-      // merge them back into a consecutive tail.
-      seq_counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-      mpcbf::core::DurableMpcbf<64>::Options dopts;
-      dopts.seq_source = [ctr = seq_counter] {
-        return ctr->fetch_add(1, std::memory_order_relaxed) + 1;
-      };
-      for (std::size_t i = 0; i < cores; ++i) {
-        const std::filesystem::path sdir =
-            std::filesystem::path(dir) /
-            ("shard-" + std::string(i < 10 ? "0" : "") + std::to_string(i));
-        auto shard = [&] {
-          try {
-            return mpcbf::core::DurableMpcbf<64>::open_shared(
-                sdir, std::nullopt, dopts);
-          } catch (const std::runtime_error&) {
-            return mpcbf::core::DurableMpcbf<64>::open_shared(sdir, shard_cfg,
-                                                              dopts);
-          }
-        }();
-        shard_durable.push_back(shard);
-        shard_set.shards.push_back(
-            mpcbf::net::make_shard_backend(shard, i, probes));
-      }
-      // Resume the global sequence from the highest stamp any shard
-      // made durable.
-      std::uint64_t last = 0;
-      for (const auto& s : shard_durable) {
-        last = std::max(last, s->next_seq() - 1);
-      }
-      seq_counter->store(last, std::memory_order_relaxed);
-      shard_set.seq_counter = seq_counter;
-      shard_set.manifest = [base = std::filesystem::path(dir),
-                            shards = shard_durable,
-                            mu = std::make_shared<std::mutex>()](
-                               std::span<const std::uint64_t> marks) {
-        std::lock_guard<std::mutex> lock(*mu);
-        {
-          std::ofstream mf(base / "shards.manifest", std::ios::trunc);
-          mf << "shards " << shards.size() << "\n";
-          for (std::size_t i = 0; i < marks.size(); ++i) {
-            mf << "shard-" << i << " watermark " << marks[i] << "\n";
-          }
-        }
-        // Best-effort merged single-file filter next to the manifest:
-        // read-only tools (stats/verify/query --filter) see the union
-        // without understanding shards. Skipped when layouts diverged
-        // or a counter would overflow (merge is all-or-nothing).
-        mpcbf::core::Mpcbf<64> merged = shards.front()->filter();
-        bool ok = true;
-        for (std::size_t i = 1; i < shards.size() && ok; ++i) {
-          ok = merged.merge(shards[i]->filter());
-        }
-        if (ok) {
-          std::ofstream os(base / "merged.filter",
-                           std::ios::binary | std::ios::trunc);
-          merged.save(os);
-        }
-      };
-      status_extra = [ctr = seq_counter, n = cores](std::string& out) {
-        out += "cores: " + std::to_string(n) + "\n";
-        out += "journal_next_seq: " +
-               std::to_string(ctr->load(std::memory_order_relaxed) + 1) +
-               "\n";
-      };
-    } else {
-      for (std::size_t i = 0; i < cores; ++i) {
-        auto shard = std::make_shared<mpcbf::core::Mpcbf<64>>(shard_cfg);
-        shard_plain.push_back(shard);
-        shard_set.shards.push_back(
-            mpcbf::net::make_shard_backend(shard, i, probes));
-      }
-      status_extra = [n = cores](std::string& out) {
-        out += "cores: " + std::to_string(n) + "\n";
-      };
-    }
-  } else if (elastic) {
+  if (elastic) {
     // Chain backend: segments split online when the active segment's
     // health crosses the grow score; a background maintainer drains
     // cold segments and refreshes the mpcbf_elastic_* gauges under the
@@ -905,15 +797,9 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
   }
 
   // Multi-tenant registry: wire-created namespaces, each its own filter
-  // backend. Flat server only — shard ownership and per-namespace
-  // backends do not compose.
+  // backend.
   std::shared_ptr<mpcbf::net::NamespaceRegistry> registry;
   if (args.get_bool("namespaces")) {
-    if (cores > 1) {
-      std::cerr << "serve: --namespaces cannot combine with --cores "
-                << cores << " (the registry needs the flat server)\n";
-      return 2;
-    }
     mpcbf::net::NamespaceRegistry::Options nopts;
     // Durable namespaces default to living next to the server's own
     // durable state; --ns-root overrides (and is the only way to get
@@ -937,33 +823,22 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
   mpcbf::net::Server::Options opts;
   opts.bind_address = args.get_string("bind", "127.0.0.1");
   opts.port = static_cast<std::uint16_t>(args.get_uint("port", 0));
-  opts.workers = cores > 1 ? cores : args.get_uint("workers", 2);
+  opts.workers = args.get_uint("workers", 2);
   opts.slow_request_threshold = std::chrono::microseconds(
       args.get_int("slow-request-threshold-us", -1));
-  std::unique_ptr<mpcbf::net::Server> server_ptr =
-      cores > 1
-          ? std::make_unique<mpcbf::net::Server>(std::move(shard_set), opts)
-          : std::make_unique<mpcbf::net::Server>(std::move(backend), opts);
-  mpcbf::net::Server& server = *server_ptr;
+  mpcbf::net::Server server(std::move(backend), opts);
   if (registry) server.set_namespace_registry(registry);
   server.start();
 
   const char* backend_kind =
-      replicator             ? "follower"
-      : !shard_durable.empty() ? "sharded durable"
-      : !shard_plain.empty()   ? "sharded in-memory"
-      : elastic_durable      ? "elastic durable"
-      : elastic_plain        ? "elastic in-memory"
-      : durable              ? "durable"
-                             : "in-memory";
+      replicator        ? "follower"
+      : elastic_durable ? "elastic durable"
+      : elastic_plain   ? "elastic in-memory"
+      : durable         ? "durable"
+                        : "in-memory";
   std::cout << "mpcbfd listening on " << opts.bind_address << ":"
-            << server.port() << " (";
-  if (cores > 1) {
-    std::cout << cores << " cores shared-nothing, ";
-  } else {
-    std::cout << opts.workers << " workers, ";
-  }
-  std::cout << backend_kind << " backend";
+            << server.port() << " (" << opts.workers << " workers, "
+            << backend_kind << " backend";
   if (registry) std::cout << ", namespaces enabled";
   std::cout << ")" << std::endl;
   const std::string port_file = args.get_string("port-file", "");
@@ -1016,13 +891,6 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
     durable->snapshot();
     std::cout << "final snapshot at seq " << durable->next_seq() - 1
               << "\n";
-  }
-  if (!shard_durable.empty()) {
-    // server.stop() already wrote the per-shard snapshots and the
-    // shards.manifest (single-threaded, after the workers joined).
-    std::cout << "final sharded snapshot at seq "
-              << seq_counter->load(std::memory_order_relaxed) << " ("
-              << shard_durable.size() << " shards)\n";
   }
   if (elastic_durable) {
     elastic_durable->snapshot();

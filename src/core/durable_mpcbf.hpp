@@ -77,15 +77,6 @@ class DurableMpcbf {
     /// Test-only crash injection: called with a point name at each
     /// durability-critical step; throwing from it simulates a crash.
     std::function<void(std::string_view)> crash_hook;
-    /// External sequence-number supplier for sharded ownership: each
-    /// call must return a fresh, process-globally unique, increasing
-    /// sequence number. When set, every journaled mutation is stamped
-    /// with the supplied seq (Journal::append_at) instead of the local
-    /// counter — the per-shard WALs then hold disjoint gappy
-    /// subsequences of one global stream, which is what lets a merged
-    /// replication tail stay consecutive across shards. Unset = flat
-    /// single-filter numbering, unchanged.
-    std::function<std::uint64_t()> seq_source;
   };
 
   /// Opens (or creates) a durable filter in `dir`. Existing state is
@@ -436,11 +427,7 @@ class DurableMpcbf {
     crash_point("journal:pre-append");
     {
       MPCBF_TRACE_SPAN(span, kIo, "wal.append");
-      if (options_.seq_source) {
-        journal_.append_at(options_.seq_source(), op, key);
-      } else {
-        journal_.append(op, key);
-      }
+      journal_.append(op, key);
     }
     ++pending_;
     crash_point("journal:post-append");

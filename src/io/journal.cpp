@@ -93,10 +93,10 @@ JournalScan Journal::scan(const std::string& path) {
   result.base_seq = read_pod<std::uint64_t>(in);
   result.valid_bytes = kHeaderBytes;
 
-  // Sequence numbers must be strictly increasing from base_seq but may
-  // skip values: a sharded server's per-shard WALs share one global
-  // counter, so each file holds a gappy subsequence. A *decrease* is
-  // still corruption and ends the valid prefix.
+  // Sequence numbers must be strictly increasing from base_seq. A gap
+  // is accepted (journals written by the earlier sharded server held
+  // gappy per-shard subsequences); a *decrease* is corruption and ends
+  // the valid prefix.
   std::uint64_t expected_seq = result.base_seq;
   while (static_cast<std::uint64_t>(in.tellg()) < result.total_bytes) {
     JournalRecord rec;
@@ -176,19 +176,10 @@ void Journal::write_header(std::uint64_t base_seq) {
 }
 
 std::uint64_t Journal::append(JournalOp op, std::string_view key) {
-  const std::uint64_t seq = next_seq_;
-  append_at(seq, op, key);
-  return seq;
-}
-
-void Journal::append_at(std::uint64_t seq, JournalOp op,
-                        std::string_view key) {
   if (key.size() > kMaxKeyLen) {
     throw std::invalid_argument("journal: key too long");
   }
-  if (seq < next_seq_) {
-    throw std::invalid_argument("journal: sequence going backwards");
-  }
+  const std::uint64_t seq = next_seq_;
   ChecksumWriter writer(out_);
   writer.write_pod<std::uint64_t>(seq);
   writer.write_pod<std::uint8_t>(static_cast<std::uint8_t>(op));
@@ -200,6 +191,7 @@ void Journal::append_at(std::uint64_t seq, JournalOp op,
   }
   next_seq_ = seq + 1;
   JournalMetrics::get().appends.inc();
+  return seq;
 }
 
 void Journal::flush(bool sync) {

@@ -10,12 +10,8 @@
 // base_seq; a snapshot that compacts the journal rewrites the header
 // with the next sequence number, so replay after a crash between
 // snapshot-rename and journal-truncate can tell already-applied records
-// apart (they fall at or below the snapshot's watermark). A flat
-// filter's journal numbers records consecutively (append()); the
-// per-shard WALs of a sharded server share one global sequence counter,
-// so each shard's file holds a strictly increasing but *gappy*
-// subsequence (append_at()) — the union across shards is the
-// consecutive stream.
+// apart (they fall at or below the snapshot's watermark). append()
+// numbers records consecutively.
 //
 // Torn-tail semantics: a crash mid-append leaves a partial or
 // CRC-broken record at the end of the file. open() replays the longest
@@ -90,13 +86,6 @@ class Journal {
   /// Appends one record and returns its sequence number. Buffered; call
   /// flush() to make it durable.
   std::uint64_t append(JournalOp op, std::string_view key);
-
-  /// Appends one record under an externally assigned sequence number —
-  /// the sharded server's per-shard WALs draw from one global counter,
-  /// so a shard file advances in strictly increasing but non-contiguous
-  /// steps. `seq` must be >= next_seq(); going backwards would break the
-  /// monotonicity the scanner (and replication) rely on.
-  void append_at(std::uint64_t seq, JournalOp op, std::string_view key);
 
   /// Flushes buffered appends to the OS; with `sync`, fsyncs to stable
   /// storage as well.

@@ -12,7 +12,7 @@ namespace {
 constexpr double kTailEpsilon = 1e-16;
 
 // glibc's lgamma writes the process-global `signgam`, so concurrent
-// health probes from shard workers race on it. All arguments here are
+// health probes from server workers race on it. All arguments here are
 // >= 1, where the gamma function is positive, so the sign output of the
 // reentrant variant can be discarded.
 double lgamma_safe(double x) {

@@ -39,7 +39,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "hash/xxhash64.hpp"
 #include "io/crc32c.hpp"
 #include "io/journal.hpp"
 
@@ -863,72 +862,6 @@ template <typename Reply>
   if (!reader.read(out)) return "reply: truncated";
   if (!reader.exhausted()) return "reply: trailing bytes";
   return nullptr;
-}
-
-// --- decode-time shard routing ------------------------------------------
-//
-// Sharded servers (`mpcbfd serve --cores N`) partition the key space
-// across N independently-owned filter shards. The routing hash lives
-// here, next to the decoders, because the split happens at decode time:
-// the moment a batch's keys are parsed out of the read buffer they are
-// bucketed into per-shard sub-batches, and only sub-batches travel to
-// owning workers. The hash is part of the on-disk contract too — each
-// shard's WAL only ever holds keys that route to it, so recovery must
-// use the same seed forever.
-//
-// The routing seed is distinct from the filter's own hash seeds: a key
-// must not land on shard i *because* of the bits it will probe inside
-// shard i's filter, or shard-local FPR would correlate with placement.
-
-/// Seed for the shard-routing hash (never reused by filter internals).
-inline constexpr std::uint64_t kShardRouteSeed = 0xA0761D6478BD642Full;
-
-/// Owning shard for `key` among `shards` equal partitions. Uses the
-/// multiply-shift range reduction (no modulo, unbiased for any shard
-/// count) over a dedicated xxhash64 seed. shards <= 1 short-circuits so
-/// the flat path pays nothing.
-[[nodiscard]] inline std::uint32_t shard_of(std::string_view key,
-                                            std::uint32_t shards) noexcept {
-  if (shards <= 1) return 0;
-  const std::uint64_t h = hash::xxhash64(key, kShardRouteSeed);
-  return static_cast<std::uint32_t>(
-      (static_cast<unsigned __int128>(h) * shards) >> 64);
-}
-
-/// Decode-time batch split: per-shard key-index lists, reusable across
-/// requests (the vectors keep their capacity between resets, so a busy
-/// connection splits batches with no steady-state allocation).
-struct ShardSplit {
-  /// idx[s] lists positions into the original key batch, in arrival
-  /// order — gather uses the same lists to scatter sub-batch verdicts
-  /// back into the reply, which is what keeps the wire protocol
-  /// byte-identical to the single-shard server.
-  std::vector<std::vector<std::uint32_t>> idx;
-  /// Number of shards with at least one key (1 => batch is single-shard
-  /// and can be served inline with zero copies).
-  std::uint32_t active = 0;
-  /// The single active shard when active == 1.
-  std::uint32_t solo = 0;
-
-  void reset(std::uint32_t shards) {
-    idx.resize(shards);
-    for (auto& v : idx) v.clear();
-    active = 0;
-    solo = 0;
-  }
-};
-
-/// Buckets `keys` into `split` (which must be reset(shards) first).
-inline void split_by_shard(std::span<const std::string_view> keys,
-                           std::uint32_t shards, ShardSplit& split) {
-  for (std::uint32_t i = 0; i < keys.size(); ++i) {
-    const std::uint32_t s = shard_of(keys[i], shards);
-    if (split.idx[s].empty()) {
-      ++split.active;
-      split.solo = s;
-    }
-    split.idx[s].push_back(i);
-  }
 }
 
 // --- error payload ------------------------------------------------------

@@ -232,9 +232,7 @@ void Replicator::run() {
       }
     } catch (const std::exception& e) {
       // Rate-limited by the per-site limiter: a primary that rejects
-      // every poll (e.g. SNAPFETCH unsupported on a sharded primary
-      // whose journal has compacted past us) would otherwise retry
-      // silently forever.
+      // every poll would otherwise retry silently forever.
       MPCBF_LOG_WARN("repl.poll_failed", log::str("error", e.what()),
                      log::u64("follower_id", options_.follower_id));
       caught_up_.store(false, std::memory_order_release);

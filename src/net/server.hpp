@@ -1,11 +1,7 @@
-// mpcbfd — the multi-threaded TCP filter server.
-//
-// Two ownership models share one wire protocol (docs/server.md has the
-// operator view):
-//
-// Flat (`--cores 1`, the bisectable baseline): every worker serves every
-// request against one FilterBackend whose hooks serialize through a
-// shared_mutex — queries shared, mutations exclusive.
+// mpcbfd — the multi-threaded TCP filter server (docs/server.md has the
+// operator view). Every worker serves every request against one
+// FilterBackend whose hooks serialize through a shared_mutex — queries
+// shared, mutations exclusive.
 //
 //   acceptor ──round-robin──▶ N worker event loops (epoll)
 //                               │ decode → dispatch → encode
@@ -15,44 +11,17 @@
 //                               ▼
 //             Mpcbf / DurableMpcbf / ShardedMpcbf batch paths
 //
-// Shared-nothing (`--cores N`): the key space is partitioned across N
-// shards, each owned outright by one worker thread — its filter words,
-// WAL segment, health prober and shard metrics are touched by that
-// thread only, so the data path holds zero shared locks. Routing
-// happens at decode time (protocol.hpp::shard_of): a parsed batch is
-// split into per-shard sub-batches; keys owned by the decoding worker
-// are served in place, the rest travel to their owners over lossless
-// SPSC rings (spsc_ring.hpp) and the completions ride the reverse
-// rings, eventfd-woken. A per-connection reply pipeline reassembles
-// responses in request order, so the wire protocol is byte-identical to
-// the flat server.
-//
-//   acceptor ──round-robin──▶ N worker event loops (epoll)
-//                               │ decode → shard split
-//                  ┌────────────┼─ SPSC work/completion rings ─┐
-//                  ▼            ▼                              ▼
-//             ShardBackend 0  ShardBackend 1  …  ShardBackend N-1
-//             (worker 0 only) (worker 1 only)    (worker N-1 only)
-//
 // Request pipelining: a connection may send any number of frames without
-// waiting; responses are emitted in arrival order (flat mode appends
-// directly; sharded mode orders completions through the reply pipeline)
-// — ordering needs no sequence bookkeeping beyond the echoed request id.
+// waiting; each is answered before the next is decoded, so responses
+// leave in arrival order with no sequence bookkeeping beyond the echoed
+// request id.
 //
 // Batches decode to string_views into the connection's read buffer and
-// feed the word-engine batch pipeline directly (no per-key allocation on
-// the flat path or the sharded all-local fast path; a cross-shard
-// scatter copies the key bytes once into the request's own storage,
-// because the read buffer may be compacted while sub-batches are still
-// in flight).
+// feed the word-engine batch pipeline directly (no per-key allocation).
 //
 // Shutdown: stop() closes the listener, lets every worker finish the
 // requests already buffered, flushes response bytes (bounded by
-// Options::drain_timeout), then joins. Sharded workers additionally
-// keep serving ring work for their peers until every origin has
-// finished, so no in-flight sub-batch is dropped, and flush their WAL
-// segment before exiting; stop() then writes the per-shard snapshots +
-// manifest through the ShardSet hooks.
+// Options::drain_timeout), then joins.
 #pragma once
 
 #include <algorithm>
@@ -77,7 +46,6 @@
 #include "net/protocol.hpp"
 #include "net/slow_ring.hpp"
 #include "net/socket.hpp"
-#include "net/spsc_ring.hpp"
 
 namespace mpcbf::net {
 
@@ -133,8 +101,7 @@ struct FilterBackend {
 namespace detail {
 
 /// Layout/usage stats probed off a concrete filter (members are probed,
-/// not required — the publish_filter idiom). Shared by the flat and
-/// per-shard backend factories.
+/// not required — the publish_filter idiom).
 template <typename F>
 [[nodiscard]] StatsReply probe_stats(const F& f) {
   StatsReply s;
@@ -425,134 +392,6 @@ template <typename F>
                       health_fpr_probes);
 }
 
-/// Sharded-ownership variant of FilterBackend: one per key-space shard,
-/// every hook invoked exclusively by the worker thread that owns the
-/// shard — which is why, unlike make_backend's hooks, none of them
-/// takes a lock. Null hooks disable the corresponding opcode (the
-/// server answers kUnsupported), mirroring FilterBackend semantics.
-struct ShardBackend {
-  std::function<void(std::span<const std::string_view>,
-                     std::span<std::uint8_t>)>
-      contains_batch;
-  std::function<void(std::span<const std::string_view>,
-                     std::span<std::uint8_t>)>
-      insert_batch;
-  std::function<void(std::span<const std::string_view>,
-                     std::span<std::uint8_t>)>
-      erase_batch;
-  /// EST_COUNT against this shard's keys (min-counter estimate).
-  std::function<void(std::span<const std::string_view>,
-                     std::span<std::uint32_t>)>
-      est_count;
-  std::function<StatsReply()> stats;
-  std::function<HealthReply()> health;
-  /// Durable snapshot of this shard; returns its journal watermark
-  /// (highest global seq captured). Null for memory-only shards.
-  std::function<std::uint64_t()> snapshot;
-  /// Forces this shard's WAL group-commit buffer to stable storage
-  /// (drain path). Null for memory-only shards.
-  std::function<void()> wal_flush;
-  /// One page of this shard's journal tail from `from_seq` — the
-  /// per-shard half of the merged replication stream.
-  struct Tail {
-    std::vector<io::JournalRecord> records;
-    std::uint64_t next_seq = 1;
-    std::uint64_t base_seq = 1;
-  };
-  std::function<Tail(std::uint64_t from_seq, std::uint32_t max_records,
-                     std::uint64_t max_bytes)>
-      journal_tail;
-  /// Owner-thread housekeeping (elastic compaction step); invoked by
-  /// the owning worker between request batches, never concurrently
-  /// with the data hooks.
-  std::function<void()> maintain;
-};
-
-/// The sharded server's backend: per-shard hooks plus the cross-shard
-/// glue that cannot live in any single shard.
-struct ShardSet {
-  std::vector<ShardBackend> shards;
-  /// Last globally assigned journal sequence number. Shared with every
-  /// shard's DurableMpcbf seq_source; the server reads it for
-  /// REPLSTATUS and the merged replication stream. Null for
-  /// memory-only shard sets.
-  std::shared_ptr<std::atomic<std::uint64_t>> seq_counter;
-  /// Writes the merged final snapshot artifacts after all shards have
-  /// snapshotted (one watermark per shard, in shard order): the
-  /// shards.manifest file tying the per-shard snapshots into one
-  /// recovery unit, plus a best-effort single-file merged filter.
-  /// Called by at most one thread at a time.
-  std::function<void(std::span<const std::uint64_t>)> manifest;
-};
-
-/// Wraps one concrete filter shard in a ShardBackend. No mutex
-/// parameter on purpose: the owning worker thread is the only caller.
-template <typename F>
-[[nodiscard]] ShardBackend make_shard_backend(
-    std::shared_ptr<F> f, std::size_t shard_index,
-    std::size_t health_fpr_probes = 512) {
-  auto prober = std::make_shared<metrics::HealthProber>([&] {
-    metrics::HealthProber::Config cfg;
-    cfg.filter_label = "shard-" + std::to_string(shard_index);
-    cfg.fpr_probes = health_fpr_probes;
-    return cfg;
-  }());
-  ShardBackend b;
-  b.contains_batch = [f](std::span<const std::string_view> keys,
-                         std::span<std::uint8_t> out) {
-    f->contains_batch(keys, out);
-  };
-  b.insert_batch = [f](std::span<const std::string_view> keys,
-                       std::span<std::uint8_t> ok) {
-    f->insert_batch(keys, ok);
-  };
-  b.erase_batch = [f](std::span<const std::string_view> keys,
-                      std::span<std::uint8_t> ok) {
-    detail::erase_batch(*f, keys, ok);
-  };
-  if constexpr (requires {
-                  { f->count(std::string_view{}) }
-                  -> std::convertible_to<std::uint32_t>;
-                }) {
-    b.est_count = [f](std::span<const std::string_view> keys,
-                      std::span<std::uint32_t> out) {
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        out[i] = f->count(keys[i]);
-      }
-    };
-  }
-  b.stats = [f]() { return detail::probe_stats(*f); };
-  b.health = [f, prober]() { return detail::probe_health(*prober, *f); };
-  if constexpr (requires { f->snapshot(); f->next_seq(); }) {
-    b.snapshot = [f]() {
-      f->snapshot();
-      return f->next_seq() - 1;
-    };
-  }
-  if constexpr (requires { f->flush(); }) {
-    b.wal_flush = [f]() { f->flush(); };
-  }
-  if constexpr (requires {
-                  f->journal_records_from(std::uint64_t{0},
-                                          std::uint32_t{0},
-                                          std::uint64_t{0});
-                }) {
-    b.journal_tail = [f](std::uint64_t from_seq, std::uint32_t max_records,
-                         std::uint64_t max_bytes) {
-      auto batch = f->journal_records_from(from_seq, max_records, max_bytes);
-      ShardBackend::Tail t;
-      t.records = std::move(batch.records);
-      t.next_seq = batch.next_seq;
-      t.base_seq = batch.base_seq;
-      return t;
-    };
-  }
-  if constexpr (requires { f->compact_once(); }) {
-    b.maintain = [f]() { (void)f->compact_once(); };
-  }
-  return b;
-}
-
 class Server {
  public:
   /// Bytes one read(2) asks for. Large enough that a 64-key batch of
@@ -587,17 +426,12 @@ class Server {
   };
 
   Server(FilterBackend backend, Options options);
-  /// Shared-nothing server: one worker per shard, each owning its
-  /// ShardBackend outright. Options::workers is overridden to the shard
-  /// count (thread-per-core is the whole point).
-  Server(ShardSet shards, Options options);
   ~Server();
 
-  /// Attaches the multi-tenant namespace registry (flat mode only; the
-  /// sharded server answers namespaced frames with kUnsupported). Call
-  /// before start(). Namespaced data frames route to the named
-  /// namespace's backend; NSCREATE/NSDROP/NSLIST/NSTICK administer the
-  /// registry over the wire.
+  /// Attaches the multi-tenant namespace registry. Call before start().
+  /// Namespaced data frames route to the named namespace's backend;
+  /// NSCREATE/NSDROP/NSLIST/NSTICK administer the registry over the
+  /// wire.
   void set_namespace_registry(std::shared_ptr<NamespaceRegistry> registry);
 
   Server(const Server&) = delete;
@@ -628,11 +462,6 @@ class Server {
     return slow_ring_;
   }
 
-  /// Key-space shards served (1 for the flat backend).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return sharded_ ? shards_.shards.size() : 1;
-  }
-
   /// Event-loop iterations across the acceptor and every worker. An
   /// idle server's count stays flat — the no-periodic-wakeups test
   /// asserts exactly that.
@@ -642,14 +471,6 @@ class Server {
   struct Connection;
   struct Worker;
   struct ServerMetrics;
-  struct PendingReply;
-  struct SubBatch;
-  /// One slot in a cross-worker SPSC ring: a sub-batch travelling to
-  /// its owner (work) or back to its origin (completion).
-  struct RingMsg {
-    SubBatch* sub = nullptr;
-    bool completion = false;
-  };
 
   void acceptor_loop();
   void worker_loop(Worker& w);
@@ -657,16 +478,16 @@ class Server {
                           bool broken);
   /// Decodes and serves every complete frame in the read buffer.
   /// Returns false when the connection must be closed.
-  bool drain_frames(Worker& w, Connection& c);
-  void serve_frame(Worker& w, Connection& c, const Frame& frame);
+  bool drain_frames(Connection& c);
+  void serve_frame(Connection& c, const Frame& frame);
   /// Sequenced-mutation path: dedups on (session_id, op_seq), replaying
   /// the cached reply for retries. Returns true when it fully handled
   /// the frame (reply already appended). `be` is the route target — the
   /// default backend or a namespace's.
-  bool serve_sequenced(Worker& w, Connection& c, const Frame& frame,
-                       Opcode op, const FilterBackend& be);
-  void reply_error(Worker& w, Connection& c, const Frame& frame,
-                   ErrorCode code, std::string_view message);
+  bool serve_sequenced(Connection& c, const Frame& frame, Opcode op,
+                       const FilterBackend& be);
+  void reply_error(Connection& c, const Frame& frame, ErrorCode code,
+                   std::string_view message);
   /// Flushes the write buffer; returns false on a dead connection.
   bool flush_writes(Connection& c);
   /// Re-arms EPOLLOUT to match pending write bytes.
@@ -674,33 +495,8 @@ class Server {
   /// Closes connections stuck mid-frame past Options::frame_timeout.
   void sweep_stalled(Worker& w);
 
-  // --- sharded mode ------------------------------------------------------
-  void serve_frame_sharded(Worker& w, Connection& c, const Frame& frame);
-  /// Runs one sub-batch against the worker's own shard.
-  void execute_sub(Worker& w, SubBatch& sub);
-  /// Sends `msg` to worker `dest`'s inbound ring (producer side = `w`),
-  /// parking it on the overflow queue when the ring is full.
-  void send_to(Worker& w, std::size_t dest, RingMsg msg);
-  /// Pops and handles every pending ring message; returns work done.
-  bool drain_rings(Worker& w);
-  /// Called on the origin worker when a sub-batch completes; finalizes
-  /// the job once the last shard reports in.
-  void complete_sub(Worker& w, SubBatch& sub);
-  /// Merges sub results into the reply payload and marks the job done.
-  void finalize_job(Worker& w, PendingReply& job);
-  /// Emits every leading completed reply of the connection's pipeline.
-  void pump_replies(Worker& w, Connection& c);
-  /// Enqueues an already-complete reply, preserving pipeline order.
-  void complete_now(Worker& w, Connection& c, std::uint8_t opcode,
-                    std::uint8_t flags, std::uint64_t request_id,
-                    std::string payload);
-  /// Records served-request metrics at job completion time.
-  void note_served(PendingReply& job);
-
   FilterBackend backend_;
   std::shared_ptr<NamespaceRegistry> registry_;
-  ShardSet shards_;
-  bool sharded_ = false;
   Options options_;
   Socket listener_;
   std::uint16_t port_ = 0;
@@ -708,17 +504,12 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> served_{0};
-  /// Sharded drain: origins that have finished producing new work.
-  std::atomic<std::size_t> drained_origins_{0};
   std::thread acceptor_;
   std::unique_ptr<EventLoop> accept_loop_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// rings_[dest][src]: messages from worker src to worker dest.
-  std::vector<std::vector<std::unique_ptr<SpscRing<RingMsg>>>> rings_;
   ServerMetrics* metrics_ = nullptr;  // registry-owned, process lifetime
   SlowRequestRing slow_ring_;
-  detail::ReplSource repl_source_;  ///< sharded-primary follower table
 
   // Sequenced-mutation dedup: one entry per client session, holding the
   // last (op_seq, reply) so a failover retry replays instead of
@@ -727,10 +518,6 @@ class Server {
   struct DedupEntry {
     std::uint64_t op_seq = 0;
     std::uint8_t opcode = 0;
-    /// Sharded mode: the op is scattered and its reply not yet cached.
-    /// A concurrent retry is answered with a retryable error instead of
-    /// a second apply.
-    bool inflight = false;
     std::string reply;
   };
   static constexpr std::size_t kMaxDedupSessions = 4096;

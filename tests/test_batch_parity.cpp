@@ -8,9 +8,7 @@
 // journaling path.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -22,8 +20,6 @@
 #include "core/mpcbf.hpp"
 #include "core/sharded_mpcbf.hpp"
 #include "metrics/access_stats.hpp"
-#include "net/client.hpp"
-#include "net/server.hpp"
 #include "workload/string_sets.hpp"
 
 namespace {
@@ -487,126 +483,6 @@ TEST(DurableBatchParity, InsertBatchJournalsEveryKeyBeforeApplying) {
     EXPECT_TRUE(recovered.contains(key));
   }
   fs::remove_all(dir);
-}
-
-// --- loopback server parity: flat (--cores 1) vs shared-nothing ---------
-//
-// The wire-level sibling of the in-process parity above: a batch that
-// spans every shard of the shared-nothing server must produce verdicts
-// identical to the flat single-mutex server, for every batch shape the
-// router handles differently (1 = inline fast path, 8/64 = partial
-// scatter, 1000 = all shards active).
-
-std::unique_ptr<mpcbf::net::Server> make_flat_server() {
-  MpcbfConfig cfg;
-  cfg.memory_bits = 1 << 16;
-  cfg.expected_n = 1024;
-  cfg.policy = OverflowPolicy::kStash;
-  return std::make_unique<mpcbf::net::Server>(
-      mpcbf::net::make_backend(std::make_shared<Mpcbf<64>>(cfg)),
-      mpcbf::net::Server::Options{});
-}
-
-std::unique_ptr<mpcbf::net::Server> make_sharded_server(
-    std::size_t shards) {
-  MpcbfConfig cfg;
-  cfg.memory_bits = 1 << 16;
-  cfg.expected_n = 1024;
-  cfg.policy = OverflowPolicy::kStash;
-  mpcbf::net::ShardSet set;
-  for (std::size_t i = 0; i < shards; ++i) {
-    set.shards.push_back(mpcbf::net::make_shard_backend(
-        std::make_shared<Mpcbf<64>>(cfg), i));
-  }
-  return std::make_unique<mpcbf::net::Server>(
-      std::move(set), mpcbf::net::Server::Options{});
-}
-
-mpcbf::net::Client loop_client(const mpcbf::net::Server& server) {
-  mpcbf::net::Client::Options copts;
-  copts.port = server.port();
-  return mpcbf::net::Client(copts);
-}
-
-TEST(ServerBatchParity, LoopbackSweepShardedMatchesFlat) {
-  auto flat_ptr = make_flat_server();
-  auto sharded_ptr = make_sharded_server(4);
-  mpcbf::net::Server& flat = *flat_ptr;
-  mpcbf::net::Server& sharded = *sharded_ptr;
-  flat.start();
-  sharded.start();
-  ASSERT_EQ(sharded.shard_count(), 4u);
-  mpcbf::net::Client cf = loop_client(flat);
-  mpcbf::net::Client cs = loop_client(sharded);
-
-  std::uint64_t salt = 400;
-  for (const std::size_t batch : {1u, 8u, 64u, 1000u}) {
-    const auto keys = generate_unique_strings(batch, 8, salt++);
-    const auto insert_flat = cf.insert(keys);
-    const auto insert_sharded = cs.insert(keys);
-    ASSERT_EQ(insert_flat.size(), batch);
-    ASSERT_EQ(insert_sharded.size(), batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(insert_flat[i], insert_sharded[i])
-          << "insert parity, batch " << batch << " key " << i;
-      EXPECT_EQ(insert_sharded[i], 1u);
-    }
-    const auto query_flat = cf.query(keys);
-    const auto query_sharded = cs.query(keys);
-    for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(query_flat[i], query_sharded[i])
-          << "query parity, batch " << batch << " key " << i;
-      EXPECT_EQ(query_sharded[i], 1u);  // no false negatives
-    }
-    const auto erase_flat = cf.erase(keys);
-    const auto erase_sharded = cs.erase(keys);
-    for (std::size_t i = 0; i < batch; ++i) {
-      EXPECT_EQ(erase_flat[i], erase_sharded[i])
-          << "erase parity, batch " << batch << " key " << i;
-    }
-  }
-  sharded.stop();
-  flat.stop();
-}
-
-TEST(ServerBatchParity, ConcurrentClientsOnShardedServer) {
-  // The TSan case: several clients scatter mutation and query batches
-  // across every shard at once. Verdict vectors must stay well-formed
-  // (right length, inserts of fresh keys positive) while the rings,
-  // reply pipelines and per-shard metrics race — any missing
-  // synchronization in the scatter/gather path shows up here.
-  auto sharded_ptr = make_sharded_server(4);
-  mpcbf::net::Server& sharded = *sharded_ptr;
-  sharded.start();
-  const std::uint16_t port = sharded.port();
-  constexpr int kThreads = 4;
-  constexpr int kRounds = 25;
-  std::vector<std::thread> threads;
-  std::atomic<std::uint64_t> bad{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([port, t, &bad] {
-      mpcbf::net::Client::Options copts;
-      copts.port = port;
-      mpcbf::net::Client c(copts);
-      for (int r = 0; r < kRounds; ++r) {
-        const auto keys = generate_unique_strings(
-            64, 8, 900 + static_cast<std::uint64_t>(t) * 1000 + r);
-        const auto ins = c.insert(keys);
-        if (ins.size() != keys.size()) bad.fetch_add(1);
-        for (const auto v : ins) {
-          if (v != 1) bad.fetch_add(1);
-        }
-        const auto q = c.query(keys);
-        if (q.size() != keys.size()) bad.fetch_add(1);
-        for (const auto v : q) {
-          if (v != 1) bad.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(bad.load(), 0u);
-  sharded.stop();
 }
 
 }  // namespace

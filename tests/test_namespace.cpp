@@ -4,7 +4,7 @@
 // two independently-configured namespaces answers byte-identically to
 // standalone single-namespace servers; a tenant exhausting its key
 // quota gets clean kQuotaExceeded rejections while siblings stay
-// healthy; sharded servers reject namespaced frames outright.
+// healthy; a server without a registry rejects namespaced frames.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -521,44 +521,6 @@ TEST(NamespaceWireTest, ServerWithoutRegistryRejectsNamespaces) {
             ErrorCode::kUnsupported);
   EXPECT_EQ(code_of([&] { (void)admin.ns_list(); }),
             ErrorCode::kUnsupported);
-  server.stop();
-}
-
-TEST(NamespaceWireTest, ShardedServerRejectsNamespacedFrames) {
-  ShardSet set;
-  std::vector<std::shared_ptr<core::Mpcbf<64>>> filters;
-  for (std::size_t i = 0; i < 2; ++i) {
-    core::MpcbfConfig cfg;
-    cfg.memory_bits = 1 << 16;
-    cfg.expected_n = 1024;
-    filters.push_back(std::make_shared<core::Mpcbf<64>>(cfg));
-    set.shards.push_back(make_shard_backend(filters.back(), i));
-  }
-  Server::Options opts;
-  Server server(std::move(set), opts);
-  server.start();
-
-  Client::Options copts;
-  copts.port = server.port();
-  const auto keys = make_keys(8, 6);
-
-  Client scoped(copts);
-  scoped.set_namespace("tenant");
-  EXPECT_EQ(code_of([&] { (void)scoped.query(keys); }),
-            ErrorCode::kUnsupported);
-
-  Client admin(copts);
-  EXPECT_EQ(code_of([&] { admin.ns_create("tenant", memory_ns()); }),
-            ErrorCode::kUnsupported);
-
-  // Un-namespaced traffic — including EST_COUNT's scatter/gather path —
-  // is unaffected.
-  Client plain(copts);
-  (void)plain.insert(keys);
-  (void)plain.insert(keys);
-  const auto counts = plain.est_count(keys);
-  ASSERT_EQ(counts.size(), keys.size());
-  for (const auto n : counts) EXPECT_GE(n, 2u);
   server.stop();
 }
 
