@@ -34,28 +34,20 @@
 
 #include <cstdint>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <functional>
+#include <istream>
 #include <memory>
-#include <optional>
+#include <ostream>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/durable_mpcbf.hpp"
 #include "core/mpcbf.hpp"
-#include "io/crc32c.hpp"
+#include "io/binary.hpp"
 #include "io/journal.hpp"
-#include "metrics/registry.hpp"
 #include "trace/trace.hpp"
-
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace mpcbf::core {
 
@@ -330,334 +322,43 @@ class DecayingMpcbf {
 
 // --- DurableDecayingMpcbf -----------------------------------------------
 //
-// Crash-safe wrapper mirroring DurableMpcbf (same directory layout,
-// snapshot naming, watermark model), with decay ticks first-classed in
-// the WAL exactly like the elastic topology ops: a tick is journaled as
-// a kDecayTick record (key = LE u64 tick ordinal) *before* the rotation
-// is applied, and replay rotates at the record's sequence position — so
-// a recovered window is byte-identical to the crashed process's,
-// including which generation each surviving key lives in.
+// Durable<F> over a window (core/durable_mpcbf.hpp), with decay ticks
+// first-classed in the WAL exactly like the elastic topology ops: a tick
+// is journaled as a kDecayTick record (key = LE u64 tick ordinal)
+// *before* the rotation is applied, and replay rotates at the record's
+// sequence position — so a recovered window is byte-identical to the
+// crashed process's, including which generation each surviving key
+// lives in.
 
-namespace detail {
-
-inline std::string encode_decay_tick(std::uint64_t tick) {
-  std::string s(8, '\0');
-  std::memcpy(s.data(), &tick, 8);
-  return s;
-}
-
-inline bool decode_decay_tick(std::string_view key, std::uint64_t& tick) {
-  if (key.size() != 8) return false;
-  std::memcpy(&tick, key.data(), 8);
-  return true;
-}
-
-}  // namespace detail
-
-template <unsigned W = 64>
-class DurableDecayingMpcbf {
- public:
+template <unsigned W>
+struct DurableKind<DecayingMpcbf<W>> {
+  using Config = DecayConfig;
   static constexpr char kSnapshotMagic[9] = "MPCBDKD1";
 
-  struct Options {
-    std::size_t flush_every = 1;
-    bool fsync = true;
-    std::size_t keep_snapshots = 2;
-    /// Test-only crash injection, as DurableMpcbf::Options::crash_hook.
-    std::function<void(std::string_view)> crash_hook;
-  };
-
-  DurableDecayingMpcbf(const std::filesystem::path& dir,
-                       const DecayConfig& cfg, Options options = {})
-      : dir_(dir),
-        options_(options),
-        filter_(recover(dir, &cfg)),
-        journal_(journal_path(dir).string()) {
-    if (options_.flush_every == 0) options_.flush_every = 1;
-    if (options_.keep_snapshots == 0) options_.keep_snapshots = 1;
+  /// Same window depth, and every generation laid out as `cfg` lays one
+  /// out (Mpcbf::compatible: k, g, b1, n_max, seed and word count).
+  static bool matches(const DecayingMpcbf<W>& f, const DecayConfig& cfg) {
+    return f.generations() == cfg.generations &&
+           f.generation(0).compatible(Mpcbf<W>(cfg.generation));
   }
 
-  static std::shared_ptr<DurableDecayingMpcbf> open_shared(
-      const std::filesystem::path& dir, const DecayConfig& cfg,
-      Options options = {}) {
-    return std::shared_ptr<DurableDecayingMpcbf>(
-        new DurableDecayingMpcbf(dir, cfg, options));
+  static std::string tick_key(std::uint64_t tick) {
+    std::string s(8, '\0');
+    std::memcpy(s.data(), &tick, 8);
+    return s;
   }
 
-  ~DurableDecayingMpcbf() {
-    try {
-      if (journal_.next_seq() > journal_.base_seq()) {
-        journal_.flush(options_.fsync);
-      }
-    } catch (...) {
-      // Destructor must not throw; the unflushed tail is the loss
-      // window the flush policy already admits.
-    }
+  template <class Commit>
+  static bool apply(DecayingMpcbf<W>& f, io::JournalOp op,
+                    std::string_view key, Commit&& commit) {
+    if (op != io::JournalOp::kDecayTick || key.size() != 8) return false;
+    commit();
+    (void)f.decay_tick();
+    return true;
   }
-
-  DurableDecayingMpcbf(const DurableDecayingMpcbf&) = delete;
-  DurableDecayingMpcbf& operator=(const DurableDecayingMpcbf&) = delete;
-
-  // --- mutations (journaled, WAL-first) ----------------------------------
-
-  bool insert(std::string_view key) {
-    log_op(io::JournalOp::kInsert, key);
-    return filter_.insert(key);
-  }
-
-  bool erase(std::string_view key) {
-    log_op(io::JournalOp::kErase, key);
-    return filter_.erase(key);
-  }
-
-  void insert_batch(std::span<const std::string> keys,
-                    std::span<std::uint8_t> ok) {
-    insert_batch_impl<std::string>(keys, ok);
-  }
-  void insert_batch(std::span<const std::string_view> keys,
-                    std::span<std::uint8_t> ok) {
-    insert_batch_impl<std::string_view>(keys, ok);
-  }
-
-  /// Journals then applies one window rotation. Returns the tick
-  /// ordinal. The record is flushed with the same group-commit policy
-  /// as mutations — a tick acknowledged by flush() survives any crash.
-  std::uint64_t decay_tick() {
-    log_op(io::JournalOp::kDecayTick,
-           detail::encode_decay_tick(filter_.ticks() + 1));
-    return filter_.decay_tick();
-  }
-
-  // --- queries -----------------------------------------------------------
-
-  [[nodiscard]] bool contains(std::string_view key) const {
-    return filter_.contains(key);
-  }
-  [[nodiscard]] std::uint32_t count(std::string_view key) const {
-    return filter_.count(key);
-  }
-  void contains_batch(std::span<const std::string> keys,
-                      std::span<std::uint8_t> out) const {
-    filter_.contains_batch(keys, out);
-  }
-  void contains_batch(std::span<const std::string_view> keys,
-                      std::span<std::uint8_t> out) const {
-    filter_.contains_batch(keys, out);
-  }
-
-  void flush() {
-    journal_.flush(options_.fsync);
-    pending_ = 0;
-  }
-
-  /// Snapshot with the DurableMpcbf publish discipline: write-temp →
-  /// flush → fsync → atomic rename → dir fsync → journal truncate.
-  void snapshot() {
-    MPCBF_TRACE_SPAN(span, kIo, "decay.snapshot");
-    journal_.flush(options_.fsync);
-    pending_ = 0;
-    const std::uint64_t last_seq = journal_.next_seq() - 1;
-    const std::filesystem::path tmp = dir_ / "snapshot.tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os) {
-        throw std::runtime_error("DurableDecayingMpcbf: cannot write " +
-                                 tmp.string());
-      }
-      std::ostringstream payload;
-      io::write_magic(payload, kSnapshotMagic);
-      io::write_pod<std::uint64_t>(payload, last_seq);
-      filter_.save_payload(payload);
-      io::write_frame(os, payload.str());
-      os.flush();
-      if (!os) {
-        throw std::runtime_error(
-            "DurableDecayingMpcbf: snapshot write failed");
-      }
-    }
-    crash_point("snapshot:post-temp-write");
-    if (options_.fsync) sync_path(tmp);
-    crash_point("snapshot:pre-rename");
-    std::filesystem::rename(tmp, dir_ / snapshot_name(last_seq));
-    if (options_.fsync) sync_path(dir_);
-    crash_point("snapshot:post-rename");
-    journal_.reset(last_seq + 1);
-    crash_point("snapshot:post-journal-reset");
-    prune_snapshots();
-  }
-
-  [[nodiscard]] const DecayingMpcbf<W>& filter() const noexcept {
-    return filter_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return filter_.size(); }
-  [[nodiscard]] std::uint64_t ticks() const noexcept {
-    return filter_.ticks();
-  }
-  [[nodiscard]] const std::filesystem::path& dir() const noexcept {
-    return dir_;
-  }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return journal_.next_seq();
-  }
-  [[nodiscard]] std::size_t pending_records() const noexcept {
-    return pending_;
-  }
-
-  // --- recovery ----------------------------------------------------------
-
-  /// Newest valid snapshot + replay above its watermark; decay ticks
-  /// replay as rotations at their exact sequence positions. Pass
-  /// cfg == nullptr to require a usable snapshot.
-  static DecayingMpcbf<W> recover(const std::filesystem::path& dir,
-                                  const DecayConfig* cfg = nullptr) {
-    MPCBF_TRACE_SPAN(span, kIo, "decay.recover");
-    std::filesystem::create_directories(dir);
-    std::optional<DecayingMpcbf<W>> filter;
-    std::uint64_t watermark = 0;
-    for (const auto& path : snapshot_files(dir)) {
-      try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) continue;
-        std::istringstream payload(io::read_frame(is));
-        io::expect_magic(payload, kSnapshotMagic);
-        const auto last_seq = io::read_pod<std::uint64_t>(payload);
-        filter.emplace(DecayingMpcbf<W>::load_payload(payload));
-        watermark = last_seq;
-        break;  // newest valid snapshot wins
-      } catch (const std::runtime_error&) {
-        continue;  // corrupt snapshot: fall back to an older one
-      }
-    }
-    if (!filter) {
-      if (cfg == nullptr) {
-        throw std::runtime_error(
-            "DurableDecayingMpcbf: no loadable snapshot in " +
-            dir.string() + " and no config to start from");
-      }
-      filter.emplace(*cfg);
-    } else if (cfg != nullptr) {
-      if (filter->generations() != cfg->generations ||
-          filter->seed() != cfg->generation.seed) {
-        throw std::runtime_error(
-            "DurableDecayingMpcbf: snapshot window does not match config");
-      }
-    }
-    const io::JournalScan scan =
-        io::Journal::scan(journal_path(dir).string());
-    if (scan.base_seq > watermark + 1) {
-      throw std::runtime_error(
-          "DurableDecayingMpcbf: journal was compacted past the newest "
-          "loadable snapshot; state is unrecoverable without it");
-    }
-    for (const auto& rec : scan.records) {
-      if (rec.seq <= watermark) continue;
-      switch (rec.op) {
-        case io::JournalOp::kInsert:
-          (void)filter->insert(rec.key);
-          break;
-        case io::JournalOp::kErase:
-          (void)filter->erase(rec.key);
-          break;
-        case io::JournalOp::kDecayTick: {
-          std::uint64_t tick = 0;
-          if (detail::decode_decay_tick(rec.key, tick)) {
-            (void)filter->decay_tick();
-          }
-          break;
-        }
-        case io::JournalOp::kSegmentAdd:
-        case io::JournalOp::kSegmentRetire:
-          throw std::runtime_error(
-              "DurableDecayingMpcbf: journal contains segment-topology "
-              "records (elastic filter directory?)");
-      }
-    }
-    return std::move(*filter);
-  }
-
-  static std::filesystem::path journal_path(
-      const std::filesystem::path& dir) {
-    return dir / "journal.wal";
-  }
-
-  static std::vector<std::filesystem::path> snapshot_files(
-      const std::filesystem::path& dir) {
-    std::vector<std::filesystem::path> files;
-    if (!std::filesystem::is_directory(dir)) return files;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("snapshot-") && name.ends_with(".mpcbf")) {
-        files.push_back(entry.path());
-      }
-    }
-    std::sort(files.begin(), files.end(),
-              [](const auto& a, const auto& b) {
-                return a.filename().string() > b.filename().string();
-              });
-    return files;
-  }
-
- private:
-  template <typename Key>
-  void insert_batch_impl(std::span<const Key> keys,
-                         std::span<std::uint8_t> ok) {
-    if (keys.size() != ok.size()) {
-      throw std::invalid_argument("insert_batch: size mismatch");
-    }
-    for (const auto& key : keys) {
-      log_op(io::JournalOp::kInsert, key);
-    }
-    filter_.insert_batch(keys, ok);
-  }
-
-  void log_op(io::JournalOp op, std::string_view key) {
-    crash_point("journal:pre-append");
-    journal_.append(op, key);
-    ++pending_;
-    crash_point("journal:post-append");
-    if (pending_ >= options_.flush_every) {
-      journal_.flush(options_.fsync);
-      pending_ = 0;
-      crash_point("journal:post-flush");
-    }
-  }
-
-  void crash_point(std::string_view point) {
-    if (options_.crash_hook) options_.crash_hook(point);
-  }
-
-  static std::string snapshot_name(std::uint64_t seq) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "snapshot-%016llx.mpcbf",
-                  static_cast<unsigned long long>(seq));
-    return buf;
-  }
-
-  void prune_snapshots() const {
-    const auto files = snapshot_files(dir_);
-    for (std::size_t i = options_.keep_snapshots; i < files.size(); ++i) {
-      std::error_code ec;
-      std::filesystem::remove(files[i], ec);  // best-effort cleanup
-    }
-  }
-
-  static void sync_path(const std::filesystem::path& p) {
-#ifdef __unix__
-    const int fd = ::open(p.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-#else
-    (void)p;
-#endif
-  }
-
-  std::filesystem::path dir_;
-  Options options_;
-  DecayingMpcbf<W> filter_;
-  io::Journal journal_;
-  std::size_t pending_ = 0;
 };
+
+template <unsigned W = 64>
+using DurableDecayingMpcbf = Durable<DecayingMpcbf<W>>;
 
 }  // namespace mpcbf::core

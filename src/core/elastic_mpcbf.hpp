@@ -57,8 +57,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <istream>
 #include <limits>
@@ -74,14 +72,10 @@
 #include <utility>
 #include <vector>
 
-#ifdef __unix__
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/durable_mpcbf.hpp"
 #include "core/mpcbf.hpp"
 #include "hash/murmur3.hpp"
 #include "io/binary.hpp"
@@ -936,526 +930,69 @@ class ElasticMpcbf {
 
 // --- DurableElasticMpcbf ------------------------------------------------
 //
-// Crash-safe wrapper mirroring DurableMpcbf (same directory layout,
-// snapshot naming, watermark model and fault-injection points), with
-// topology changes first-classed in the WAL: a split is journaled as a
+// Durable<F> over a chain (core/durable_mpcbf.hpp), with topology
+// changes first-classed in the WAL: a split is journaled as a
 // kSegmentAdd record (key = LE u32 source segment) and a drain as
 // kSegmentRetire (key = LE u32 retired | LE u32 absorber), each
 // appended *after* the mutation that made it due — replay applies the
-// records at their sequence positions and reproduces the chain byte for
-// byte, regardless of how the growth policy evolves between versions.
+// records at their sequence positions (auto-grow off) and reproduces the
+// chain byte for byte, regardless of how the growth policy evolves
+// between versions.
 
-namespace detail {
-
-inline std::string encode_segment_add(std::uint32_t source) {
-  std::string s(4, '\0');
-  std::memcpy(s.data(), &source, 4);
-  return s;
-}
-
-inline std::string encode_segment_retire(std::uint32_t retired,
-                                         std::uint32_t into) {
-  std::string s(8, '\0');
-  std::memcpy(s.data(), &retired, 4);
-  std::memcpy(s.data() + 4, &into, 4);
-  return s;
-}
-
-inline bool decode_segment_add(std::string_view key,
-                               std::uint32_t& source) {
-  if (key.size() != 4) return false;
-  std::memcpy(&source, key.data(), 4);
-  return true;
-}
-
-inline bool decode_segment_retire(std::string_view key,
-                                  std::uint32_t& retired,
-                                  std::uint32_t& into) {
-  if (key.size() != 8) return false;
-  std::memcpy(&retired, key.data(), 4);
-  std::memcpy(&into, key.data() + 4, 4);
-  return true;
-}
-
-}  // namespace detail
-
-template <unsigned W = 64>
-class DurableElasticMpcbf {
- public:
+template <unsigned W>
+struct DurableKind<ElasticMpcbf<W>> {
+  using Config = ElasticConfig;
   static constexpr char kSnapshotMagic[9] = "MPCBELD1";
 
-  struct Options {
-    std::size_t flush_every = 1;
-    bool fsync = true;
-    std::size_t keep_snapshots = 2;
-    std::function<void(std::string_view)> crash_hook;
-  };
-
-  DurableElasticMpcbf(const std::filesystem::path& dir,
-                      const ElasticConfig& cfg, Options options = {})
-      : DurableElasticMpcbf(dir, std::optional<ElasticConfig>(cfg),
-                            std::move(options)) {}
-
-  static DurableElasticMpcbf open_existing(
-      const std::filesystem::path& dir, Options options = {}) {
-    return DurableElasticMpcbf(dir, std::nullopt, std::move(options));
+  static bool matches(const ElasticMpcbf<W>& f, const ElasticConfig& cfg) {
+    return f.config().route_bits == cfg.route_bits &&
+           f.seed() == cfg.segment.seed;
   }
 
-  /// Shared-ownership open (the class is immovable — the journal pins
-  /// an fd), for net::make_backend callers.
-  static std::shared_ptr<DurableElasticMpcbf> open_shared(
-      const std::filesystem::path& dir,
-      std::optional<ElasticConfig> cfg = std::nullopt,
-      Options options = {}) {
-    return std::shared_ptr<DurableElasticMpcbf>(
-        new DurableElasticMpcbf(dir, cfg, std::move(options)));
+  /// Every split is journaled before it is applied.
+  static void adopt(ElasticMpcbf<W>& f) { f.set_auto_grow(false); }
+
+  /// The split the last insert made due, as its kSegmentAdd record.
+  static std::optional<io::JournalRecord> due_record(
+      const ElasticMpcbf<W>& f) {
+    const auto grow = f.pending_growth();
+    if (!grow) return std::nullopt;
+    std::string key(4, '\0');
+    std::memcpy(key.data(), &grow->segment, 4);
+    return io::JournalRecord{0, io::JournalOp::kSegmentAdd, std::move(key)};
   }
 
-  ~DurableElasticMpcbf() {
-    try {
-      if (journal_.next_seq() > journal_.base_seq()) {
-        journal_.flush(options_.fsync);
-      }
-    } catch (...) {
-      // Destructor must not throw; the unflushed tail is the
-      // acknowledged-loss window the flush policy already admits.
+  static std::string retire_key(const ElasticTopologyOp& step) {
+    std::string s(8, '\0');
+    std::memcpy(s.data(), &step.segment, 4);
+    std::memcpy(s.data() + 4, &step.into, 4);
+    return s;
+  }
+
+  template <class Commit>
+  static bool apply(ElasticMpcbf<W>& f, io::JournalOp op,
+                    std::string_view key, Commit&& commit) {
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    if (op == io::JournalOp::kSegmentAdd && key.size() == 4) {
+      std::memcpy(&a, key.data(), 4);
+      commit();
+      (void)f.grow_from(a);
+      return true;
     }
-  }
-
-  DurableElasticMpcbf(const DurableElasticMpcbf&) = delete;
-  DurableElasticMpcbf& operator=(const DurableElasticMpcbf&) = delete;
-
-  // --- mutations (journaled; topology changes ride the same WAL) --------
-
-  bool insert(std::string_view key) {
-    log_op(io::JournalOp::kInsert, key);
-    const bool ok = filter_.insert(key);
-    drain_pending_growth();
-    return ok;
-  }
-
-  bool erase(std::string_view key) {
-    log_op(io::JournalOp::kErase, key);
-    return filter_.erase(key);
-  }
-
-  /// Batched inserts. Unlike DurableMpcbf, records are journaled key by
-  /// key (each key's append precedes its apply — the WAL invariant
-  /// holds per key) so a split due mid-batch lands in the journal at
-  /// its exact replay position. Group commit still batches fsyncs.
-  void insert_batch(std::span<const std::string> keys,
-                    std::span<std::uint8_t> ok) {
-    insert_batch_impl<std::string>(keys, ok);
-  }
-  void insert_batch(std::span<const std::string_view> keys,
-                    std::span<std::uint8_t> ok) {
-    insert_batch_impl<std::string_view>(keys, ok);
-  }
-
-  /// One journaled drain pass (see ElasticMpcbf::compact_once).
-  std::optional<ElasticTopologyOp> compact_once() {
-    const auto step = filter_.compaction_candidate();
-    if (!step) return std::nullopt;
-    log_op(io::JournalOp::kSegmentRetire,
-           detail::encode_segment_retire(step->segment, step->into));
-    if (!filter_.retire_into(step->segment, step->into)) {
-      // The candidate was journaled but unappliable (merge overflow);
-      // replay tolerates the no-op record the same way.
-      return std::nullopt;
-    }
-    return step;
-  }
-
-  // --- queries ----------------------------------------------------------
-
-  [[nodiscard]] bool contains(std::string_view key) const {
-    return filter_.contains(key);
-  }
-  [[nodiscard]] std::uint32_t count(std::string_view key) const {
-    return filter_.count(key);
-  }
-  void contains_batch(std::span<const std::string> keys,
-                      std::span<std::uint8_t> out) const {
-    filter_.contains_batch(keys, out);
-  }
-  void contains_batch(std::span<const std::string_view> keys,
-                      std::span<std::uint8_t> out) const {
-    filter_.contains_batch(keys, out);
-  }
-
-  void flush() {
-    journal_.flush(options_.fsync);
-    pending_ = 0;
-  }
-
-  /// Snapshot with the DurableMpcbf protocol: write-temp → flush →
-  /// fsync → atomic rename → directory fsync → journal truncation. The
-  /// snapshot embeds the full topology record, so recovery restores the
-  /// chain byte for byte.
-  void snapshot() {
-    MPCBF_TRACE_SPAN(span, kIo, "elastic.snapshot");
-    journal_.flush(options_.fsync);
-    pending_ = 0;
-    const std::uint64_t last_seq = journal_.next_seq() - 1;
-    const std::filesystem::path tmp = dir_ / "snapshot.tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os) {
-        throw std::runtime_error("DurableElasticMpcbf: cannot write " +
-                                 tmp.string());
-      }
-      write_snapshot_stream(os, last_seq);
-      os.flush();
-      if (!os) {
-        throw std::runtime_error(
-            "DurableElasticMpcbf: snapshot write failed");
-      }
-    }
-    crash_point("snapshot:post-temp-write");
-    if (options_.fsync) sync_path(tmp);
-    crash_point("snapshot:pre-rename");
-    std::filesystem::rename(tmp, dir_ / snapshot_name(last_seq));
-    if (options_.fsync) sync_path(dir_);
-    crash_point("snapshot:post-rename");
-    journal_.reset(last_seq + 1);
-    crash_point("snapshot:post-journal-reset");
-    prune_snapshots();
-  }
-
-  // --- replication primitives (same shapes as DurableMpcbf) -------------
-
-  struct ReplicationBatch {
-    std::vector<io::JournalRecord> records;
-    std::uint64_t next_seq = 1;
-    std::uint64_t base_seq = 1;
-  };
-
-  [[nodiscard]] ReplicationBatch journal_records_from(
-      std::uint64_t from_seq, std::uint32_t max_records,
-      std::uint64_t max_bytes) {
-    if (pending_ > 0) {
-      journal_.flush(options_.fsync);
-      pending_ = 0;
-    }
-    ReplicationBatch batch;
-    batch.next_seq = journal_.next_seq();
-    batch.base_seq = journal_.base_seq();
-    if (from_seq < batch.base_seq || from_seq >= batch.next_seq) {
-      return batch;
-    }
-    io::JournalScan scan = io::Journal::scan(journal_path(dir_).string());
-    std::uint64_t bytes = 0;
-    for (auto& rec : scan.records) {
-      if (rec.seq < from_seq) continue;
-      if (batch.records.size() >= max_records) break;
-      bytes += 13 + rec.key.size();
-      if (bytes > max_bytes && !batch.records.empty()) break;
-      batch.records.push_back(std::move(rec));
-    }
-    return batch;
-  }
-
-  [[nodiscard]] std::pair<std::string, std::uint64_t>
-  serialize_snapshot() {
-    journal_.flush(options_.fsync);
-    pending_ = 0;
-    const std::uint64_t last_seq = journal_.next_seq() - 1;
-    std::ostringstream os(std::ios::binary);
-    write_snapshot_stream(os, last_seq);
-    return {std::move(os).str(), last_seq};
-  }
-
-  /// Installs a primary's snapshot image verbatim (topology included)
-  /// and resets the journal to watermark + 1 — the follower-bootstrap
-  /// path; afterwards this directory's snapshot files are byte-
-  /// identical to the primary's at equal watermarks.
-  std::uint64_t install_snapshot(std::string_view image) {
-    std::istringstream is(std::string(image), std::ios::binary);
-    std::istringstream payload(io::read_frame(is));
-    io::expect_magic(payload, kSnapshotMagic);
-    const auto last_seq = io::read_pod<std::uint64_t>(payload);
-    ElasticMpcbf<W> loaded = ElasticMpcbf<W>::load_payload(payload);
-    const std::filesystem::path tmp = dir_ / "snapshot.tmp";
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os) {
-        throw std::runtime_error("DurableElasticMpcbf: cannot write " +
-                                 tmp.string());
-      }
-      os.write(image.data(), static_cast<std::streamsize>(image.size()));
-      os.flush();
-      if (!os) {
-        throw std::runtime_error(
-            "DurableElasticMpcbf: snapshot install write failed");
-      }
-    }
-    if (options_.fsync) sync_path(tmp);
-    std::filesystem::rename(tmp, dir_ / snapshot_name(last_seq));
-    if (options_.fsync) sync_path(dir_);
-    journal_.reset(last_seq + 1);
-    pending_ = 0;
-    filter_ = std::move(loaded);
-    filter_.set_auto_grow(false);
-    prune_snapshots();
-    return last_seq;
-  }
-
-  /// Applies one replicated record WAL-first. Rejects sequence gaps and
-  /// (defensively) ops this build does not understand.
-  bool apply_replicated(std::uint64_t seq, io::JournalOp op,
-                        std::string_view key) {
-    if (seq != journal_.next_seq()) return false;
-    switch (op) {
-      case io::JournalOp::kInsert:
-        log_op(op, key);
-        (void)filter_.insert(key);
-        return true;
-      case io::JournalOp::kErase:
-        log_op(op, key);
-        (void)filter_.erase(key);
-        return true;
-      case io::JournalOp::kSegmentAdd: {
-        std::uint32_t source = 0;
-        if (!detail::decode_segment_add(key, source)) return false;
-        log_op(op, key);
-        (void)filter_.grow_from(source);
-        return true;
-      }
-      case io::JournalOp::kSegmentRetire: {
-        std::uint32_t retired = 0;
-        std::uint32_t into = 0;
-        if (!detail::decode_segment_retire(key, retired, into)) {
-          return false;
-        }
-        log_op(op, key);
-        (void)filter_.retire_into(retired, into);
-        return true;
-      }
-      case io::JournalOp::kDecayTick:
-        // Decay ticks belong to DurableDecayingMpcbf journals; an
-        // elastic follower must reject rather than misapply them.
-        return false;
+    if (op == io::JournalOp::kSegmentRetire && key.size() == 8) {
+      std::memcpy(&a, key.data(), 4);
+      std::memcpy(&b, key.data() + 4, 4);
+      commit();
+      (void)f.retire_into(a, b);
+      return true;
     }
     return false;
   }
-
-  // --- introspection ----------------------------------------------------
-
-  [[nodiscard]] const ElasticMpcbf<W>& filter() const noexcept {
-    return filter_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return filter_.size(); }
-  [[nodiscard]] const std::filesystem::path& dir() const noexcept {
-    return dir_;
-  }
-  [[nodiscard]] std::uint64_t next_seq() const noexcept {
-    return journal_.next_seq();
-  }
-  [[nodiscard]] std::uint64_t base_seq() const noexcept {
-    return journal_.base_seq();
-  }
-  [[nodiscard]] std::size_t pending_records() const noexcept {
-    return pending_;
-  }
-  void publish_metrics(metrics::Registry& reg,
-                       const std::string& label = "elastic") const {
-    filter_.publish_metrics(reg, label);
-  }
-
-  // --- recovery ---------------------------------------------------------
-
-  /// Newest valid snapshot + replay above its watermark. Topology
-  /// records replay at their exact sequence positions with auto-grow
-  /// disabled, so the rebuilt chain is byte-identical to the crashed
-  /// process's. Pass cfg == nullptr to require a usable snapshot.
-  static ElasticMpcbf<W> recover(const std::filesystem::path& dir,
-                                 const ElasticConfig* cfg = nullptr) {
-    MPCBF_TRACE_SPAN(span, kIo, "elastic.recover");
-    std::filesystem::create_directories(dir);
-    std::optional<ElasticMpcbf<W>> filter;
-    std::uint64_t watermark = 0;
-    for (const auto& path : snapshot_files(dir)) {
-      try {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) continue;
-        std::istringstream payload(io::read_frame(is));
-        io::expect_magic(payload, kSnapshotMagic);
-        const auto last_seq = io::read_pod<std::uint64_t>(payload);
-        filter.emplace(ElasticMpcbf<W>::load_payload(payload));
-        watermark = last_seq;
-        break;
-      } catch (const std::runtime_error&) {
-        continue;  // corrupt snapshot: fall back to an older one
-      }
-    }
-    if (!filter) {
-      if (cfg == nullptr) {
-        throw std::runtime_error(
-            "DurableElasticMpcbf: no loadable snapshot in " +
-            dir.string() + " and no config to start from");
-      }
-      filter.emplace(*cfg);
-    } else if (cfg != nullptr) {
-      if (filter->config().route_bits != cfg->route_bits ||
-          filter->seed() != cfg->segment.seed) {
-        throw std::runtime_error(
-            "DurableElasticMpcbf: snapshot routing does not match config");
-      }
-    }
-    filter->set_auto_grow(false);
-    const io::JournalScan scan =
-        io::Journal::scan(journal_path(dir).string());
-    if (scan.base_seq > watermark + 1) {
-      throw std::runtime_error(
-          "DurableElasticMpcbf: journal was compacted past the newest "
-          "loadable snapshot; state is unrecoverable without it");
-    }
-    for (const auto& rec : scan.records) {
-      if (rec.seq <= watermark) continue;
-      switch (rec.op) {
-        case io::JournalOp::kInsert:
-          (void)filter->insert(rec.key);
-          break;
-        case io::JournalOp::kErase:
-          (void)filter->erase(rec.key);
-          break;
-        case io::JournalOp::kSegmentAdd: {
-          std::uint32_t source = 0;
-          if (detail::decode_segment_add(rec.key, source)) {
-            (void)filter->grow_from(source);
-          }
-          break;
-        }
-        case io::JournalOp::kSegmentRetire: {
-          std::uint32_t retired = 0;
-          std::uint32_t into = 0;
-          if (detail::decode_segment_retire(rec.key, retired, into)) {
-            (void)filter->retire_into(retired, into);
-          }
-          break;
-        }
-        case io::JournalOp::kDecayTick:
-          throw std::runtime_error(
-              "DurableElasticMpcbf: journal contains decay-tick records "
-              "(decaying filter directory?)");
-      }
-    }
-    return std::move(*filter);
-  }
-
-  static std::filesystem::path journal_path(
-      const std::filesystem::path& dir) {
-    return dir / "journal.wal";
-  }
-
-  static std::vector<std::filesystem::path> snapshot_files(
-      const std::filesystem::path& dir) {
-    std::vector<std::filesystem::path> files;
-    if (!std::filesystem::is_directory(dir)) return files;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("snapshot-") && name.ends_with(".mpcbf")) {
-        files.push_back(entry.path());
-      }
-    }
-    std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
-      return a.filename().string() > b.filename().string();
-    });
-    return files;
-  }
-
- private:
-  DurableElasticMpcbf(const std::filesystem::path& dir,
-                      std::optional<ElasticConfig> cfg, Options options)
-      : dir_(dir),
-        options_(std::move(options)),
-        filter_(recover(dir, cfg ? &*cfg : nullptr)),
-        journal_(journal_path(dir).string()) {
-    if (options_.flush_every == 0) options_.flush_every = 1;
-    if (options_.keep_snapshots == 0) options_.keep_snapshots = 1;
-    // A crash between an insert's append and its split's append leaves
-    // the growth pending after replay; journal and apply it now so the
-    // recovered process converges with the uncrashed one.
-    drain_pending_growth();
-  }
-
-  template <typename Key>
-  void insert_batch_impl(std::span<const Key> keys,
-                         std::span<std::uint8_t> ok) {
-    if (keys.size() != ok.size()) {
-      throw std::invalid_argument("insert_batch: size mismatch");
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ok[i] = insert(keys[i]) ? 1 : 0;
-    }
-  }
-
-  void drain_pending_growth() {
-    while (const auto pending = filter_.pending_growth()) {
-      log_op(io::JournalOp::kSegmentAdd,
-             detail::encode_segment_add(pending->segment));
-      (void)filter_.grow_from(pending->segment);
-    }
-  }
-
-  void log_op(io::JournalOp op, std::string_view key) {
-    crash_point("journal:pre-append");
-    journal_.append(op, key);
-    ++pending_;
-    crash_point("journal:post-append");
-    if (pending_ >= options_.flush_every) {
-      journal_.flush(options_.fsync);
-      pending_ = 0;
-      crash_point("journal:post-flush");
-    }
-  }
-
-  void crash_point(std::string_view point) {
-    if (options_.crash_hook) options_.crash_hook(point);
-  }
-
-  void write_snapshot_stream(std::ostream& os,
-                             std::uint64_t last_seq) const {
-    std::ostringstream payload;
-    io::write_magic(payload, kSnapshotMagic);
-    io::write_pod<std::uint64_t>(payload, last_seq);
-    filter_.save_payload(payload);
-    io::write_frame(os, payload.str());
-  }
-
-  static std::string snapshot_name(std::uint64_t seq) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "snapshot-%016llx.mpcbf",
-                  static_cast<unsigned long long>(seq));
-    return buf;
-  }
-
-  void prune_snapshots() const {
-    const auto files = snapshot_files(dir_);
-    for (std::size_t i = options_.keep_snapshots; i < files.size(); ++i) {
-      std::error_code ec;
-      std::filesystem::remove(files[i], ec);  // best-effort cleanup
-    }
-  }
-
-  static void sync_path(const std::filesystem::path& p) {
-#ifdef __unix__
-    const int fd = ::open(p.c_str(), O_RDONLY);
-    if (fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-#else
-    (void)p;
-#endif
-  }
-
-  std::filesystem::path dir_;
-  Options options_;
-  ElasticMpcbf<W> filter_;
-  io::Journal journal_;
-  std::size_t pending_ = 0;
 };
+
+template <unsigned W = 64>
+using DurableElasticMpcbf = Durable<ElasticMpcbf<W>>;
 
 // --- background maintenance ---------------------------------------------
 

@@ -45,11 +45,12 @@ namespace mpcbf::net {
 
 /// Where a follower's replicated records land. The tailing loop only
 /// needs three operations — the resume point, gap-checked apply, and
-/// snapshot install — so it is expressed as an interface rather than a
-/// concrete DurableMpcbf + shared_mutex pair. The classic single-filter
-/// follower wraps exactly that pair (make_replication_sink); a future
-/// sharded follower would fan records out to per-shard owners behind the
-/// same three calls without touching the Replicator.
+/// snapshot install — which every core::Durable<F> provides (next_seq,
+/// apply_replicated, install_snapshot). The standard follower wraps a
+/// DurableMpcbf + shared_mutex pair (make_replication_sink). No sink
+/// serves an elastic follower yet: its maintainer and growth drain
+/// journal records of their own, which would fork the primary's
+/// sequence stream.
 ///
 /// Thread contract: the Replicator calls every method from its one
 /// tailing thread; implementations own whatever exclusion they need

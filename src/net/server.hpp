@@ -106,7 +106,7 @@ template <typename F>
 [[nodiscard]] StatsReply probe_stats(const F& f) {
   StatsReply s;
   s.elements = f.size();
-  // DurableMpcbf exposes layout through its in-memory filter; probe
+  // A Durable<F> exposes layout through its in-memory filter; probe
   // the inner filter when one exists, the wrapped object otherwise.
   const auto& t = [&]() -> const auto& {
     if constexpr (requires { f.filter(); }) {
@@ -144,7 +144,7 @@ template <typename F>
 [[nodiscard]] HealthReply probe_health(metrics::HealthProber& prober,
                                        const F& f) {
   const auto& probe_target = [&]() -> const auto& {
-    // DurableMpcbf is probed through its in-memory filter; everything
+    // A Durable<F> is probed through its in-memory filter; everything
     // else is probed directly.
     if constexpr (requires { f.filter(); }) {
       return f.filter();
@@ -213,9 +213,9 @@ struct ReplSource {
   }
 };
 
-/// An ERASE frame's keys: through the filter's own erase_batch pipeline
-/// where it has one (Mpcbf), otherwise a scalar erase loop. Both give
-/// the same verdicts, state and stats.
+/// An ERASE frame's keys: through the filter's own erase_batch where it
+/// has one (Mpcbf, every Durable<F>), otherwise a scalar erase loop.
+/// Both give the same verdicts, state and stats.
 template <typename F>
 void erase_batch(F& f, std::span<const std::string_view> keys,
                  std::span<std::uint8_t> ok) {
@@ -230,8 +230,8 @@ void erase_batch(F& f, std::span<const std::string_view> keys,
 
 }  // namespace detail
 
-/// Wraps a concrete filter in a FilterBackend. Works with Mpcbf,
-/// DurableMpcbf and ShardedMpcbf (members are probed, not required —
+/// Wraps a concrete filter in a FilterBackend. Works with Mpcbf, every
+/// Durable<F> and ShardedMpcbf (members are probed, not required —
 /// the publish_filter idiom). All request classes are serialized
 /// through one shared_mutex: queries/stats/health take it shared,
 /// mutations and snapshots exclusive, matching the filters' "const

@@ -15,6 +15,7 @@
 
 #include "core/decaying_mpcbf.hpp"
 #include "core/mpcbf.hpp"
+#include "metrics/registry.hpp"
 
 namespace {
 
@@ -268,6 +269,55 @@ TEST(DurableDecay, RecoverRejectsMismatchedWindowShape) {
   const DecayConfig wider = small_window(5);
   EXPECT_THROW(DurableDecayingMpcbf<64>(dir, wider, fast_durable()),
                std::runtime_error);
+}
+
+TEST(DurableDecay, RecoverRejectsMismatchedGenerationShape) {
+  const fs::path dir = fresh_dir("generation_mismatch");
+  {
+    DurableDecayingMpcbf<64> f(dir, small_window(3), fast_durable());
+    (void)f.insert("anchor");
+    f.snapshot();
+  }
+  // Same generation count and seed, different generation shape: serving
+  // the snapshot's k=3 window under a k=5, 4x-wider config would be
+  // just as silent a mismatch as a different depth.
+  DecayConfig reshaped = small_window(3);
+  reshaped.generation.k = 5;
+  reshaped.generation.memory_bits *= 4;
+  EXPECT_THROW(DurableDecayingMpcbf<64>(dir, reshaped, fast_durable()),
+               std::runtime_error);
+  DecayConfig rekeyed = small_window(3);
+  rekeyed.generation.k = 5;
+  EXPECT_THROW(DurableDecayingMpcbf<64>(dir, rekeyed, fast_durable()),
+               std::runtime_error);
+  // The matching shape still reopens.
+  DurableDecayingMpcbf<64> same(dir, small_window(3), fast_durable());
+  EXPECT_TRUE(same.contains("anchor"));
+}
+
+TEST(DurableDecay, RecoveryRecordsDurableMetrics) {
+  const fs::path dir = fresh_dir("metrics");
+  const DecayConfig cfg = small_window(3);
+  {
+    DurableDecayingMpcbf<64> f(dir, cfg, fast_durable());
+    for (const auto& k : make_keys(20, "snap")) (void)f.insert(k);
+    f.snapshot();
+    for (const auto& k : make_keys(30, "tail")) (void)f.insert(k);
+    (void)f.decay_tick();
+    f.flush();
+  }
+  auto& reg = metrics::Registry::global();
+  auto& recoveries = reg.counter("mpcbf_durable_recoveries_total");
+  auto& replayed = reg.counter("mpcbf_durable_replayed_records_total");
+  const std::uint64_t recoveries_before = recoveries.value();
+  const std::uint64_t replayed_before = replayed.value();
+  DurableDecayingMpcbf<64> g(dir, cfg, fast_durable());
+  EXPECT_EQ(g.ticks(), 1u);
+  if (metrics::kStatsEnabled) {
+    EXPECT_EQ(recoveries.value() - recoveries_before, 1u);
+    // The journal tail above the snapshot: 30 inserts and one tick.
+    EXPECT_EQ(replayed.value() - replayed_before, 31u);
+  }
 }
 
 }  // namespace

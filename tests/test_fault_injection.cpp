@@ -7,18 +7,27 @@
 //     nothing short of a clean load is ever accepted;
 //   * journals: replay either throws (header damage) or yields an exact
 //     prefix of the true record sequence (torn-tail semantics);
-//   * crash points: a process death simulated at every durability-
-//     critical step of DurableMpcbf (including around the snapshot
-//     rename) loses no acknowledged mutation.
+//   * crash points: a process death simulated at every occurrence of
+//     every durability-critical step (including around the snapshot
+//     rename), for each durable kind — flat, decaying, elastic — loses
+//     no acknowledged op, recovers byte-identically to a crash-free run
+//     of the acknowledged ops (or those plus the one in flight), and
+//     reopens into a process that finishes the script where the
+//     crash-free run does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/decaying_mpcbf.hpp"
 #include "core/durable_mpcbf.hpp"
+#include "core/elastic_mpcbf.hpp"
 #include "core/mpcbf.hpp"
 #include "filters/counting_bloom.hpp"
 #include "io/journal.hpp"
@@ -27,7 +36,11 @@
 namespace {
 
 namespace fs = std::filesystem;
+using mpcbf::core::DecayConfig;
+using mpcbf::core::DurableDecayingMpcbf;
+using mpcbf::core::DurableElasticMpcbf;
 using mpcbf::core::DurableMpcbf;
+using mpcbf::core::ElasticConfig;
 using mpcbf::core::Mpcbf;
 using mpcbf::core::MpcbfConfig;
 using mpcbf::core::OverflowPolicy;
@@ -194,20 +207,24 @@ TEST_F(JournalFaultTest, RecordDamageNeverForgesRecords) {
   }
 }
 
-// --- crash-point simulation ---------------------------------------------
+// --- crash-point simulation, every durable kind --------------------------
 
 struct SimulatedCrash {};
 
-class CrashPointTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("mpcbf_crash_" + std::string(::testing::UnitTest::GetInstance()
-                                             ->current_test_info()
-                                             ->name()));
-  }
-  void TearDown() override { fs::remove_all(dir_); }
+enum class Step { kInsert, kErase, kTick, kCompact, kSnapshot };
+struct ScriptOp {
+  Step step;
+  std::string key;
+};
 
+/// One scripted workload per durable kind: inserts, erases and two
+/// snapshots, plus the kind's own journal records — decay ticks, elastic
+/// growth on a segment small enough to split within the script.
+template <class D>
+struct CrashScript;
+
+template <>
+struct CrashScript<DurableMpcbf<64>> {
   static MpcbfConfig config() {
     MpcbfConfig cfg;
     cfg.memory_bits = 1 << 15;
@@ -217,79 +234,254 @@ class CrashPointTest : public ::testing::Test {
     cfg.policy = OverflowPolicy::kStash;
     return cfg;
   }
-
-  /// Runs the scripted workload (30 inserts, snapshot, 30 inserts,
-  /// snapshot, 30 inserts) with a crash injected at the `nth` occurrence
-  /// of `point`; returns the keys whose mutation was acknowledged
-  /// (insert() returned) before the crash.
-  std::vector<std::string> run_until_crash(std::string_view point, int nth) {
-    fs::remove_all(dir_);
+  /// 30 inserts, snapshot, 30 inserts, snapshot, 30 inserts.
+  static std::vector<ScriptOp> ops() {
+    std::vector<ScriptOp> ops;
     const auto keys = generate_unique_strings(90, 6, 21);
-    int seen = 0;
-    DurableMpcbf<64>::Options opt;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ops.push_back({Step::kInsert, keys[i]});
+      if (i == 29 || i == 59) ops.push_back({Step::kSnapshot, {}});
+    }
+    return ops;
+  }
+};
+
+template <>
+struct CrashScript<DurableDecayingMpcbf<64>> {
+  static DecayConfig config() {
+    DecayConfig cfg;
+    cfg.generation = CrashScript<DurableMpcbf<64>>::config();
+    cfg.generation.memory_bits = 1 << 13;
+    cfg.generations = 4;  // the script's 3 ticks retire nothing
+    return cfg;
+  }
+  static std::vector<ScriptOp> ops() {
+    std::vector<ScriptOp> ops;
+    const auto keys = generate_unique_strings(90, 6, 22);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ops.push_back({Step::kInsert, keys[i]});
+      if (i == 29 || i == 59) {
+        ops.push_back({Step::kTick, {}});
+        ops.push_back({Step::kSnapshot, {}});
+      }
+      if (i == 44) {
+        for (std::size_t e = 0; e < 10; ++e) {
+          ops.push_back({Step::kErase, keys[e * 2]});
+        }
+      }
+    }
+    ops.push_back({Step::kTick, {}});
+    return ops;
+  }
+};
+
+template <>
+struct CrashScript<DurableElasticMpcbf<64>> {
+  static ElasticConfig config() {
+    ElasticConfig cfg;
+    cfg.segment = CrashScript<DurableMpcbf<64>>::config();
+    cfg.segment.memory_bits = 1 << 9;  // splits within ~40 inserts
+    cfg.segment.expected_n = 100;
+    cfg.route_bits = 2;
+    cfg.probe_stride = 4;
+    return cfg;
+  }
+  static std::vector<ScriptOp> ops() {
+    std::vector<ScriptOp> ops;
+    const auto keys = generate_unique_strings(90, 6, 31);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ops.push_back({Step::kInsert, keys[i]});
+      if (i == 29 || i == 59) ops.push_back({Step::kSnapshot, {}});
+      if (i == 64) {
+        for (std::size_t e = 0; e < 10; ++e) {
+          ops.push_back({Step::kErase, keys[e * 3]});
+        }
+      }
+    }
+    ops.push_back({Step::kCompact, {}});
+    return ops;
+  }
+};
+
+template <class D>
+void run_op(D& d, const ScriptOp& op) {
+  switch (op.step) {
+    case Step::kInsert:
+      (void)d.insert(op.key);
+      break;
+    case Step::kErase:
+      (void)d.erase(op.key);
+      break;
+    case Step::kTick:
+      if constexpr (requires { d.decay_tick(); }) (void)d.decay_tick();
+      break;
+    case Step::kCompact:
+      if constexpr (requires { d.compact_once(); }) (void)d.compact_once();
+      break;
+    case Step::kSnapshot:
+      d.snapshot();
+      break;
+  }
+}
+
+template <class D>
+std::string payload_of(const D& d) {
+  std::ostringstream os;
+  d.filter().save_payload(os);
+  return os.str();
+}
+
+template <class D>
+class CrashPointTest : public ::testing::Test {
+ protected:
+  using Script = CrashScript<D>;
+
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(info->test_suite_name()) + "_" +
+                       info->name();  // suite is "CrashPointTest/<i>"
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = fs::temp_directory_path() / ("mpcbf_crash_" + name);
+    fs::remove_all(dir_);
+    ops_ = Script::ops();
+    // Crash-free reference: the payload after each prefix of the script,
+    // and how often each crash point fires over the whole run.
+    const fs::path ref_dir = dir_.string() + "_ref";
+    fs::remove_all(ref_dir);
+    typename D::Options opt = options();
+    opt.crash_hook = [this](std::string_view p) { ++fired_[std::string(p)]; };
+    {
+      D ref(ref_dir, Script::config(), opt);
+      prefix_payload_.push_back(payload_of(ref));
+      for (const auto& op : ops_) {
+        run_op(ref, op);
+        prefix_payload_.push_back(payload_of(ref));
+      }
+      grows_or_ticks_ = [&] {
+        if constexpr (requires { ref.ticks(); }) return ref.ticks();
+        else if constexpr (requires { ref.filter().grows(); })
+          return ref.filter().grows();
+        else return std::uint64_t{1};
+      }();
+    }
+    fs::remove_all(ref_dir);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  static typename D::Options options() {
+    typename D::Options opt;
     opt.fsync = false;  // crash model here is process death, not power loss
     opt.flush_every = 1;
+    return opt;
+  }
+
+  /// Runs the script with a crash injected at the `nth` occurrence of
+  /// `point`; returns how many ops were acknowledged (returned) first.
+  std::size_t run_until_crash(std::string_view point, int nth) {
+    fs::remove_all(dir_);
+    int seen = 0;
+    typename D::Options opt = options();
     opt.crash_hook = [&](std::string_view p) {
       if (p == point && ++seen == nth) throw SimulatedCrash{};
     };
-    std::vector<std::string> acked;
+    std::size_t acked = 0;
     try {
-      DurableMpcbf<64> d(dir_, config(), opt);
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        d.insert(keys[i]);
-        acked.push_back(keys[i]);
-        if (i == 29 || i == 59) d.snapshot();
+      D d(dir_, Script::config(), opt);
+      for (const auto& op : ops_) {
+        run_op(d, op);
+        ++acked;
       }
     } catch (const SimulatedCrash&) {
     }
     return acked;
   }
 
-  fs::path dir_;
-};
-
-TEST_F(CrashPointTest, NoAcknowledgedMutationIsLostAtAnyCrashPoint) {
-  const struct {
-    std::string_view point;
-    std::vector<int> nths;  // occurrence indices to crash at
-  } scenarios[] = {
-      // Journal points fire once per insert: crash in the first batch,
-      // after the first snapshot, and after the second snapshot.
-      {"journal:pre-append", {1, 45, 75}},
-      {"journal:post-append", {1, 45, 75}},
-      {"journal:post-flush", {1, 45, 75}},
-      // Snapshot points fire once per snapshot() call.
-      {"snapshot:post-temp-write", {1, 2}},
-      {"snapshot:pre-rename", {1, 2}},
-      {"snapshot:post-rename", {1, 2}},
-      {"snapshot:post-journal-reset", {1, 2}},
-  };
-  const MpcbfConfig cfg = config();
-  for (const auto& scenario : scenarios) {
-    for (const int nth : scenario.nths) {
-      const auto acked = run_until_crash(scenario.point, nth);
-      const Mpcbf<64> recovered = DurableMpcbf<64>::recover(dir_, &cfg);
-      EXPECT_TRUE(recovered.validate());
-      for (const auto& key : acked) {
-        EXPECT_TRUE(recovered.contains(key))
-            << "lost \"" << key << "\" crashing at " << scenario.point
-            << " occurrence " << nth << " (" << acked.size() << " acked)";
+  /// Every crash point with every occurrence it has in the script.
+  template <class Check>
+  void for_each_crash(Check&& check) {
+    static constexpr std::string_view kPoints[] = {
+        "journal:pre-append",       "journal:post-append",
+        "journal:post-flush",       "snapshot:post-temp-write",
+        "snapshot:pre-rename",      "snapshot:post-rename",
+        "snapshot:post-journal-reset"};
+    for (const auto point : kPoints) {
+      const int count = fired_[std::string(point)];
+      ASSERT_GT(count, 0) << point << " never fires in the script";
+      for (int nth = 1; nth <= count; ++nth) {
+        const std::size_t acked = run_until_crash(point, nth);
+        ASSERT_LT(acked, ops_.size()) << point << " #" << nth;
+        check(point, nth, acked);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
+
+  /// The prefix length the reopened state equals: n or n + 1 (the op in
+  /// flight may have been journaled before the crash), or npos.
+  std::size_t matching_prefix(const std::string& payload,
+                              std::size_t acked) const {
+    if (payload == prefix_payload_[acked]) return acked;
+    if (payload == prefix_payload_[acked + 1]) return acked + 1;
+    return std::string::npos;
+  }
+
+  fs::path dir_;
+  std::vector<ScriptOp> ops_;
+  std::vector<std::string> prefix_payload_;
+  std::map<std::string, int> fired_;
+  std::uint64_t grows_or_ticks_ = 0;
+};
+
+using DurableKinds =
+    ::testing::Types<DurableMpcbf<64>, DurableDecayingMpcbf<64>,
+                     DurableElasticMpcbf<64>>;
+TYPED_TEST_SUITE(CrashPointTest, DurableKinds);
+
+TYPED_TEST(CrashPointTest, NoAcknowledgedMutationIsLostAtAnyCrashPoint) {
+  // The script really exercises the kind's own records.
+  ASSERT_GT(this->grows_or_ticks_, 0u);
+  std::set<std::string> erased;
+  for (const auto& op : this->ops_) {
+    if (op.step == Step::kErase) erased.insert(op.key);
+  }
+  this->for_each_crash([&](std::string_view point, int nth,
+                           std::size_t acked) {
+    typename TypeParam::Options opt = this->options();
+    const TypeParam d(this->dir_, CrashScript<TypeParam>::config(), opt);
+    EXPECT_TRUE(d.filter().validate());
+    for (std::size_t i = 0; i < acked; ++i) {
+      const auto& op = this->ops_[i];
+      if (op.step != Step::kInsert || erased.count(op.key) != 0) continue;
+      EXPECT_TRUE(d.contains(op.key))
+          << "lost \"" << op.key << "\" crashing at " << point
+          << " occurrence " << nth << " (" << acked << " acked)";
+    }
+    // Byte-identical to the crash-free run of the acknowledged ops, or
+    // of those plus the one in flight.
+    EXPECT_NE(this->matching_prefix(payload_of(d), acked), std::string::npos)
+        << "crashing at " << point << " occurrence " << nth << " ("
+        << acked << " acked)";
+  });
 }
 
-TEST_F(CrashPointTest, ReopenAfterCrashContinuesCleanly) {
-  // After a crash at the nastiest point (snapshot published, journal not
-  // yet truncated), a plain reopen must resume with the full state and
-  // keep accepting writes.
-  const auto acked = run_until_crash("snapshot:post-rename", 2);
-  DurableMpcbf<64>::Options opt;
-  opt.fsync = false;
-  DurableMpcbf<64> d(dir_, config(), opt);
-  for (const auto& key : acked) EXPECT_TRUE(d.contains(key));
-  EXPECT_TRUE(d.insert("post-crash-key"));
-  EXPECT_TRUE(d.contains("post-crash-key"));
+TYPED_TEST(CrashPointTest, ReopenAfterCrashContinuesCleanly) {
+  // After a crash anywhere — the nastiest being snapshot published,
+  // journal not yet truncated — a plain reopen resumes the script where
+  // the recovered state left it and ends where the crash-free run does.
+  this->for_each_crash([&](std::string_view point, int nth,
+                           std::size_t acked) {
+    TypeParam d(this->dir_, CrashScript<TypeParam>::config(), this->options());
+    const std::size_t resume = this->matching_prefix(payload_of(d), acked);
+    ASSERT_NE(resume, std::string::npos)
+        << "crashing at " << point << " occurrence " << nth;
+    for (std::size_t i = resume; i < this->ops_.size(); ++i) {
+      run_op(d, this->ops_[i]);
+    }
+    EXPECT_EQ(payload_of(d), this->prefix_payload_.back())
+        << "crashing at " << point << " occurrence " << nth;
+    EXPECT_TRUE(d.insert("post-crash-key"));
+    EXPECT_TRUE(d.contains("post-crash-key"));
+  });
 }
 
 }  // namespace

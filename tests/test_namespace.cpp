@@ -17,7 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/decaying_mpcbf.hpp"
 #include "core/mpcbf.hpp"
+#include "io/journal.hpp"
 #include "net/client.hpp"
 #include "net/namespace_registry.hpp"
 #include "net/protocol.hpp"
@@ -576,6 +578,68 @@ TEST(NamespaceWireTest, DurableDecayNamespaceRecoversAcrossRestart) {
   Client c = multi.client("events");
   const auto verdicts = c.query(keys);
   for (const auto v : verdicts) EXPECT_EQ(v, 1);
+}
+
+TEST(NamespaceWireTest, DurableDecayNamespaceServesReplication) {
+  // A durable-decay namespace is a Durable<DecayingMpcbf>, so its backend
+  // gets the replication hooks every durable kind has: REPLICATE streams
+  // its journal (decay ticks included) and SNAPFETCH serves its
+  // snapshot image, which a decay-kind follower installs.
+  const fs::path root = fresh_dir("durable_decay_replicate");
+  NsConfigWire cfg = decay_ns(4);
+  cfg.kind = static_cast<std::uint8_t>(NsKind::kDurableDecay);
+  NamespaceServer multi(no_ticker(root.string()));
+  Client admin = multi.client();
+  admin.ns_create("events", cfg);
+  Client c = multi.client("events");
+  const auto keys = make_keys(16, 45);
+  (void)c.insert(keys);
+  EXPECT_EQ(admin.ns_tick("events"), 1u);
+
+  // REPLICATE and SNAPFETCH frames scoped to the namespace.
+  auto scoped = [&](Opcode op, const auto& request) {
+    std::string payload;
+    append_ns_prefix(payload, "events");
+    append_reply_pod(payload, request);
+    return admin.round_trip(op, payload, kFlagNamespaced);
+  };
+  ReplicateRequest req;
+  req.follower_id = 7;
+  req.from_seq = 1;
+  ReplicateInfo info;
+  std::vector<io::JournalRecord> records;
+  ASSERT_EQ(parse_replicate_reply(scoped(Opcode::kReplicate, req), info,
+                                  records),
+            nullptr);
+  ASSERT_EQ(records.size(), keys.size() + 1);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(records[i].op, io::JournalOp::kInsert);
+    EXPECT_EQ(records[i].key, keys[i]);
+  }
+  EXPECT_EQ(records.back().op, io::JournalOp::kDecayTick);
+  EXPECT_EQ(info.next_seq, keys.size() + 2);
+
+  SnapFetchRequest sreq;
+  sreq.max_bytes = 1u << 20;
+  SnapFetchInfo sinfo;
+  std::string_view chunk;
+  const std::string reply = scoped(Opcode::kSnapFetch, sreq);
+  ASSERT_EQ(parse_snapfetch_reply(reply, sinfo, chunk), nullptr);
+  EXPECT_EQ(sinfo.watermark, keys.size() + 1);
+  ASSERT_EQ(chunk.size(), sinfo.total_bytes);
+  const std::string image(chunk);
+  const fs::path follower_dir = fresh_dir("durable_decay_follower");
+  core::DecayConfig dc;
+  dc.generation = ns_equiv_config(cfg);
+  dc.generations = cfg.decay_generations;
+  core::DurableDecayingMpcbf<64> follower(follower_dir, dc);
+  EXPECT_EQ(follower.install_snapshot(image), sinfo.watermark);
+  EXPECT_EQ(follower.ticks(), 1u);
+  for (const auto& k : keys) EXPECT_TRUE(follower.contains(k));
+
+  // The in-memory default backend still has no journal to stream.
+  EXPECT_EQ(code_of([&] { (void)admin.replicate(req, records); }),
+            ErrorCode::kUnsupported);
 }
 
 }  // namespace
