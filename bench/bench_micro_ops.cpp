@@ -341,6 +341,49 @@ void BM_MPCBF1_InsertBatch_DRAM(benchmark::State& state) {
 BENCHMARK(BM_MPCBF1_QueryBatch_DRAM);
 BENCHMARK(BM_MPCBF1_InsertBatch_DRAM);
 
+// --- cache-resident MPCBF-1 batch calls -----------------------------------
+//
+// The same k=3, g=1 filter at 1 MiB, which fits in L2: every word fetch
+// is a cache hit, so this series tracks what a batch query costs besides
+// the fetch (hash, derive, resolve, accounting). One iteration is one
+// batch-64 call over alternating members and misses; values are ns per
+// batch of kL2BatchLen keys.
+constexpr std::size_t kL2Memory = std::size_t{1} << 23;  // 1 MiB
+constexpr std::size_t kL2Preload = std::size_t{1} << 16;
+constexpr std::size_t kL2BatchLen = 64;
+
+void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
+  static const auto f = [] {
+    core::MpcbfConfig cfg;
+    cfg.memory_bits = kL2Memory;
+    cfg.k = 3;
+    cfg.g = 1;
+    cfg.expected_n = kL2Preload;
+    cfg.policy = core::OverflowPolicy::kStash;
+    auto filter = std::make_unique<core::Mpcbf<64>>(cfg);
+    for (std::size_t i = 0; i < kL2Preload; ++i) {
+      (void)filter->insert(batch_members()[i]);
+    }
+    return filter;
+  }();
+  // batch_mixed() alternates member i and miss i, so its first
+  // 2 * kL2Preload keys are half members of this filter, half misses.
+  const auto& keys = batch_mixed();
+  constexpr std::size_t kPool = 2 * kL2Preload;
+  std::size_t base = 0;
+  std::vector<std::uint8_t> out(kL2BatchLen);
+  for (auto _ : state) {
+    f->contains_batch(std::span<const std::string>(&keys[base], kL2BatchLen),
+                      std::span<std::uint8_t>(out));
+    benchmark::DoNotOptimize(out.data());
+    base = (base + kL2BatchLen) % kPool;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kL2BatchLen));
+}
+
+BENCHMARK(BM_MPCBF1_QueryBatch_L2);
+
 // --- HCBF word primitives -----------------------------------------------
 
 void BM_HcbfWord_IncrementDecrement(benchmark::State& state) {

@@ -14,7 +14,10 @@ beyond tolerance — the server saturation curve reports qps series so a
 scalability regression trips the gate even when per-key latency holds.
 Improvements and new metrics are reported but never fail the gate; a
 metric present in the baseline but missing from the candidate fails it
-(a silently vanished series is how perf coverage rots).
+(a silently vanished series is how perf coverage rots). Numeric series
+of the same reports that neither family matches (for example
+BM_Crc32c_* or the *_QueryPositive micro benches) are listed as
+"report-only" rows, so their movement is visible without gating them.
 
 Both --baseline and --candidate may be given multiple times; each
 metric is reduced to its minimum across the runs before comparing.
@@ -43,11 +46,13 @@ def is_throughput(name: str) -> bool:
     return "qps" in name
 
 
-def load_metrics(directories, bench: str):
+def load_metrics(directories, bench: str, select=None):
     """Best value per metric across every directory holding this
     bench's report: minimum for ns/op series, maximum for qps series —
     interference only ever adds latency and removes throughput.
+    `select` picks the series (default: gated_metrics).
     Returns (metrics-or-None, paths-searched)."""
+    select = select or gated_metrics
     merged = None
     paths = []
     for directory in directories:
@@ -57,7 +62,7 @@ def load_metrics(directories, bench: str):
             continue
         with open(path) as fh:
             report = json.load(fh)
-        metrics = gated_metrics(report)
+        metrics = select(report)
         if merged is None:
             merged = metrics
         else:
@@ -78,6 +83,17 @@ def gated_metrics(report: dict):
         for name, value in report.get("metrics", {}).items()
         if ("ns" in name or "qps" in name)
         and isinstance(value, (int, float))
+    }
+
+
+def report_only_metrics(report: dict):
+    """Numeric series the gate does not watch."""
+    gated = gated_metrics(report)
+    return {
+        name: value
+        for name, value in report.get("metrics", {}).items()
+        if name not in gated and isinstance(value, (int, float))
+        and not isinstance(value, bool)
     }
 
 
@@ -135,6 +151,16 @@ def main() -> int:
             rows.append((bench, name, base_val, cand_val, delta, status))
         for name in sorted(set(cand_metrics) - set(base_metrics)):
             rows.append((bench, name, None, cand_metrics[name], None, "new"))
+        base_other, _ = load_metrics(args.baseline, bench,
+                                     report_only_metrics)
+        cand_other, _ = load_metrics(args.candidate, bench,
+                                     report_only_metrics)
+        for name, cand_val in sorted(cand_other.items()):
+            base_val = base_other.get(name)
+            delta = ((cand_val - base_val) / base_val
+                     if base_val else None)
+            rows.append((bench, name, base_val, cand_val, delta,
+                         "report-only"))
 
     if rows:
         width = max(len(f"{b}/{n}") for b, n, *_ in rows) + 2

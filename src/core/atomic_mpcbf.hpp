@@ -358,7 +358,7 @@ class AtomicMpcbf {
     span.set_arg("keys", keys.size());
     std::array<engine::WordPlan, engine::kBatchChunk> plans;
     std::array<std::uint64_t, engine::kBatchChunk> bits;
-    engine::BatchStatsAccumulator acc;
+    engine::OpTally tally;
     bool timed = false;
     std::uint64_t t0 = 0;
     engine::batch_pipeline(
@@ -371,7 +371,9 @@ class AtomicMpcbf {
           const engine::EagerEval ev =
               engine::evaluate_eager(store_, plans[slot], b1_);
           out[key_i] = ev.positive ? 1 : 0;
-          acc.add(ev.positive, ev.words_touched, bits[slot]);
+          tally.record(ev.positive ? metrics::OpClass::kQueryPositive
+                                   : metrics::OpClass::kQueryNegative,
+                       ev.words_touched, bits[slot]);
         },
         [&](std::size_t) {
           timed = stats_.should_sample();
@@ -382,7 +384,7 @@ class AtomicMpcbf {
             stats_.record_batch_latency((metrics::now_ns() - t0) / count);
           }
         });
-    acc.publish(stats_);
+    tally.publish(stats_);
   }
 
   template <class Key>

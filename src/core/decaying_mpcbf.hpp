@@ -336,10 +336,10 @@ struct DurableKind<DecayingMpcbf<W>> {
   static constexpr char kSnapshotMagic[9] = "MPCBDKD1";
 
   /// Same window depth, and every generation laid out as `cfg` lays one
-  /// out (Mpcbf::compatible: k, g, b1, n_max, seed and word count).
+  /// out (MpcbfLayout: k, g, b1, n_max, seed and word count).
   static bool matches(const DecayingMpcbf<W>& f, const DecayConfig& cfg) {
     return f.generations() == cfg.generations &&
-           f.generation(0).compatible(Mpcbf<W>(cfg.generation));
+           f.generation(0).layout() == Mpcbf<W>::layout_for(cfg.generation);
   }
 
   static std::string tick_key(std::uint64_t tick) {

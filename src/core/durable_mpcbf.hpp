@@ -719,7 +719,7 @@ struct DurableKind<Mpcbf<W>> {
   static constexpr char kSnapshotMagic[9] = "MPCBDUR1";
 
   static bool matches(const Mpcbf<W>& f, const MpcbfConfig& cfg) {
-    return f.compatible(Mpcbf<W>(cfg));
+    return f.layout() == Mpcbf<W>::layout_for(cfg);
   }
 };
 

@@ -403,6 +403,10 @@ class ElasticMpcbf {
   [[nodiscard]] unsigned g() const noexcept { return shape().g(); }
   [[nodiscard]] unsigned b1() const noexcept { return shape().b1(); }
   [[nodiscard]] unsigned n_max() const noexcept { return shape().n_max(); }
+  /// The layout every segment shares.
+  [[nodiscard]] MpcbfLayout segment_layout() const {
+    return shape().layout();
+  }
   [[nodiscard]] std::uint64_t seed() const noexcept {
     return cfg_.segment.seed;
   }
@@ -944,9 +948,11 @@ struct DurableKind<ElasticMpcbf<W>> {
   using Config = ElasticConfig;
   static constexpr char kSnapshotMagic[9] = "MPCBELD1";
 
+  /// Same routing, and every segment laid out as `cfg` lays one out
+  /// (MpcbfLayout: k, g, b1, n_max, seed and word count).
   static bool matches(const ElasticMpcbf<W>& f, const ElasticConfig& cfg) {
     return f.config().route_bits == cfg.route_bits &&
-           f.seed() == cfg.segment.seed;
+           f.segment_layout() == Mpcbf<W>::layout_for(cfg.segment);
   }
 
   /// Every split is journaled before it is applied.

@@ -72,6 +72,19 @@ struct MpcbfConfig {
   bool short_circuit = true;
 };
 
+/// The scalars that decide where a key's counters live. Two filters with
+/// equal layouts index the same positions for the same keys, so they can
+/// be merged, and a durable directory can be reopened with the config.
+struct MpcbfLayout {
+  std::size_t num_words = 0;
+  unsigned k = 0;
+  unsigned g = 0;
+  unsigned b1 = 0;
+  unsigned n_max = 0;
+  std::uint64_t seed = 0;
+  friend bool operator==(const MpcbfLayout&, const MpcbfLayout&) = default;
+};
+
 template <unsigned W = 64>
 class Mpcbf {
  public:
@@ -80,32 +93,47 @@ class Mpcbf {
   static constexpr unsigned kMaxKPerWord = engine::kMaxKPerWord;
 
   explicit Mpcbf(const MpcbfConfig& cfg)
-      : k_(cfg.k),
-        g_(cfg.g),
-        policy_(cfg.policy),
-        seed_(cfg.seed),
-        short_circuit_(cfg.short_circuit) {
-    engine::validate_shape(cfg.k, cfg.g, "Mpcbf");
-    const std::size_t l = cfg.memory_bits / W;
-    if (l == 0) throw std::invalid_argument("Mpcbf: memory smaller than one word");
+      : policy_(cfg.policy), short_circuit_(cfg.short_circuit) {
+    const MpcbfLayout layout = layout_for(cfg);
+    k_ = layout.k;
+    g_ = layout.g;
+    b1_ = layout.b1;
+    n_max_ = layout.n_max;
+    seed_ = layout.seed;
+    store_.init(layout.num_words);
+  }
 
-    n_max_ = cfg.n_max;
-    if (n_max_ == 0) {
+  /// The layout a filter built from `cfg` gets, without allocating it.
+  /// Throws std::invalid_argument for the configs the constructor
+  /// rejects.
+  static MpcbfLayout layout_for(const MpcbfConfig& cfg) {
+    engine::validate_shape(cfg.k, cfg.g, "Mpcbf");
+    MpcbfLayout layout;
+    layout.num_words = cfg.memory_bits / W;
+    if (layout.num_words == 0) {
+      throw std::invalid_argument("Mpcbf: memory smaller than one word");
+    }
+    layout.k = cfg.k;
+    layout.g = cfg.g;
+    layout.seed = cfg.seed;
+    layout.n_max = cfg.n_max;
+    if (layout.n_max == 0) {
       if (cfg.expected_n == 0) {
         throw std::invalid_argument(
             "Mpcbf: provide expected_n (for the eq.-11 heuristic) or an "
             "explicit n_max");
       }
-      n_max_ = model::n_max_heuristic(cfg.expected_n, l, g_);
-      if (n_max_ == 0) n_max_ = 1;
+      layout.n_max =
+          model::n_max_heuristic(cfg.expected_n, layout.num_words, cfg.g);
+      if (layout.n_max == 0) layout.n_max = 1;
     }
-    b1_ = model::b1_improved(W, k_, g_, n_max_);
-    if (b1_ < 2) {
+    layout.b1 = model::b1_improved(W, cfg.k, cfg.g, layout.n_max);
+    if (layout.b1 < 2) {
       throw std::invalid_argument(
           "Mpcbf: n_max*ceil(k/g) leaves no first-level bits in a " +
           std::to_string(W) + "-bit word");
     }
-    store_.init(l);
+    return layout;
   }
 
   /// Convenience: size the filter for `expected_n` elements at `memory_bits`
@@ -132,7 +160,9 @@ class Mpcbf {
     hash::HashBitStream stream(key, seed_);
     deriver().derive_all(stream, t);
     span.set_arg("words", t.distinct_words);
-    return insert_derived(key, t, stream.accounted_bits(), timed, t0);
+    const bool ok = insert_derived(key, t, stream.accounted_bits(), stats_);
+    sample_latency(metrics::OpClass::kInsert, timed, t0);
+    return ok;
   }
 
   /// Membership query. False positives possible; false negatives are not
@@ -166,9 +196,10 @@ class Mpcbf {
       if (it != stash_.end() && it->second > 0) positive = true;
     }
     span.set_arg("words", words_touched);
-    record_op(positive ? metrics::OpClass::kQueryPositive
-                       : metrics::OpClass::kQueryNegative,
-              words_touched, stream.accounted_bits(), timed, t0);
+    const auto c = positive ? metrics::OpClass::kQueryPositive
+                            : metrics::OpClass::kQueryNegative;
+    stats_.record(c, words_touched, stream.accounted_bits());
+    sample_latency(c, timed, t0);
     return positive;
   }
 
@@ -181,11 +212,15 @@ class Mpcbf {
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.erase");
     const bool timed = stats_.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-    if (erase_stashed(key, timed, t0)) return true;
-    engine::Targets t;
-    hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
-    return erase_derived(t, stream.accounted_bits(), timed, t0);
+    bool ok = erase_stashed(key, stats_);
+    if (!ok) {
+      engine::Targets t;
+      hash::HashBitStream stream(key, seed_);
+      deriver().derive_all(stream, t);
+      ok = erase_derived(t, stream.accounted_bits(), stats_);
+    }
+    sample_latency(metrics::OpClass::kDelete, timed, t0);
+    return ok;
   }
 
   /// Multiplicity estimate: the minimum of the key's counters (plus any
@@ -323,24 +358,24 @@ class Mpcbf {
   // --- batch queries ------------------------------------------------------
 
   /// Membership for a batch of keys through the engine's derive → gather
-  /// → resolve pipeline (engine::batch_pipeline): a chunk of keys is
-  /// hashed first, then its words are demand-loaded in one tight loop so
-  /// their cache misses overlap, then each key is resolved. On a
-  /// DRAM-resident filter this costs about half the ns/key of a prefetch
-  /// issued between hashes, which the core did not overlap
-  /// (docs/architecture.md has the measurements). `out[i]` is set to the
-  /// verdict for `keys[i]`; sizes must match.
+  /// → resolve pipeline (engine::query_batch): a chunk of keys is hashed
+  /// first, then its words are demand-loaded in one tight loop so their
+  /// cache misses overlap, then each key is resolved with one fail mask
+  /// per loaded word. On a DRAM-resident filter this costs about half
+  /// the ns/key of a prefetch issued between hashes, which the core did
+  /// not overlap (docs/architecture.md has the measurements). `out[i]`
+  /// is set to the verdict for `keys[i]`; sizes must match.
   ///
-  /// AccessStats parity with scalar contains(): evaluation replays the
-  /// scalar visit order (short_circuit_ honoured, duplicate words
-  /// deduplicated, hash bits accounted only up to the short-circuit
-  /// point), so a batch and a scalar pass over the same keys produce
-  /// identical per-class op counts, word touches and accounted bits —
-  /// the property tests/test_stats_parity.cpp locks in. Accounting is
-  /// aggregated across the whole call (one atomic trio per op class)
-  /// and sampled chunks record their per-key average latency — timing
-  /// every chunk would put two clock reads plus a histogram record on
-  /// the hot path and blow the <5% overhead budget.
+  /// AccessStats parity with scalar contains(): the resolve charges what
+  /// the scalar visit order would (short_circuit_ honoured, duplicate
+  /// words deduplicated, hash bits accounted only up to the
+  /// short-circuit point), so a batch and a scalar pass over the same
+  /// keys produce identical per-class op counts, word touches and
+  /// accounted bits — the property tests/test_stats_parity.cpp locks in.
+  /// Accounting is aggregated across the whole call (one atomic trio per
+  /// op class) and sampled chunks record their per-key average latency —
+  /// timing every chunk would put two clock reads plus a histogram
+  /// record on the hot path and blow the <5% overhead budget.
   void contains_batch(std::span<const std::string> keys,
                       std::span<std::uint8_t> out) const {
     contains_batch_impl<std::string>(keys, out);
@@ -351,10 +386,11 @@ class Mpcbf {
   }
 
   /// Inserts a batch of keys through the same derive → gather → resolve
-  /// pipeline; `ok[i]` receives insert(keys[i])'s return value. Stats and
-  /// overflow behaviour match a scalar insert loop op for op (each key
-  /// records its own kInsert tallies and sampled latency), so batch and
-  /// scalar loads remain comparable in every report.
+  /// pipeline (engine::batch_pipeline); `ok[i]` receives
+  /// insert(keys[i])'s return value. Stats and overflow behaviour match a
+  /// scalar insert loop op for op: the kInsert tallies are summed per
+  /// call and published once, each key keeps its own sampled latency,
+  /// so batch and scalar loads remain comparable in every report.
   void insert_batch(std::span<const std::string> keys,
                     std::span<std::uint8_t> ok) {
     insert_batch_impl<std::string>(keys, ok);
@@ -380,12 +416,14 @@ class Mpcbf {
 
   // --- merge ---------------------------------------------------------------
 
+  [[nodiscard]] MpcbfLayout layout() const noexcept {
+    return {store_.size(), k_, g_, b1_, n_max_, seed_};
+  }
+
   /// True iff `other` has the identical layout and hash seed, i.e. the two
   /// filters index the same positions for the same keys and can be merged.
   [[nodiscard]] bool compatible(const Mpcbf& other) const noexcept {
-    return k_ == other.k_ && g_ == other.g_ && b1_ == other.b1_ &&
-           n_max_ == other.n_max_ && seed_ == other.seed_ &&
-           store_.size() == other.store_.size();
+    return layout() == other.layout();
   }
 
   /// Folds `other`'s contents into this filter (counter-wise addition —
@@ -640,21 +678,20 @@ class Mpcbf {
     return engine::TargetDeriver(store_.size(), k_, g_, b1_);
   }
 
-  /// Records one operation's tallies and, for sampled ops, its latency.
-  /// Const because filters record from const queries into mutable stats_.
-  void record_op(metrics::OpClass c, std::uint64_t words,
-                 std::uint64_t bits, bool timed,
-                 std::uint64_t t0) const noexcept {
-    stats_.record(c, words, bits);
+  /// Records a sampled operation's latency. Const because filters record
+  /// from const queries into mutable stats_.
+  void sample_latency(metrics::OpClass c, bool timed,
+                      std::uint64_t t0) const noexcept {
     if (timed) stats_.record_latency(c, metrics::now_ns() - t0);
   }
 
   /// The insert body after derivation — capacity check, overflow policy,
   /// level walk, accounting — shared verbatim by scalar insert() and the
-  /// batch pipeline so they cannot diverge.
+  /// batch pipeline so they cannot diverge. `tally` is stats_ for a
+  /// scalar op and the call's engine::OpTally in a batch.
+  template <class Tally>
   bool insert_derived(std::string_view key, const engine::Targets& t,
-                      std::uint64_t derive_bits, bool timed,
-                      std::uint64_t t0) {
+                      std::uint64_t derive_bits, Tally& tally) {
     engine::WordUsage usage;
     if (!engine::capacity_ok(store_, b1_, t, usage)) {
       ++overflow_events_;
@@ -663,16 +700,16 @@ class Mpcbf {
           throw std::overflow_error("Mpcbf: word overflow on insert");
         case OverflowPolicy::kReject:
           MPCBF_TRACE_INSTANT(kCore, "mpcbf.overflow_reject");
-          record_op(metrics::OpClass::kInsert, t.distinct_words, derive_bits,
-                    timed, t0);
+          tally.record(metrics::OpClass::kInsert, t.distinct_words,
+                       derive_bits);
           return false;
         case OverflowPolicy::kStash:
           MPCBF_TRACE_INSTANT(kCore, "mpcbf.stash_divert", "stash_size",
                               stash_.size() + 1);
           ++stash_[std::string(key)];
           ++size_;
-          record_op(metrics::OpClass::kInsert, t.distinct_words, derive_bits,
-                    timed, t0);
+          tally.record(metrics::OpClass::kInsert, t.distinct_words,
+                       derive_bits);
           return true;
       }
     }
@@ -687,28 +724,30 @@ class Mpcbf {
       walk.set_arg("depth", extra_bits);
     }
     ++size_;
-    record_op(metrics::OpClass::kInsert, t.distinct_words,
-              derive_bits + extra_bits, timed, t0);
+    tally.record(metrics::OpClass::kInsert, t.distinct_words,
+                 derive_bits + extra_bits);
     return true;
   }
 
   /// The erase of a stashed copy, which scalar erase() tries before
   /// deriving anything. Returns false when `key` holds no stashed copy.
-  bool erase_stashed(std::string_view key, bool timed, std::uint64_t t0) {
+  template <class Tally>
+  bool erase_stashed(std::string_view key, Tally& tally) {
     if (stash_.empty()) return false;
     auto it = stash_.find(key);
     if (it == stash_.end() || it->second == 0) return false;
     if (--it->second == 0) stash_.erase(it);
     --size_;
-    record_op(metrics::OpClass::kDelete, 0, 0, timed, t0);
+    tally.record(metrics::OpClass::kDelete, 0, 0);
     return true;
   }
 
   /// The erase body after derivation — level walk, underflow and size
   /// bookkeeping, accounting — shared by scalar erase() and the batch
   /// pipeline.
+  template <class Tally>
   bool erase_derived(const engine::Targets& t, std::uint64_t derive_bits,
-                     bool timed, std::uint64_t t0) {
+                     Tally& tally) {
     typename engine::LevelWalk<W>::DecrementResult walk_result;
     {
       MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
@@ -720,8 +759,8 @@ class Mpcbf {
     // counted: size_ only tracks successful operations, so a
     // contract-violating delete must not drift it low.
     if (walk_result.ok && size_ > 0) --size_;
-    record_op(metrics::OpClass::kDelete, t.distinct_words,
-              derive_bits + walk_result.extra_bits, timed, t0);
+    tally.record(metrics::OpClass::kDelete, t.distinct_words,
+                 derive_bits + walk_result.extra_bits);
     return walk_result.ok;
   }
 
@@ -733,44 +772,12 @@ class Mpcbf {
     }
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.query_batch");
     span.set_arg("keys", keys.size());
-    const engine::TargetDeriver der = deriver();
-    std::array<engine::Targets, engine::kBatchChunk> targets;
-    engine::BatchStatsAccumulator acc;
-    bool timed = false;
-    std::uint64_t t0 = 0;
-    engine::batch_pipeline(
-        keys.size(),
-        [&](std::size_t key_i, std::size_t slot) {
-          hash::HashBitStream stream(keys[key_i], seed_);
-          der.derive_all(stream, targets[slot]);
-        },
-        [&](std::size_t slot) {
-          return engine::gather_targets(store_, targets[slot], g_);
-        },
-        [&](std::size_t key_i, std::size_t slot) {
-          const engine::BatchEval ev = engine::evaluate_lazy(
-              targets[slot], store_.size(), k_, g_, b1_, short_circuit_,
-              [this](std::size_t w, unsigned pos) {
-                return store_.test(w, pos);
-              });
-          bool positive = ev.positive;
-          if (!positive && !stash_.empty()) {
-            auto it = stash_.find(std::string_view(keys[key_i]));
-            positive = it != stash_.end() && it->second > 0;
-          }
-          out[key_i] = positive ? 1 : 0;
-          acc.add(positive, ev.words_touched, ev.hash_bits);
-        },
-        [&](std::size_t) {
-          timed = stats_.should_sample();
-          t0 = timed ? metrics::now_ns() : 0;
-        },
-        [&](std::size_t count) {
-          if (timed) {
-            stats_.record_batch_latency((metrics::now_ns() - t0) / count);
-          }
-        });
-    acc.publish(stats_);
+    engine::query_batch(store_, deriver(), short_circuit_, keys, seed_, out,
+                        stats_, [&](std::size_t i) {
+                          if (stash_.empty()) return false;
+                          auto it = stash_.find(std::string_view(keys[i]));
+                          return it != stash_.end() && it->second > 0;
+                        });
   }
 
   template <class Key>
@@ -781,11 +788,12 @@ class Mpcbf {
     }
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.insert_batch");
     span.set_arg("keys", keys.size());
-    mutate_batch(keys, [&](std::size_t key_i, const engine::Targets& t,
-                           std::uint64_t derive_bits, bool timed,
-                           std::uint64_t t0) {
-      ok[key_i] = insert_derived(keys[key_i], t, derive_bits, timed, t0);
-    });
+    mutate_batch(metrics::OpClass::kInsert, keys,
+                 [&](std::size_t key_i, const engine::Targets& t,
+                     std::uint64_t derive_bits, engine::OpTally& tally) {
+                   ok[key_i] = insert_derived(keys[key_i], t, derive_bits,
+                                              tally);
+                 });
   }
 
   template <class Key>
@@ -796,39 +804,49 @@ class Mpcbf {
     }
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.erase_batch");
     span.set_arg("keys", keys.size());
-    mutate_batch(keys, [&](std::size_t key_i, const engine::Targets& t,
-                           std::uint64_t derive_bits, bool timed,
-                           std::uint64_t t0) {
-      ok[key_i] = erase_stashed(keys[key_i], timed, t0) ||
-                  erase_derived(t, derive_bits, timed, t0);
-    });
+    mutate_batch(metrics::OpClass::kDelete, keys,
+                 [&](std::size_t key_i, const engine::Targets& t,
+                     std::uint64_t derive_bits, engine::OpTally& tally) {
+                   ok[key_i] = erase_stashed(keys[key_i], tally) ||
+                               erase_derived(t, derive_bits, tally);
+                 });
   }
 
   /// The batch pipeline of the two mutations: `apply(key_i, targets,
-  /// derive_bits, timed, t0)` runs each key's scalar body in key order
-  /// against the live words, with per-key sampled timing exactly as the
-  /// scalar operation records it.
+  /// derive_bits, tally)` runs each key's scalar body in key order
+  /// against the live words. Each key keeps its sampled latency (class
+  /// `c`) exactly as the scalar operation records it; the tallies are
+  /// published once per call, also when an overflow throws mid-batch.
   template <class Key, class Apply>
-  void mutate_batch(std::span<const Key> keys, Apply&& apply) {
+  void mutate_batch(metrics::OpClass c, std::span<const Key> keys,
+                    Apply&& apply) {
     const engine::TargetDeriver der = deriver();
     std::array<engine::Targets, engine::kBatchChunk> targets;
     std::array<std::uint64_t, engine::kBatchChunk> derive_bits;
-    engine::batch_pipeline(
-        keys.size(),
-        [&](std::size_t key_i, std::size_t slot) {
-          hash::HashBitStream stream(keys[key_i], seed_);
-          der.derive_all(stream, targets[slot]);
-          derive_bits[slot] = stream.accounted_bits();
-        },
-        [&](std::size_t slot) {
-          return engine::gather_targets(store_, targets[slot], g_);
-        },
-        [&](std::size_t key_i, std::size_t slot) {
-          const bool timed = stats_.should_sample();
-          const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-          apply(key_i, targets[slot], derive_bits[slot], timed, t0);
-        },
-        [](std::size_t) {}, [](std::size_t) {});
+    engine::OpTally tally;
+    try {
+      engine::batch_pipeline(
+          keys.size(),
+          [&](std::size_t key_i, std::size_t slot) {
+            hash::HashBitStream stream(keys[key_i], seed_);
+            der.derive_all(stream, targets[slot]);
+            derive_bits[slot] = stream.accounted_bits();
+          },
+          [&](std::size_t slot) {
+            return engine::gather_targets(store_, targets[slot], g_);
+          },
+          [&](std::size_t key_i, std::size_t slot) {
+            const bool timed = stats_.should_sample();
+            const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
+            apply(key_i, targets[slot], derive_bits[slot], tally);
+            sample_latency(c, timed, t0);
+          },
+          [](std::size_t) {}, [](std::size_t) {});
+    } catch (...) {
+      tally.publish(stats_);
+      throw;
+    }
+    tally.publish(stats_);
   }
 
   engine::PlainWords<W> store_;

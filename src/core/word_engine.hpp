@@ -19,16 +19,16 @@
 //     seq-consistent CAS-loop word vector (lock-free, W == 64). Neither
 //     keeps out-of-word metadata: a word's hierarchy usage is re-derived
 //     from its value, once per distinct word per operation.
-//   * evaluate_lazy / evaluate_eager — membership evaluation over
-//     pre-derived targets replaying each scalar query's exact visit order
-//     and accounting, which is what makes batch and scalar stats
-//     bit-for-bit comparable (tests/test_stats_parity.cpp).
-//   * batch_pipeline + BatchStatsAccumulator — the batch skeleton every
-//     contains_batch/insert_batch/erase_batch runs: derive a chunk's
-//     targets (pure compute), gather its words with plain demand loads in
-//     one tight loop so the out-of-order core overlaps the cache misses,
-//     then resolve each key in key order — plus the one-publish-per-class
-//     stats plumbing.
+//   * batch_pipeline — the batch skeleton every insert_batch/erase_batch
+//     runs: derive a chunk's targets (pure compute), gather its words
+//     with plain demand loads in one tight loop so the out-of-order core
+//     overlaps the cache misses, then resolve each key in key order.
+//   * query_batch — the same three phases for plain-storage queries, on
+//     a compact per-key record: one hash, one fetch per group word and
+//     one fail mask per word, with accounting that reproduces the scalar
+//     query's exactly (tests/test_stats_parity.cpp). evaluate_eager is
+//     the lock-free storage's one-snapshot-per-word counterpart.
+//   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
 // AccessStats and the MPCBF_TRACE_* macros at the filter layer, so the
@@ -39,8 +39,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,6 +52,7 @@
 #include "core/hcbf.hpp"
 #include "hash/hash_stream.hpp"
 #include "metrics/access_stats.hpp"
+#include "metrics/timer.hpp"
 #include "model/fpr_model.hpp"
 
 namespace mpcbf::core::engine {
@@ -154,14 +157,36 @@ struct WordPlan {
   unsigned num_words = 0;
 };
 
-/// Turns a HashBitStream into the Targets word/position set. Holds only
-/// the layout scalars, so filters construct one per operation for free.
+/// Turns a HashBitStream into the Targets word/position set. Holds the
+/// layout scalars and the constants derived from them (index bounds,
+/// positions per group), computed once per deriver, so a batch call
+/// builds one for all its keys.
 class TargetDeriver {
  public:
   TargetDeriver(std::size_t num_words, unsigned k, unsigned g,
                 unsigned b1) noexcept
-      : num_words_(num_words), k_(k), g_(g), b1_(b1) {
-    assert(g <= kMaxG && b1 <= kMaxPositionRange);
+      : word_bound_(num_words),
+        pos_bound_(b1),
+        k_(k),
+        g_(g),
+        kw_(model::hashes_per_word(k, g, 0)),
+        kw_last_(model::hashes_per_word(k, g, g - 1)) {
+    assert(g >= 1 && g <= kMaxG && b1 <= kMaxPositionRange);
+  }
+
+  /// The canonical derivation order every operation agrees on: for each
+  /// hash group, its word index, then its positions.
+  /// `on_word(group, word)` and `on_pos(group, pos)` receive them.
+  template <class OnWord, class OnPos>
+  MPCBF_ENGINE_INLINE void derive(hash::HashBitStream& stream,
+                                  OnWord&& on_word, OnPos&& on_pos) const {
+    for (unsigned wi = 0; wi < g_; ++wi) {
+      on_word(wi, stream.next_index(word_bound_));
+      const unsigned kw = positions_in(wi);
+      for (unsigned i = 0; i < kw; ++i) {
+        on_pos(wi, static_cast<unsigned>(stream.next_index(pos_bound_)));
+      }
+    }
   }
 
   /// Derives all g word indices and k positions in the canonical order.
@@ -170,28 +195,46 @@ class TargetDeriver {
                                       Targets& t) const {
     SeenWords seen;
     t.total_positions = 0;
-    for (unsigned wi = 0; wi < g_; ++wi) {
-      const std::size_t w = stream.next_index(num_words_);
-      t.group_word[wi] = w;
-      seen.add(w);
-      const unsigned kw = model::hashes_per_word(k_, g_, wi);
-      for (unsigned i = 0; i < kw; ++i) {
-        t.push(wi, static_cast<unsigned>(stream.next_index(b1_)));
-      }
-    }
+    derive(
+        stream,
+        [&](unsigned wi, std::size_t w) {
+          t.group_word[wi] = w;
+          seen.add(w);
+        },
+        [&](unsigned wi, unsigned pos) { t.push(wi, pos); });
     t.distinct_words = seen.count;
   }
 
-  [[nodiscard]] std::size_t num_words() const noexcept { return num_words_; }
+  /// Positions hash group `wi` receives: ⌈k/g⌉, the remainder for the
+  /// last group (model::hashes_per_word without its division).
+  [[nodiscard]] unsigned positions_in(unsigned wi) const noexcept {
+    return wi + 1 < g_ ? kw_ : kw_last_;
+  }
+  /// Positions one key derives in all: the sum of positions_in.
+  [[nodiscard]] unsigned total_positions() const noexcept {
+    return kw_ * (g_ - 1) + kw_last_;
+  }
+
+  [[nodiscard]] std::size_t num_words() const noexcept {
+    return word_bound_.bound;
+  }
   [[nodiscard]] unsigned k() const noexcept { return k_; }
   [[nodiscard]] unsigned g() const noexcept { return g_; }
-  [[nodiscard]] unsigned b1() const noexcept { return b1_; }
+  [[nodiscard]] unsigned b1() const noexcept {
+    return static_cast<unsigned>(pos_bound_.bound);
+  }
+  /// Accounted bits per word index (ceil_log2(l)) and per position
+  /// (ceil_log2(b1)).
+  [[nodiscard]] unsigned word_bits() const noexcept { return word_bound_.log2; }
+  [[nodiscard]] unsigned pos_bits() const noexcept { return pos_bound_.log2; }
 
  private:
-  std::size_t num_words_;
+  hash::IndexBound word_bound_;
+  hash::IndexBound pos_bound_;
   unsigned k_;
   unsigned g_;
-  unsigned b1_;
+  unsigned kw_;
+  unsigned kw_last_;
 };
 
 /// Regroups canonical targets by distinct word. Position order within a
@@ -219,47 +262,6 @@ inline void group_by_word(const Targets& t, WordPlan& p) noexcept {
     }
     p.offset[++p.num_words] = filled;
   }
-}
-
-/// Verdict + accounting of one evaluated query, in the paper's units.
-struct BatchEval {
-  bool positive;
-  std::size_t words_touched;
-  std::uint64_t hash_bits;
-};
-
-/// Evaluates pre-derived targets with exactly the lazy scalar query's
-/// visit order and accounting: hash bits are charged per word index
-/// (ceil_log2(l)) and per consumed position (ceil_log2(b1)), stopping at
-/// the same point scalar short-circuiting stops the lazy stream, and
-/// words_touched deduplicates colliding groups identically. `test(w, pos)`
-/// reads a level-1 bit.
-template <class TestBit>
-[[nodiscard]] BatchEval evaluate_lazy(const Targets& t, std::size_t num_words,
-                                      unsigned k, unsigned g, unsigned b1,
-                                      bool short_circuit, TestBit&& test) {
-  const unsigned log2_l = hash::ceil_log2(num_words);
-  const unsigned log2_b1 = hash::ceil_log2(b1);
-  BatchEval ev{true, 0, 0};
-  SeenWords seen;
-  unsigned idx = 0;
-  for (unsigned wi = 0; wi < g; ++wi) {
-    const unsigned kw = model::hashes_per_word(k, g, wi);
-    if (!ev.positive && short_circuit) break;
-    const std::size_t w = t.group_word[wi];
-    ev.hash_bits += log2_l;
-    seen.add(w);
-    ev.words_touched = seen.count;
-    for (unsigned i = 0; i < kw; ++i) {
-      ev.hash_bits += log2_b1;
-      if (!test(w, t.pos(idx + i))) {
-        ev.positive = false;
-        if (short_circuit) break;
-      }
-    }
-    idx += kw;
-  }
-  return ev;
 }
 
 /// Hierarchy usage of the distinct words one insert touches: derived from
@@ -332,6 +334,9 @@ class PlainWords {
   [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
   [[nodiscard]] bool test(std::size_t w, unsigned pos) const noexcept {
     return words_[w].test(pos);
+  }
+  [[nodiscard]] const Word& word(std::size_t w) const noexcept {
+    return words_[w];
   }
   /// Demand-loads word `w` for the batch gather: its first and last limb,
   /// which between them touch every cache line a word of at most 64
@@ -553,8 +558,8 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 #endif
 }
 
-/// The batch skeleton shared by every variant. Each chunk of kBatchChunk
-/// keys runs in three phases:
+/// The batch skeleton of the mutations (and of AtomicMpcbf's queries).
+/// Each chunk of kBatchChunk keys runs in three phases:
 ///   1. derive(key_i, slot) — hash the key into its targets: pure compute,
 ///      no memory hint;
 ///   2. gather(slot) — demand-load the slot's words and return them
@@ -567,7 +572,8 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 ///   3. resolve(key_i, slot) — each key in key order, exactly as the
 ///      scalar operation would.
 /// `chunk_begin(count)` / `chunk_end(count)` bracket each chunk for
-/// sampled timing.
+/// sampled timing. Plain-storage queries run the same three phases in
+/// query_batch, without the per-key callbacks.
 template <class DeriveFn, class GatherFn, class ResolveFn, class ChunkBegin,
           class ChunkEnd>
 void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
@@ -595,31 +601,174 @@ template <class Storage>
   return v;
 }
 
-/// Call-local query tallies indexed by verdict (negative=0, positive=1),
-/// published as one atomic trio per op class at the end of a batch call —
-/// identical totals to per-op recording at a fraction of the atomic
-/// traffic.
-class BatchStatsAccumulator {
- public:
-  void add(bool positive, std::size_t words_touched,
-           std::uint64_t hash_bits) noexcept {
-    const unsigned cls = positive ? 1u : 0u;
-    ++ops_[cls];
-    words_[cls] += words_touched;
-    bits_[cls] += hash_bits;
+/// Call-local tallies per op class, published as one atomic trio per
+/// class when a batch call ends: identical totals to per-op recording
+/// at a fraction of the atomic traffic.
+struct OpTally {
+  std::array<std::uint64_t, metrics::kNumOpClasses> ops{};
+  std::array<std::uint64_t, metrics::kNumOpClasses> words{};
+  std::array<std::uint64_t, metrics::kNumOpClasses> bits{};
+
+  /// Same signature as AccessStats::record, so an operation body can
+  /// record into either.
+  void record(metrics::OpClass c, std::uint64_t words_touched,
+              std::uint64_t hash_bits) noexcept {
+    const auto i = static_cast<unsigned>(c);
+    ++ops[i];
+    words[i] += words_touched;
+    bits[i] += hash_bits;
   }
 
   void publish(metrics::AccessStats& stats) const noexcept {
-    stats.record_n(metrics::OpClass::kQueryNegative, ops_[0], words_[0],
-                   bits_[0]);
-    stats.record_n(metrics::OpClass::kQueryPositive, ops_[1], words_[1],
-                   bits_[1]);
+    for (unsigned i = 0; i < metrics::kNumOpClasses; ++i) {
+      stats.record_n(static_cast<metrics::OpClass>(i), ops[i], words[i],
+                     bits[i]);
+    }
   }
-
- private:
-  std::array<std::uint64_t, 2> ops_{};
-  std::array<std::uint64_t, 2> words_{};
-  std::array<std::uint64_t, 2> bits_{};
 };
+
+/// 1 if hash group `wi`'s word differs from every earlier group's: the
+/// paper counts colliding groups as one memory access.
+[[nodiscard]] MPCBF_ENGINE_INLINE unsigned first_visit(
+    const std::size_t* group_word, unsigned wi) noexcept {
+  for (unsigned j = 0; j < wi; ++j) {
+    if (group_word[j] == group_word[wi]) return 0;
+  }
+  return 1;
+}
+
+/// Bit j set iff position `pos[j]` of `w` reads 0, for j < n (n <= 32).
+/// A one-limb word is loaded once and tested with shifts.
+template <class Word>
+[[nodiscard]] MPCBF_ENGINE_INLINE std::uint32_t fail_mask(
+    const Word& w, const std::uint16_t* pos, unsigned n) noexcept {
+  std::uint32_t fail = 0;
+  if constexpr (Word::kLimbs == 1) {
+    const std::uint64_t zeros = ~w.limb(0);
+    for (unsigned j = 0; j < n; ++j) {
+      fail |= static_cast<std::uint32_t>((zeros >> pos[j]) & 1) << j;
+    }
+  } else {
+    for (unsigned j = 0; j < n; ++j) {
+      fail |= std::uint32_t{!w.test(pos[j])} << j;
+    }
+  }
+  return fail;
+}
+
+/// Keys per query_batch chunk, at most. A query record (g words and
+/// their positions) is a fraction of a Targets, so a chunk holds twice
+/// kBatchChunk keys: a batch-64 call is one chunk, and its 64 loads go
+/// out in one gather instead of two back to back. The records live in
+/// two small stack buffers (4 KiB together); a shape whose records do
+/// not fit 64 times (g > 4 or k > 16) runs smaller chunks.
+inline constexpr std::size_t kQueryChunk = 2 * kBatchChunk;
+inline constexpr std::size_t kQueryWordSlots = 256;
+inline constexpr std::size_t kQueryPositionSlots = 1024;
+static_assert(kQueryWordSlots >= kMaxG &&
+              kQueryPositionSlots >= kMaxPositions,
+              "a chunk must hold at least one key of any shape");
+
+/// The query side of the batch pipeline over plain storage. Per chunk:
+///   1. derive each key into a compact record — its g group words and
+///      its positions, in derivation order;
+///   2. gather the chunk's group words (see batch_pipeline);
+///   3. resolve each key: per group, one loaded word and a fail mask
+///      whose bit i is set when the group's i-th position reads 0. The
+///      verdict is that no group fails.
+/// Per-call constants (index bounds, positions per group, bits per
+/// index) come from `der`, built once per call.
+///
+/// Accounting replays the lazy scalar query (Mpcbf::contains) without
+/// walking it bit by bit: a visited group costs ceil_log2(l) plus
+/// ceil_log2(b1) per position it consumes, and under short_circuit the
+/// first failing group ends the walk after ctz(fail) + 1 positions;
+/// words counts the distinct words of the visited groups. A batch and a
+/// scalar pass over the same keys therefore record identical per-class
+/// ops, words and bits (tests/test_stats_parity.cpp).
+///
+/// `rescue(i)` decides key i when the words answer negative (the stash
+/// probe). Tallies live in locals and are published once per call; one
+/// sampled chunk in kLatencySampleEvery records its per-key latency.
+template <class Storage, class Key, class Rescue>
+void query_batch(const Storage& store, const TargetDeriver& der,
+                 bool short_circuit, std::span<const Key> keys,
+                 std::uint64_t seed, std::span<std::uint8_t> out,
+                 metrics::AccessStats& stats, Rescue&& rescue) {
+  const unsigned g = der.g();
+  const unsigned per_key = der.total_positions();
+  const unsigned word_bits = der.word_bits();
+  const unsigned pos_bits = der.pos_bits();
+  const std::size_t chunk = std::min(
+      {kQueryChunk, kQueryWordSlots / g, kQueryPositionSlots / per_key});
+  std::array<std::size_t, kQueryWordSlots> group_words;
+  std::array<std::uint16_t, kQueryPositionSlots> positions;
+  std::uint64_t positives = 0;
+  std::uint64_t positive_words = 0;
+  std::uint64_t positive_bits = 0;
+  std::uint64_t all_words = 0;
+  std::uint64_t all_bits = 0;
+  for (std::size_t base = 0; base < keys.size(); base += chunk) {
+    const std::size_t count = std::min(chunk, keys.size() - base);
+    const bool timed = stats.should_sample();
+    const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
+
+    for (std::size_t i = 0; i < count; ++i) {
+      hash::HashBitStream stream(keys[base + i], seed);
+      std::size_t* word = &group_words[i * g];
+      std::uint16_t* pos = &positions[i * per_key];
+      der.derive(
+          stream, [&](unsigned wi, std::size_t w) { word[wi] = w; },
+          [&](unsigned, unsigned p) {
+            *pos++ = static_cast<std::uint16_t>(p);
+          });
+    }
+
+    std::uint64_t loaded = 0;
+    for (std::size_t j = 0; j < count * g; ++j) {
+      loaded += store.gather(group_words[j]);
+    }
+    keep_loads(loaded);
+
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t* word = &group_words[i * g];
+      const std::uint16_t* pos = &positions[i * per_key];
+      std::uint32_t any_fail = 0;
+      // All ones while the scalar walk would still be running: under
+      // short_circuit it stops after the first failing group.
+      unsigned walking = ~0u;
+      unsigned touched = 0;
+      unsigned bits = 0;
+      for (unsigned wi = 0; wi < g; ++wi) {
+        const unsigned kw = der.positions_in(wi);
+        const std::uint32_t fail = fail_mask(store.word(word[wi]), pos, kw);
+        pos += kw;
+        const unsigned consumed =
+            short_circuit && fail != 0
+                ? static_cast<unsigned>(std::countr_zero(fail)) + 1
+                : kw;
+        touched += first_visit(word, wi) & walking;
+        bits += (word_bits + consumed * pos_bits) & walking;
+        if (short_circuit) walking &= fail == 0 ? ~0u : 0u;
+        any_fail |= fail;
+      }
+      bool positive = any_fail == 0;
+      if (!positive) positive = rescue(base + i);
+      out[base + i] = positive ? 1 : 0;
+      const std::uint64_t hit = positive ? 1 : 0;
+      positives += hit;
+      positive_words += touched * hit;
+      positive_bits += bits * hit;
+      all_words += touched;
+      all_bits += bits;
+    }
+
+    if (timed) stats.record_batch_latency((metrics::now_ns() - t0) / count);
+  }
+  stats.record_n(metrics::OpClass::kQueryPositive, positives, positive_words,
+                 positive_bits);
+  stats.record_n(metrics::OpClass::kQueryNegative, keys.size() - positives,
+                 all_words - positive_words, all_bits - positive_bits);
+}
 
 }  // namespace mpcbf::core::engine

@@ -37,6 +37,22 @@ inline constexpr std::uint64_t kDefaultSeed = 0x9E3779B97F4A7C15ULL;
   return static_cast<unsigned>(64 - std::countl_zero(x - 1));
 }
 
+/// The per-bound constants of HashBitStream::next_index, computed once:
+/// a filter that draws many indices from the same bound (every word
+/// index, every level-1 position) hoists them out of its per-key loop.
+struct IndexBound {
+  constexpr explicit IndexBound(std::size_t b) noexcept
+      : bound(b),
+        log2(ceil_log2(b)),
+        pow2(std::has_single_bit(b)),
+        width(pow2 ? log2 : std::min(48u, log2 + 12)) {}
+
+  std::size_t bound;
+  unsigned log2;   ///< accounted bits per index
+  bool pow2;       ///< index = raw bits, no multiply-shift
+  unsigned width;  ///< raw bits consumed per index
+};
+
 class HashBitStream {
  public:
   /// Starts a stream over `key`. The view must outlive the stream (filters
@@ -56,17 +72,18 @@ class HashBitStream {
   /// software query cost at/below CBF's, Sec. IV-B).
   std::size_t next_index(std::size_t bound) noexcept {
     assert(bound > 0);
-    const unsigned log2_bound = ceil_log2(bound);
-    accounted_bits_ += log2_bound;
-    if (std::has_single_bit(bound)) {
-      return log2_bound == 0
-                 ? 0
-                 : static_cast<std::size_t>(raw_bits(log2_bound));
-    }
-    const unsigned width = std::min(48u, log2_bound + 12);
-    const std::uint64_t v = raw_bits(width);
+    return next_index(IndexBound(bound));
+  }
+
+  /// next_index over precomputed bound constants: the same bits, the
+  /// same index, the same accounting.
+  std::size_t next_index(const IndexBound& b) noexcept {
+    accounted_bits_ += b.log2;
+    if (b.width == 0) return 0;  // bound 1
+    const std::uint64_t v = raw_bits(b.width);
+    if (b.pow2) return static_cast<std::size_t>(v);
     return static_cast<std::size_t>(
-        (static_cast<__uint128_t>(v) * bound) >> width);
+        (static_cast<__uint128_t>(v) * b.bound) >> b.width);
   }
 
   /// `width` raw bits (1..64), accounted at face value.
@@ -83,9 +100,9 @@ class HashBitStream {
  private:
   void refill() noexcept {
     const Hash128 h = murmur3_128(key_, seed_ + block_);
-    lanes_[0] = h.lo;
-    lanes_[1] = h.hi;
-    lane_ = 0;
+    lane_ = h.lo;
+    next_lane_ = h.hi;
+    on_second_lane_ = false;
     lane_used_ = 0;
     ++block_;
   }
@@ -93,22 +110,27 @@ class HashBitStream {
   std::uint64_t raw_bits(unsigned width) noexcept {
     assert(width >= 1 && width <= 64);
     if (lane_used_ + width > 64) {
-      if (lane_ == 0) {
-        lane_ = 1;
+      if (!on_second_lane_) {
+        lane_ = next_lane_;
+        on_second_lane_ = true;
         lane_used_ = 0;
       } else {
         refill();
       }
     }
-    const std::uint64_t v = lanes_[lane_] >> lane_used_;
+    const std::uint64_t v = lane_ >> lane_used_;
     lane_used_ += width;
     return width == 64 ? v : (v & ((std::uint64_t{1} << width) - 1));
   }
 
   std::string_view key_;
   std::uint64_t seed_;
-  std::uint64_t lanes_[2] = {0, 0};
-  unsigned lane_ = 0;
+  // The current 64-bit lane and the one after it, as plain members
+  // rather than an indexed pair, so a stream kept in registers needs no
+  // memory round trip when it moves to its second lane.
+  std::uint64_t lane_ = 0;
+  std::uint64_t next_lane_ = 0;
+  bool on_second_lane_ = false;
   unsigned lane_used_ = 0;
   std::uint64_t block_ = 0;
   std::uint64_t accounted_bits_ = 0;

@@ -264,9 +264,10 @@ std::uint64_t Client::snapshot() {
 
 ReplicateInfo Client::replicate(const ReplicateRequest& req,
                                 std::vector<io::JournalRecord>& records) {
-  std::string payload;
+  std::uint8_t flags = 0;
+  std::string payload = scoped_payload(flags);
   append_reply_pod(payload, req);
-  const std::string reply = round_trip(Opcode::kReplicate, payload);
+  const std::string reply = round_trip(Opcode::kReplicate, payload, flags);
   ReplicateInfo info;
   if (const char* err = parse_replicate_reply(reply, info, records);
       err != nullptr) {
@@ -277,9 +278,10 @@ ReplicateInfo Client::replicate(const ReplicateRequest& req,
 
 SnapFetchInfo Client::snap_fetch(const SnapFetchRequest& req,
                                  std::string& bytes) {
-  std::string payload;
+  std::uint8_t flags = 0;
+  std::string payload = scoped_payload(flags);
   append_reply_pod(payload, req);
-  const std::string reply = round_trip(Opcode::kSnapFetch, payload);
+  const std::string reply = round_trip(Opcode::kSnapFetch, payload, flags);
   SnapFetchInfo info;
   std::string_view view;
   if (const char* err = parse_snapfetch_reply(reply, info, view);
@@ -291,7 +293,9 @@ SnapFetchInfo Client::snap_fetch(const SnapFetchRequest& req,
 }
 
 ReplStatusReply Client::repl_status() {
-  const std::string reply = round_trip(Opcode::kReplStatus, {});
+  std::uint8_t flags = 0;
+  const std::string payload = scoped_payload(flags);
+  const std::string reply = round_trip(Opcode::kReplStatus, payload, flags);
   ReplStatusReply r;
   if (const char* err = parse_reply_pod(reply, r); err != nullptr) {
     throw NetError(err);

@@ -185,6 +185,8 @@ class Client {
   std::uint64_t snapshot();
 
   // --- replication ops (durable servers only) ---------------------------
+  // Scoped like the data ops: a client with a namespace set reaches
+  // that tenant's journal and snapshot, not the default backend's.
 
   /// Pulls one page of journal records; `records` receives the page.
   ReplicateInfo replicate(const ReplicateRequest& req,

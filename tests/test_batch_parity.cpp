@@ -181,6 +181,42 @@ TEST(MpcbfBatchParity, W256G3UnevenKRoomy) {
       parity_config(1024, 256, 7, 3, 8, OverflowPolicy::kStash), 2000, 613);
 }
 
+// Every width with g = 1, 2, 3 (k = 3, 3 + 2, and 2 + 2 + 0, whose last
+// group draws a word but no position), short circuit on and off. Each
+// shape runs twice on 16 words: with a small n_max, so inserts overflow
+// into the stash, and with about 12 level-1 bits per word, so a key's
+// positions repeat and its group words collide.
+template <unsigned W>
+void sweep_mpcbf_parity() {
+  std::uint64_t seed = 650 + W;
+  for (const unsigned g : {1u, 2u, 3u}) {
+    const unsigned k = g == 1 ? 3 : g == 2 ? 5 : 4;
+    const unsigned per_word = (k + g - 1) / g;
+    for (const bool sc : {true, false}) {
+      for (const unsigned n_max : {4u, (W - 12) / per_word}) {
+        MpcbfConfig cfg =
+            parity_config(16, W, k, g, n_max, OverflowPolicy::kStash);
+        cfg.short_circuit = sc;
+        SCOPED_TRACE("W=" + std::to_string(W) + " g=" + std::to_string(g) +
+                     " sc=" + std::to_string(sc) +
+                     " n_max=" + std::to_string(n_max));
+        run_mpcbf_parity<W>(cfg, 200, seed);
+        seed += 2;
+      }
+    }
+  }
+}
+
+TEST(MpcbfBatchParity, SweepW64GroupsAndShortCircuit) {
+  sweep_mpcbf_parity<64>();
+}
+TEST(MpcbfBatchParity, SweepW128GroupsAndShortCircuit) {
+  sweep_mpcbf_parity<128>();
+}
+TEST(MpcbfBatchParity, SweepW256GroupsAndShortCircuit) {
+  sweep_mpcbf_parity<256>();
+}
+
 TEST(MpcbfBatchParity, StringViewOverloadsMatchStringOverloads) {
   const auto keys = generate_unique_strings(200, 6, 615);
   const std::vector<std::string_view> views(keys.begin(), keys.end());

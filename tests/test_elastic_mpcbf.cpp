@@ -353,6 +353,33 @@ TEST(DurableElasticMpcbf, SnapshotThenMoreWritesThenRecover) {
   for (const auto& k : second) EXPECT_TRUE(recovered.contains(k));
 }
 
+TEST(DurableElasticMpcbf, ReopenRejectsMismatchedSegmentShape) {
+  TempDir tmp("reshape");
+  {
+    DurableElasticMpcbf<64> d(tmp.path(), small_cfg());
+    for (const auto& k : keys(300)) d.insert(k);
+    d.snapshot();
+  }
+  // Same routing and seed, another segment shape: serving the
+  // snapshot's k=3 segments under this config would be silent.
+  ElasticConfig reshaped = small_cfg();
+  reshaped.segment.k = 5;
+  reshaped.segment.memory_bits *= 4;
+  EXPECT_THROW(DurableElasticMpcbf<64>(tmp.path(), reshaped),
+               std::runtime_error);
+  ElasticConfig rekeyed = small_cfg();
+  rekeyed.segment.k = 5;
+  EXPECT_THROW(DurableElasticMpcbf<64>(tmp.path(), rekeyed),
+               std::runtime_error);
+  ElasticConfig wider = small_cfg();
+  wider.segment.memory_bits *= 2;
+  EXPECT_THROW(DurableElasticMpcbf<64>(tmp.path(), wider),
+               std::runtime_error);
+  // The matching shape still reopens.
+  DurableElasticMpcbf<64> same(tmp.path(), small_cfg());
+  for (const auto& k : keys(300)) EXPECT_TRUE(same.contains(k));
+}
+
 TEST(DurableElasticMpcbf, CrashAtJournalAppendRecoversPrefix) {
   TempDir tmp("crash");
   struct Crash {};

@@ -583,8 +583,9 @@ TEST(NamespaceWireTest, DurableDecayNamespaceRecoversAcrossRestart) {
 TEST(NamespaceWireTest, DurableDecayNamespaceServesReplication) {
   // A durable-decay namespace is a Durable<DecayingMpcbf>, so its backend
   // gets the replication hooks every durable kind has: REPLICATE streams
-  // its journal (decay ticks included) and SNAPFETCH serves its
-  // snapshot image, which a decay-kind follower installs.
+  // its journal (decay ticks included), SNAPFETCH serves its snapshot
+  // image, which a decay-kind follower installs, and REPLSTATUS reports
+  // its watermarks. A client scoped to the namespace reaches all three.
   const fs::path root = fresh_dir("durable_decay_replicate");
   NsConfigWire cfg = decay_ns(4);
   cfg.kind = static_cast<std::uint8_t>(NsKind::kDurableDecay);
@@ -596,21 +597,11 @@ TEST(NamespaceWireTest, DurableDecayNamespaceServesReplication) {
   (void)c.insert(keys);
   EXPECT_EQ(admin.ns_tick("events"), 1u);
 
-  // REPLICATE and SNAPFETCH frames scoped to the namespace.
-  auto scoped = [&](Opcode op, const auto& request) {
-    std::string payload;
-    append_ns_prefix(payload, "events");
-    append_reply_pod(payload, request);
-    return admin.round_trip(op, payload, kFlagNamespaced);
-  };
   ReplicateRequest req;
   req.follower_id = 7;
   req.from_seq = 1;
-  ReplicateInfo info;
   std::vector<io::JournalRecord> records;
-  ASSERT_EQ(parse_replicate_reply(scoped(Opcode::kReplicate, req), info,
-                                  records),
-            nullptr);
+  const ReplicateInfo info = c.replicate(req, records);
   ASSERT_EQ(records.size(), keys.size() + 1);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(records[i].op, io::JournalOp::kInsert);
@@ -619,15 +610,17 @@ TEST(NamespaceWireTest, DurableDecayNamespaceServesReplication) {
   EXPECT_EQ(records.back().op, io::JournalOp::kDecayTick);
   EXPECT_EQ(info.next_seq, keys.size() + 2);
 
+  const ReplStatusReply status = c.repl_status();
+  EXPECT_EQ(status.role, static_cast<std::uint8_t>(ReplRole::kPrimary));
+  EXPECT_EQ(status.next_seq, keys.size() + 2);
+  EXPECT_EQ(status.followers, 1u);  // follower 7, registered above
+
   SnapFetchRequest sreq;
   sreq.max_bytes = 1u << 20;
-  SnapFetchInfo sinfo;
-  std::string_view chunk;
-  const std::string reply = scoped(Opcode::kSnapFetch, sreq);
-  ASSERT_EQ(parse_snapfetch_reply(reply, sinfo, chunk), nullptr);
+  std::string image;
+  const SnapFetchInfo sinfo = c.snap_fetch(sreq, image);
   EXPECT_EQ(sinfo.watermark, keys.size() + 1);
-  ASSERT_EQ(chunk.size(), sinfo.total_bytes);
-  const std::string image(chunk);
+  ASSERT_EQ(image.size(), sinfo.total_bytes);
   const fs::path follower_dir = fresh_dir("durable_decay_follower");
   core::DecayConfig dc;
   dc.generation = ns_equiv_config(cfg);
@@ -639,6 +632,8 @@ TEST(NamespaceWireTest, DurableDecayNamespaceServesReplication) {
 
   // The in-memory default backend still has no journal to stream.
   EXPECT_EQ(code_of([&] { (void)admin.replicate(req, records); }),
+            ErrorCode::kUnsupported);
+  EXPECT_EQ(code_of([&] { (void)admin.repl_status(); }),
             ErrorCode::kUnsupported);
 }
 

@@ -7,10 +7,13 @@
 // size-drift bug and the allocation-free stash probe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "core/mpcbf.hpp"
+#include "core/word_engine.hpp"
+#include "hash/hash_stream.hpp"
 #include "metrics/access_stats.hpp"
 #include "workload/string_sets.hpp"
 
@@ -36,15 +39,18 @@ void expect_same_accounting(const AccessStats& scalar,
 
 // Runs the same mixed workload through scalar contains() on one filter
 // and contains_batch() on an identically-built twin, then compares both
-// verdicts and accounting.
-void run_parity_case(MpcbfConfig cfg, std::size_t n_keys,
-                     std::uint64_t seed_a, std::uint64_t seed_b) {
+// verdicts and accounting. Returns the verdicts.
+template <unsigned W = 64>
+std::vector<std::uint8_t> run_parity_case(MpcbfConfig cfg,
+                                          std::size_t n_keys,
+                                          std::uint64_t seed_a,
+                                          std::uint64_t seed_b) {
   const auto keys = generate_unique_strings(n_keys, 6, seed_a);
   const auto probes = generate_unique_strings(n_keys, 8, seed_b);
-  Mpcbf<64> scalar_f(cfg);
-  Mpcbf<64> batch_f(cfg);
+  Mpcbf<W> scalar_f(cfg);
+  Mpcbf<W> batch_f(cfg);
   for (const auto& k : keys) {
-    ASSERT_EQ(scalar_f.insert(k), batch_f.insert(k));
+    EXPECT_EQ(scalar_f.insert(k), batch_f.insert(k));
   }
   std::vector<std::string> mixed;
   mixed.reserve(2 * n_keys);
@@ -62,8 +68,124 @@ void run_parity_case(MpcbfConfig cfg, std::size_t n_keys,
   std::vector<std::uint8_t> batch_out(mixed.size(), 0xFF);
   batch_f.contains_batch(mixed, batch_out);
 
-  ASSERT_EQ(scalar_out, batch_out);
+  EXPECT_EQ(scalar_out, batch_out);
   expect_same_accounting(scalar_f.stats(), batch_f.stats());
+  return batch_out;
+}
+
+// What a sweep case exercised, counted over its keys' derived targets.
+struct Coverage {
+  std::size_t colliding_groups = 0;     ///< keys whose group words repeat
+  std::size_t duplicate_positions = 0;  ///< keys repeating a position
+  std::size_t positives = 0;
+  std::size_t negatives = 0;
+  std::size_t stashed_cases = 0;        ///< cases with a non-empty stash
+};
+
+template <unsigned W>
+void count_coverage(const MpcbfConfig& cfg, std::size_t n_keys,
+                    std::uint64_t seed_a, std::uint64_t seed_b,
+                    const std::vector<std::uint8_t>& verdicts,
+                    Coverage& cov) {
+  Mpcbf<W> f(cfg);
+  const mpcbf::core::engine::TargetDeriver der(f.num_words(), f.k(), f.g(),
+                                               f.b1());
+  for (const auto& list : {generate_unique_strings(n_keys, 6, seed_a),
+                           generate_unique_strings(n_keys, 8, seed_b)}) {
+    for (const auto& key : list) {
+      mpcbf::core::engine::Targets t;
+      mpcbf::hash::HashBitStream stream(key, f.seed());
+      der.derive_all(stream, t);
+      if (t.distinct_words < f.g()) ++cov.colliding_groups;
+      bool dup = false;
+      for (unsigned i = 0; i < t.total_positions; ++i) {
+        for (unsigned j = 0; j < i; ++j) {
+          dup = dup || (t.word_of(i) == t.word_of(j) && t.pos(i) == t.pos(j));
+        }
+      }
+      if (dup) ++cov.duplicate_positions;
+    }
+  }
+  for (const auto v : verdicts) ++(v != 0 ? cov.positives : cov.negatives);
+  for (const auto& k : generate_unique_strings(n_keys, 6, seed_a)) {
+    (void)f.insert(k);
+  }
+  if (f.stash_size() > 0) ++cov.stashed_cases;
+}
+
+// One width of the sweep: g = 1, 2, 3 with k = 3, 5 (3 + 2) and 4
+// (2 + 2 + 0: the last group draws a word and no position), short
+// circuit on and off, on two layouts with about 12 level-1 bits per
+// word so positions repeat: a crowded one (4 words, overflowing into
+// the stash) and a sparse one (64 words, mostly negative probes).
+template <unsigned W>
+void sweep_width(Coverage& cov) {
+  std::uint64_t seed = 700 + W;
+  for (const unsigned g : {1u, 2u, 3u}) {
+    const unsigned k = g == 1 ? 3 : g == 2 ? 5 : 4;
+    const unsigned per_word = (k + g - 1) / g;
+    for (const bool sc : {true, false}) {
+      for (const std::size_t words : {std::size_t{4}, std::size_t{64}}) {
+        MpcbfConfig cfg;
+        cfg.memory_bits = words * W;
+        cfg.k = k;
+        cfg.g = g;
+        cfg.n_max = (W - 12) / per_word;
+        if (words == 4) cfg.n_max = std::min(cfg.n_max, 6u);
+        cfg.policy = OverflowPolicy::kStash;
+        cfg.short_circuit = sc;
+        const std::size_t n_keys = words == 4 ? 60 : 40;
+        SCOPED_TRACE("W=" + std::to_string(W) + " g=" + std::to_string(g) +
+                     " sc=" + std::to_string(sc) +
+                     " words=" + std::to_string(words));
+        const auto verdicts =
+            run_parity_case<W>(cfg, n_keys, seed, seed + 1);
+        count_coverage<W>(cfg, n_keys, seed, seed + 1, verdicts, cov);
+        seed += 2;
+      }
+    }
+  }
+}
+
+TEST(StatsParity, SweepWidthsGroupsAndShortCircuit) {
+  // Identical verdicts and per-class ops/words/bits for every width and
+  // g, including colliding group words, repeated positions, a last
+  // group with zero positions and stash rescues. The coverage counts
+  // check that the sweep really produced each of those.
+  Coverage cov;
+  sweep_width<64>(cov);
+  sweep_width<128>(cov);
+  sweep_width<256>(cov);
+  EXPECT_GT(cov.colliding_groups, 0u);
+  EXPECT_GT(cov.duplicate_positions, 0u);
+  EXPECT_GT(cov.positives, 0u);
+  EXPECT_GT(cov.negatives, 0u);
+  EXPECT_GT(cov.stashed_cases, 0u);
+}
+
+TEST(StatsParity, WideShapesRunSmallerQueryChunks) {
+  // g = 8 leaves room for 32 keys' group words per chunk, and 40
+  // positions per key for 25 keys' positions: both shapes resolve in
+  // several chunks per call, not one of 64.
+  for (const bool sc : {true, false}) {
+    MpcbfConfig eight;
+    eight.memory_bits = 64 * 256;
+    eight.k = 24;
+    eight.g = 8;
+    eight.n_max = 8;
+    eight.policy = OverflowPolicy::kStash;
+    eight.short_circuit = sc;
+    run_parity_case<256>(eight, 150, 121, 122);
+
+    MpcbfConfig forty;
+    forty.memory_bits = 64 * 512;
+    forty.k = 40;
+    forty.g = 2;
+    forty.n_max = 20;
+    forty.policy = OverflowPolicy::kStash;
+    forty.short_circuit = sc;
+    run_parity_case<512>(forty, 150, 123, 124);
+  }
 }
 
 TEST(StatsParity, ShortCircuitG1) {
@@ -193,6 +315,36 @@ TEST(StatsParity, MutationBatchesAccountLikeScalarLoops) {
   EXPECT_EQ(scalar_f.size(), batch_f.size());
   EXPECT_EQ(batch_f.stash_size(), 0u);
   expect_same_accounting(scalar_f.stats(), batch_f.stats());
+}
+
+TEST(StatsParity, MutationBatchPublishesTalliesWhenOverflowThrows) {
+  // insert_batch sums its kInsert tallies in locals and publishes them
+  // once; an overflow that throws mid-batch must still publish the keys
+  // applied before it, as a scalar loop would have recorded them.
+  MpcbfConfig cfg;
+  cfg.memory_bits = 4 * 64;
+  cfg.k = 3;
+  cfg.g = 1;
+  cfg.n_max = 2;
+  cfg.policy = OverflowPolicy::kThrow;
+  const auto keys = generate_unique_strings(64, 6, 113);
+  Mpcbf<64> scalar_f(cfg);
+  Mpcbf<64> batch_f(cfg);
+  std::size_t applied = 0;
+  try {
+    for (const auto& k : keys) {
+      (void)scalar_f.insert(k);
+      ++applied;
+    }
+  } catch (const std::overflow_error&) {
+  }
+  ASSERT_LT(applied, keys.size()) << "want an overflow inside the batch";
+  ASSERT_GT(applied, 0u);
+  std::vector<std::uint8_t> ok(keys.size());
+  EXPECT_THROW(batch_f.insert_batch(keys, ok), std::overflow_error);
+  EXPECT_EQ(batch_f.stats().ops(OpClass::kInsert), applied);
+  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+  EXPECT_EQ(scalar_f.size(), batch_f.size());
 }
 
 TEST(StatsParity, FailedEraseDoesNotShrinkSize) {

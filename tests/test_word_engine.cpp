@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "core/word_engine.hpp"
 #include "filters/pcbf.hpp"
 #include "hash/hash_stream.hpp"
+#include "metrics/access_stats.hpp"
 
 namespace {
 
@@ -259,38 +261,124 @@ TEST(WordEngine, IncrementAllAdvancesTheDerivedUsage) {
   EXPECT_EQ(store.counter(1, kB1, 3), 6u);
 }
 
-// --- evaluate_lazy ------------------------------------------------------
+// --- query_batch --------------------------------------------------------
 
-TEST(WordEngine, EvaluateLazyStopsAtFirstMissWhenShortCircuiting) {
-  const auto t = make_targets({{0, 1}, {0, 2}, {1, 3}});
-  std::size_t probes = 0;
-  const auto ev = engine::evaluate_lazy(
-      t, /*num_words=*/16, /*k=*/3, /*g=*/2, /*b1=*/8,
-      /*short_circuit=*/true, [&](std::size_t, unsigned) {
-        ++probes;
-        return false;  // first probe already misses
-      });
-  EXPECT_FALSE(ev.positive);
-  EXPECT_EQ(probes, 1u);
-  EXPECT_EQ(ev.words_touched, 1u);
-  // One word index (ceil_log2(16) = 4) + one position (ceil_log2(8) = 3).
-  EXPECT_EQ(ev.hash_bits, 7u);
+// Runs engine::query_batch over `keys` on a 16-word store with b1 = 8,
+// k = 3, g = 2 (positions 2 + 1): ceil_log2(16) = 4 bits per word index,
+// ceil_log2(8) = 3 per position. Returns the verdicts; `stats` receives
+// the tallies and `rescued` counts the rescue calls.
+struct QueryRun {
+  std::vector<std::uint8_t> out;
+  mpcbf::metrics::AccessStats stats;
+  std::size_t rescued = 0;
+};
+
+constexpr std::uint64_t kQuerySeed = 0x5EED;
+
+QueryRun run_query_batch(const engine::PlainWords<64>& store,
+                         const std::vector<std::string>& keys,
+                         bool short_circuit, bool rescue = false) {
+  const engine::TargetDeriver der(store.size(), 3, 2, 8);
+  QueryRun r;
+  r.out.assign(keys.size(), 0xFF);
+  engine::query_batch(store, der, short_circuit,
+                      std::span<const std::string>(keys), kQuerySeed,
+                      std::span<std::uint8_t>(r.out), r.stats,
+                      [&](std::size_t) {
+                        ++r.rescued;
+                        return rescue;
+                      });
+  return r;
 }
 
-TEST(WordEngine, EvaluateLazyConsumesFullBudgetWithoutShortCircuit) {
-  const auto t = make_targets({{0, 1}, {0, 2}, {1, 3}});
-  std::size_t probes = 0;
-  const auto ev = engine::evaluate_lazy(
-      t, 16, 3, 2, 8, /*short_circuit=*/false,
-      [&](std::size_t, unsigned) {
-        ++probes;
-        return false;
-      });
-  EXPECT_FALSE(ev.positive);
-  EXPECT_EQ(probes, 3u);
-  EXPECT_EQ(ev.words_touched, 2u);
-  // Two word indices (2*4) + three positions (3*3).
-  EXPECT_EQ(ev.hash_bits, 17u);
+// The targets query_batch derives for `key` (same deriver and seed).
+engine::Targets targets_of(const std::string& key) {
+  const engine::TargetDeriver der(16, 3, 2, 8);
+  engine::Targets t;
+  mpcbf::hash::HashBitStream s(key, kQuerySeed);
+  der.derive_all(s, t);
+  return t;
+}
+
+std::vector<std::string> query_keys(std::size_t n) {
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < n; ++i) keys.push_back("q" + std::to_string(i));
+  return keys;
+}
+
+TEST(WordEngine, QueryBatchStopsAtFirstMissWhenShortCircuiting) {
+  // An empty store fails every key's first position: one word index and
+  // one position each, one word touched.
+  engine::PlainWords<64> store;
+  store.init(16);
+  // Two full chunks and a partial one.
+  const auto keys = query_keys(2 * engine::kQueryChunk + 6);
+  const auto r = run_query_batch(store, keys, /*short_circuit=*/true);
+  EXPECT_EQ(r.out, std::vector<std::uint8_t>(keys.size(), 0));
+  EXPECT_EQ(r.rescued, keys.size());
+  using mpcbf::metrics::OpClass;
+  EXPECT_EQ(r.stats.ops(OpClass::kQueryNegative), keys.size());
+  EXPECT_EQ(r.stats.words(OpClass::kQueryNegative), keys.size());
+  EXPECT_EQ(r.stats.bits(OpClass::kQueryNegative), 7 * keys.size());
+  EXPECT_EQ(r.stats.ops(OpClass::kQueryPositive), 0u);
+}
+
+TEST(WordEngine, QueryBatchConsumesFullBudgetWithoutShortCircuit) {
+  // Two word indices (2*4) + three positions (3*3) for every key, and
+  // both groups' words, counted once when they collide.
+  engine::PlainWords<64> store;
+  store.init(16);
+  const auto keys = query_keys(2 * engine::kQueryChunk + 6);
+  std::uint64_t distinct = 0;
+  for (const auto& k : keys) distinct += targets_of(k).distinct_words;
+  ASSERT_LT(distinct, 2 * keys.size()) << "want some colliding groups";
+  using mpcbf::metrics::OpClass;
+  const auto miss = run_query_batch(store, keys, /*short_circuit=*/false);
+  EXPECT_EQ(miss.stats.words(OpClass::kQueryNegative), distinct);
+  EXPECT_EQ(miss.stats.bits(OpClass::kQueryNegative), 17 * keys.size());
+
+  // All level-1 bits set: every key is positive at the full budget, with
+  // or without short-circuiting.
+  for (std::size_t w = 0; w < store.size(); ++w) {
+    store.words()[w].set_limb(0, 0xFF);
+  }
+  for (const bool sc : {true, false}) {
+    const auto hit = run_query_batch(store, keys, sc);
+    EXPECT_EQ(hit.out, std::vector<std::uint8_t>(keys.size(), 1));
+    EXPECT_EQ(hit.rescued, 0u);
+    EXPECT_EQ(hit.stats.ops(OpClass::kQueryPositive), keys.size());
+    EXPECT_EQ(hit.stats.words(OpClass::kQueryPositive), distinct);
+    EXPECT_EQ(hit.stats.bits(OpClass::kQueryPositive), 17 * keys.size());
+  }
+}
+
+TEST(WordEngine, QueryBatchChargesPositionsUpToTheFirstFailure) {
+  // Only the first position of group 0 is set, so a short-circuiting
+  // query fails at the second: 4 + 2*3 bits. A key whose two group-0
+  // positions coincide passes group 0 and fails in group 1 (unless its
+  // words collide too), which this test avoids.
+  std::string key;
+  engine::Targets t;
+  for (int i = 0;; ++i) {
+    key = "ctz" + std::to_string(i);
+    t = targets_of(key);
+    if (t.pos(0) != t.pos(1)) break;
+  }
+  engine::PlainWords<64> store;
+  store.init(16);
+  store.words()[t.group_word[0]].set(t.pos(0));
+  using mpcbf::metrics::OpClass;
+  const auto r = run_query_batch(store, {key}, /*short_circuit=*/true);
+  EXPECT_EQ(r.out[0], 0);
+  EXPECT_EQ(r.stats.words(OpClass::kQueryNegative), 1u);
+  EXPECT_EQ(r.stats.bits(OpClass::kQueryNegative), 10u);
+
+  // A rescued negative moves to the positive class with the same cost.
+  const auto rescued = run_query_batch(store, {key}, true, /*rescue=*/true);
+  EXPECT_EQ(rescued.out[0], 1);
+  EXPECT_EQ(rescued.stats.ops(OpClass::kQueryNegative), 0u);
+  EXPECT_EQ(rescued.stats.ops(OpClass::kQueryPositive), 1u);
+  EXPECT_EQ(rescued.stats.bits(OpClass::kQueryPositive), 10u);
 }
 
 // --- batch_pipeline -----------------------------------------------------
