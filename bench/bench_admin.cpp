@@ -25,8 +25,7 @@
 // Usage: bench_admin [--n 100000] [--queries 1000000] [--seed 7]
 #include "bench_common.hpp"
 #include "common/log.hpp"
-#include "net/http.hpp"
-#include "net/slow_ring.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -138,17 +137,21 @@ int main(int argc, char** argv) {
   logger.set_level(log::Level::kWarn);
   logger.set_sink(nullptr);
 
-  net::SlowRequestRing ring;
+  // The spans the server records for a slow batch-64 query.
+  trace::SpanRing ring;
   constexpr std::size_t kRecords = 1000000;
   const double record_ns = best_of(3, kRecords, [&] {
-    net::SlowRequest r;
-    r.opcode = 1;
-    r.batch_keys = 64;
+    trace::Span s;
+    s.name = "query";
+    s.cat = trace::Category::kNet;
+    s.arg_name = "batch_keys";
+    s.arg = 64;
+    s.peer = (0x7F000001ull << 16) | 40000;
     for (std::size_t i = 0; i < kRecords; ++i) {
-      r.start_ns = i;
-      r.duration_ns = i * 3;
-      r.trace_id = i + 1;
-      ring.record(r);
+      s.ts_ns = i;
+      s.dur_ns = i * 3;
+      s.trace_id = i + 1;
+      ring.record(s);
     }
   });
 
@@ -156,7 +159,9 @@ int main(int argc, char** argv) {
   std::size_t json_bytes = 0;
   const double snapshot_ns = best_of(3, kSnapshots, [&] {
     for (std::size_t i = 0; i < kSnapshots; ++i) {
-      json_bytes += net::slow_ring_chrome_json(ring).size();
+      std::string body;
+      trace::append_chrome_json(body, ring.snapshot());
+      json_bytes += body.size();
     }
   });
 

@@ -1,22 +1,17 @@
 // Tracing overhead — the cost of the trace layer on the filter hot
-// paths, in its three states. Built twice by CMake: `bench_trace` with
-// tracing compiled in and `bench_trace_notrace` with
-// MPCBF_DISABLE_TRACING (the span macros expand to inert NullSpan
-// objects, so the instrumented headers compile to the uninstrumented
-// code in that TU). Each binary measures the states available to it:
+// paths, in its two states:
 //
-//   bench_trace          disarmed (one relaxed load + untaken branch
-//                        per span site) and armed (clock reads + ring
-//                        push per span; the loop drains the rings every
-//                        kRingCapacity/2 ops the way a live collector
-//                        would, so the number includes drain cost and
-//                        drops stay near zero).
-//   bench_trace_notrace  compiled-out baseline.
+//   disarmed  one relaxed load + untaken branch per span site: the cost
+//             every build pays for shipping the instrumentation;
+//   armed     clock reads + ring push per span; the loop drains the
+//             rings every kRingCapacity/8 ops the way a live collector
+//             would, so the number includes drain cost and drops stay
+//             near zero.
 //
-// Comparing notrace vs disarmed gives the always-paid cost of shipping
-// the instrumentation (acceptance target: <=1%); disarmed vs armed gives
-// the price of an active capture session. scripts/run_all.sh runs both
-// and records the comparison in results/bench_trace.txt.
+// Disarmed vs armed gives the price of an active capture session. A
+// compiled-out build was measured against the disarmed one before it was
+// deleted: the gap sat inside the run-to-run spread (the compiled-out
+// figures are kept in results/bench_trace.txt).
 //
 // Usage: bench_trace [--n 100000] [--queries 1000000] [--seed 7]
 //        [--csv out.csv]
@@ -47,19 +42,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.get_uint("seed", 7);
   const std::string csv = args.get_string("csv", "");
   args.reject_unknown({"n", "queries", "seed", "csv"});
-#ifdef MPCBF_DISABLE_TRACING
-  const bool compiled_in = false;
-#else
-  const bool compiled_in = true;
-#endif
-  mpcbf::bench::JsonReport report(compiled_in ? "trace" : "trace_notrace");
+  mpcbf::bench::JsonReport report("trace");
   report.config("n", n);
   report.config("queries", num_queries);
   report.config("seed", seed);
-  report.config("tracing_compiled_in", compiled_in);
 
-  std::cout << "=== Tracing overhead (tracing "
-            << (compiled_in ? "compiled in" : "compiled out") << ") ===\n"
+  std::cout << "=== Tracing overhead (disarmed + armed) ===\n"
             << "n=" << n << " queries=" << num_queries << " seed=" << seed
             << "\n\n";
 
@@ -93,15 +81,10 @@ int main(int argc, char** argv) {
     });
   };
 
-  // State 1: tracer disarmed (or compiled out, in the notrace twin —
-  // then this IS the compiled-out baseline).
+  // State 1: tracer disarmed.
   const double query_off_ns = time_query();
   const double update_off_ns = time_update();
 
-  double query_on_ns = 0.0;
-  double update_on_ns = 0.0;
-  std::uint64_t drops = 0;
-#ifndef MPCBF_DISABLE_TRACING
   // State 2: armed capture. Drain the rings the way a live collector
   // would so drops stay near zero — a query emits ~2k+2 core spans, so
   // drain every kRingCapacity/8 queries to stay well under capacity.
@@ -109,7 +92,7 @@ int main(int argc, char** argv) {
   tracer.clear();
   tracer.arm();
   constexpr std::size_t kDrainEvery = trace::Tracer::kRingCapacity / 8;
-  query_on_ns = best_of(3, qs.queries.size(), [&] {
+  const double query_on_ns = best_of(3, qs.queries.size(), [&] {
     std::size_t since_drain = 0;
     for (const auto& q : qs.queries) {
       sink += filter.contains(q) ? 1 : 0;
@@ -119,7 +102,7 @@ int main(int argc, char** argv) {
       }
     }
   });
-  update_on_ns = best_of(3, 2 * churn_keys.size(), [&] {
+  const double update_on_ns = best_of(3, 2 * churn_keys.size(), [&] {
     std::size_t since_drain = 0;
     for (const auto& k : churn_keys) {
       sink += filter.insert(k) ? 1 : 0;
@@ -136,49 +119,33 @@ int main(int argc, char** argv) {
       }
     }
   });
-  drops = tracer.dropped();
+  const std::uint64_t drops = tracer.dropped();
   tracer.disarm();
   tracer.clear();
-#endif
 
   util::Table table({"path", "ns/op"});
-  table.row()
-      .add(compiled_in ? "query (disarmed)" : "query (compiled out)")
-      .addf(query_off_ns, 2);
-  table.row()
-      .add(compiled_in ? "insert+erase (disarmed)"
-                       : "insert+erase (compiled out)")
-      .addf(update_off_ns, 2);
-  if (compiled_in) {
-    table.row().add("query (armed)").addf(query_on_ns, 2);
-    table.row().add("insert+erase (armed)").addf(update_on_ns, 2);
-  }
+  table.row().add("query (disarmed)").addf(query_off_ns, 2);
+  table.row().add("insert+erase (disarmed)").addf(update_off_ns, 2);
+  table.row().add("query (armed)").addf(query_on_ns, 2);
+  table.row().add("insert+erase (armed)").addf(update_on_ns, 2);
   table.print(std::cout);
   std::cout << "(sink " << sink % 10 << ")\n";
-  if (compiled_in) {
-    std::cout << "armed/disarmed query ratio: "
-              << (query_off_ns > 0 ? query_on_ns / query_off_ns : 0.0)
-              << "  (ring drops during armed run: " << drops << ")\n";
-  }
+  std::cout << "armed/disarmed query ratio: "
+            << (query_off_ns > 0 ? query_on_ns / query_off_ns : 0.0)
+            << "  (ring drops during armed run: " << drops << ")\n";
 
   report.add_table("ns_per_op", table);
-  if (compiled_in) {
-    report.metric("query_disarmed_ns", query_off_ns);
-    report.metric("update_disarmed_ns", update_off_ns);
-    report.metric("query_armed_ns", query_on_ns);
-    report.metric("update_armed_ns", update_on_ns);
-    report.metric("armed_ring_drops", static_cast<double>(drops));
-  } else {
-    report.metric("query_compiled_out_ns", query_off_ns);
-    report.metric("update_compiled_out_ns", update_off_ns);
-  }
+  report.metric("query_disarmed_ns", query_off_ns);
+  report.metric("update_disarmed_ns", update_off_ns);
+  report.metric("query_armed_ns", query_on_ns);
+  report.metric("update_armed_ns", update_on_ns);
+  report.metric("armed_ring_drops", static_cast<double>(drops));
 
   if (!csv.empty()) {
     std::ofstream os(csv);
-    os << "tracing,query_off_ns,update_off_ns,query_on_ns,update_on_ns\n"
-       << (compiled_in ? "on" : "off") << "," << query_off_ns << ","
-       << update_off_ns << "," << query_on_ns << "," << update_on_ns
-       << "\n";
+    os << "query_off_ns,update_off_ns,query_on_ns,update_on_ns\n"
+       << query_off_ns << "," << update_off_ns << "," << query_on_ns
+       << "," << update_on_ns << "\n";
   }
   report.write();
   return 0;

@@ -49,21 +49,6 @@ for bench in build/bench/bench_*; do
   esac
 done
 
-# Tracing overhead summary: the compiled-out baseline (bench_trace_notrace)
-# vs disarmed and armed tracing (bench_trace), side by side.
-{
-  echo "Tracing overhead (see bench/bench_trace.cpp)"
-  echo "============================================"
-  echo
-  echo "--- tracing compiled out (MPCBF_DISABLE_TRACING) ---"
-  cat results/bench_trace_notrace.txt
-  echo
-  echo "--- tracing compiled in (disarmed + armed) ---"
-  cat results/bench_trace.txt
-} > results/bench_trace_summary.tmp
-mv results/bench_trace_summary.tmp results/bench_trace.txt
-rm -f results/bench_trace_notrace.txt
-
 # Admin-plane overhead summary: the logging compiled-out twin
 # (bench_admin_nolog) vs the disarmed/armed costs (bench_admin).
 {

@@ -15,11 +15,11 @@
 //
 // Field values are POD views (no allocation at the call site beyond the
 // formatted line); `event` and field keys must be static-storage strings,
-// mirroring trace.hpp's Event::name contract.
+// mirroring trace.hpp's Span::name contract.
 //
 // Compiling with MPCBF_DISABLE_LOGGING replaces every MPCBF_LOG_* macro
 // with an inert statement — zero logger references, zero codegen — the
-// same convention as MPCBF_DISABLE_ACCESS_STATS / MPCBF_DISABLE_TRACING.
+// same convention as MPCBF_DISABLE_ACCESS_STATS.
 #pragma once
 
 #include <atomic>
@@ -139,6 +139,38 @@ struct Field {
   }
   buf[16] = '\0';
   return std::string(buf, 16);
+}
+
+/// Appends `v` as a quoted JSON string: quote, backslash and every
+/// control byte escaped, so any input yields a valid string literal.
+/// The one escaper behind the JSON log lines and the Chrome-trace
+/// encoder (trace/trace.hpp).
+inline void append_json_string(std::string& out, std::string_view v) {
+  out.push_back('"');
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const char ch = v[i];
+    if (ch != '"' && ch != '\\' && static_cast<unsigned char>(ch) >= 0x20) {
+      continue;
+    }
+    out.append(v, plain, i - plain);
+    plain = i + 1;
+    switch (ch) {
+      case '"': out.append("\\\""); break;
+      case '\\': out.append("\\\\"); break;
+      case '\n': out.append("\\n"); break;
+      case '\r': out.append("\\r"); break;
+      case '\t': out.append("\\t"); break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(ch));
+        out.append(buf);
+      }
+    }
+  }
+  out.append(v, plain);
+  out.push_back('"');
 }
 
 /// Per-call-site rate-limiter state; the MPCBF_LOG_* macros declare one
@@ -359,29 +391,6 @@ class Logger {
     out.push_back('"');
   }
 
-  static void append_json_str(std::string& out, std::string_view v) {
-    out.push_back('"');
-    for (const char ch : v) {
-      switch (ch) {
-        case '"': out.append("\\\""); break;
-        case '\\': out.append("\\\\"); break;
-        case '\n': out.append("\\n"); break;
-        case '\r': out.append("\\r"); break;
-        case '\t': out.append("\\t"); break;
-        default:
-          if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(ch));
-            out.append(buf);
-          } else {
-            out.push_back(ch);
-          }
-      }
-    }
-    out.push_back('"');
-  }
-
   void format_logfmt(std::string& out, Level lvl, const char* event,
                      std::initializer_list<Field> fields,
                      std::uint64_t suppressed) {
@@ -416,14 +425,14 @@ class Logger {
     out.append("\",\"level\":\"");
     out.append(to_string(lvl));
     out.append("\",\"event\":");
-    append_json_str(out, event);
+    append_json_string(out, event);
     for (const Field& f : fields) {
       out.push_back(',');
-      append_json_str(out, f.key);
+      append_json_string(out, f.key);
       out.push_back(':');
       switch (f.kind) {
         case Field::Kind::kStr:
-          append_json_str(out, f.s);
+          append_json_string(out, f.s);
           break;
         case Field::Kind::kHex: {
           out.push_back('"');

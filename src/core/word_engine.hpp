@@ -31,9 +31,9 @@
 //   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
-// AccessStats and the MPCBF_TRACE_* macros at the filter layer, so the
-// MPCBF_DISABLE_ACCESS_STATS / MPCBF_DISABLE_TRACING twins compile the
-// instrumentation out exactly as before.
+// AccessStats (the MPCBF_DISABLE_ACCESS_STATS twin compiles it out) and
+// spans come from the MPCBF_TRACE_* macros at the filter layer, which
+// cost one relaxed load while the tracer is disarmed.
 #pragma once
 
 #include <algorithm>

@@ -44,11 +44,6 @@ inline void publish_build_info(Registry& reg = Registry::global()) {
 #else
   const char* stats = "on";
 #endif
-#ifdef MPCBF_DISABLE_TRACING
-  const char* tracing = "off";
-#else
-  const char* tracing = "on";
-#endif
 #ifdef MPCBF_DISABLE_LOGGING
   const char* logging = "off";
 #else
@@ -60,7 +55,6 @@ inline void publish_build_info(Registry& reg = Registry::global()) {
             {{"version", kBuildVersion},
              {"git_sha", build_git_sha()},
              {"stats", stats},
-             {"tracing", tracing},
              {"logging", logging}})
       .set(1.0);
   reg.gauge("mpcbf_server_uptime_seconds",

@@ -58,7 +58,7 @@ std::string Client::round_trip(Opcode op, std::string_view payload,
     // The trace id rides as the first payload bytes under kFlagTraced;
     // the server strips it before parsing the real payload.
     last_trace_id_ = trace_id;
-    span.set_arg("trace_id", trace_id);
+    span.set_trace_id(trace_id);
     tracebuf_.clear();
     append_trace_prefix(tracebuf_, TracePrefix{trace_id});
     tracebuf_.append(payload);

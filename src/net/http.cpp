@@ -29,17 +29,6 @@ constexpr std::size_t kReadChunk = 2048;
   }
 }
 
-void append_json_escaped(std::string& out, std::string_view v) {
-  for (const char ch : v) {
-    switch (ch) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\n': out.append("\\n"); break;
-      default: out.push_back(ch);
-    }
-  }
-}
-
 }  // namespace
 
 struct AdminServer::Conn {
@@ -279,40 +268,6 @@ void AdminServer::respond(Conn& c, const HttpRequest& req,
 
 // --- standard endpoint set ---------------------------------------------
 
-std::string slow_ring_chrome_json(const SlowRequestRing& ring) {
-  const std::vector<SlowRequest> slow = ring.snapshot();
-  std::string out;
-  out.reserve(256 + slow.size() * 192);
-  out.append("{\"traceEvents\":[");
-  bool first = true;
-  for (const SlowRequest& r : slow) {
-    if (!first) out.push_back(',');
-    first = false;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":%.3f,"
-                  "\"dur\":%.3f,\"cat\":\"net\",\"name\":\"",
-                  static_cast<double>(r.start_ns) / 1e3,
-                  static_cast<double>(r.duration_ns) / 1e3);
-    out.append(buf);
-    out.append(to_string(static_cast<Opcode>(r.opcode)));
-    out.append("\",\"args\":{\"trace_id\":\"");
-    out.append(r.trace_id != 0 ? log::format_hex16(r.trace_id) : "");
-    out.append("\",\"batch_keys\":");
-    std::snprintf(buf, sizeof buf, "%u", r.batch_keys);
-    out.append(buf);
-    out.append(",\"peer\":\"");
-    append_json_escaped(out, format_peer(r.peer));
-    out.append("\",\"seq\":");
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(r.seq));
-    out.append(buf);
-    out.append("}}");
-  }
-  out.append("]}");
-  return out;
-}
-
 void register_admin_endpoints(AdminServer& server, AdminEndpoints eps) {
   auto shared = std::make_shared<AdminEndpoints>(std::move(eps));
 
@@ -413,9 +368,9 @@ void register_admin_endpoints(AdminServer& server, AdminEndpoints eps) {
   server.handle("/tracez", [shared](const HttpRequest&) {
     HttpResponse r;
     r.content_type = "application/json";
-    r.body = shared->slow_ring != nullptr
-                 ? slow_ring_chrome_json(*shared->slow_ring)
-                 : std::string("{\"traceEvents\":[]}");
+    trace::append_chrome_json(r.body, shared->slow_ring != nullptr
+                                          ? shared->slow_ring->snapshot()
+                                          : std::vector<trace::Span>{});
     return r;
   });
 

@@ -32,8 +32,8 @@
 
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
-#include "net/slow_ring.hpp"
 #include "net/socket.hpp"
+#include "trace/trace.hpp"
 
 namespace mpcbf::net {
 
@@ -146,7 +146,7 @@ struct AdminEndpoints {
   std::function<void(std::string&)> status_extra;
   /// Slow-request ring backing /tracez; optional (borrowed pointer, must
   /// outlive the AdminServer).
-  const SlowRequestRing* slow_ring = nullptr;
+  const trace::SpanRing* slow_ring = nullptr;
 };
 
 /// Registers the standard admin plane on `server`:
@@ -156,10 +156,5 @@ struct AdminEndpoints {
 ///   /statusz  human status page
 ///   /tracez   slow-request spans as Chrome trace JSON
 void register_admin_endpoints(AdminServer& server, AdminEndpoints eps);
-
-/// Renders the slow-request ring as a Chrome trace-event JSON object
-/// (loadable in chrome://tracing / Perfetto); exposed for tests and the
-/// /tracez handler.
-[[nodiscard]] std::string slow_ring_chrome_json(const SlowRequestRing& ring);
 
 }  // namespace mpcbf::net

@@ -374,24 +374,67 @@ void Server::sweep_stalled(Worker& w) {
 }
 
 void Server::serve_frame(Connection& c, const Frame& frame) {
-  MPCBF_TRACE_SPAN(span, kNet, "net.request");
+  const bool traced = trace::Tracer::armed();
   const bool slow_capture = options_.slow_request_threshold.count() >= 0;
-  const std::uint64_t t0 =
-      (metrics::kStatsEnabled || slow_capture) ? metrics::now_ns() : 0;
+  const bool timed = metrics::kStatsEnabled || slow_capture || traced;
+  const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
   served_.fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t trace_id = 0;
+  std::size_t batch_keys = 0;
+  const bool answered = answer_frame(c, frame, trace_id, batch_keys);
+  // Error replies feed only the tracer; untimed servers stop here.
+  if (!timed || (!answered && !traced)) return;
+  const std::uint64_t dur = metrics::now_ns() - t0;
+  const std::uint8_t opcode = frame.header.opcode;
+  if (answered && metrics::kStatsEnabled) {
+    metrics_->duration_ns[opcode - 1]->record(dur);
+  }
+  trace::Span span;
+  span.ts_ns = t0;
+  span.dur_ns = std::max<std::uint64_t>(1, dur);  // 0 encodes an instant
+  span.cat = trace::Category::kNet;
+  span.trace_id = trace_id;
+  span.peer = c.peer;
+  if (traced) {
+    span.name = "net.request";
+    span.arg_name = "opcode";
+    span.arg = opcode;
+    trace::Tracer::global().record(span);
+  }
+  if (answered && slow_capture &&
+      dur >= static_cast<std::uint64_t>(
+                 options_.slow_request_threshold.count()) *
+                 1000) {
+    // The slow ring's reader, /tracez, shows nothing but the span, so
+    // the opcode names it and the one arg carries the batch size.
+    const auto op = static_cast<Opcode>(opcode);
+    span.name = to_string(op);
+    span.arg_name = "batch_keys";
+    span.arg = batch_keys;
+    slow_ring_.record(span);
+    MPCBF_LOG_WARN("server.slow_request", log::str("op", to_string(op)),
+                   log::u64("duration_ns", dur),
+                   log::u64("batch_keys", batch_keys),
+                   log::hex("trace_id", trace_id),
+                   log::str("peer", format_peer(c.peer)));
+  }
+}
+
+bool Server::answer_frame(Connection& c, const Frame& frame,
+                          std::uint64_t& trace_id,
+                          std::size_t& batch_keys) {
   const FrameHeader& h = frame.header;
   if ((h.flags & kFlagResponse) != 0 || !opcode_known(h.opcode)) {
     reply_error(c, frame, ErrorCode::kBadRequest,
                 (h.flags & kFlagResponse) != 0
                     ? "response flag set on a request"
                     : "unknown opcode");
-    return;
+    return false;
   }
   const auto op = static_cast<Opcode>(h.opcode);
-  span.set_arg("opcode", h.opcode);
   // Traced requests carry the client's trace id as the first payload
   // bytes; strip the prefix so every downstream parser sees the plain
-  // payload, and open the request span under the propagated id.
+  // payload, and report the propagated id for the request's span.
   Frame f = frame;
   TracePrefix trace;
   if ((h.flags & kFlagTraced) != 0) {
@@ -399,10 +442,10 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
     if (const char* err = parse_trace_prefix(frame.payload, trace, rest);
         err != nullptr) {
       reply_error(c, frame, ErrorCode::kBadRequest, err);
-      return;
+      return false;
     }
     f.payload = rest;
-    span.set_arg("trace_id", trace.trace_id);
+    trace_id = trace.trace_id;
   }
   // Namespaced routing: strip the NamespacePrefix and resolve the
   // target backend. The resolved shared_ptr pins the namespace for the
@@ -416,30 +459,29 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
     if (const char* err = parse_ns_prefix(f.payload, ns_name, rest);
         err != nullptr) {
       reply_error(c, frame, ErrorCode::kBadRequest, err);
-      return;
+      return false;
     }
     f.payload = rest;
     if (op == Opcode::kNsCreate || op == Opcode::kNsDrop ||
         op == Opcode::kNsList || op == Opcode::kNsTick) {
       reply_error(c, frame, ErrorCode::kBadRequest,
                   "namespace admin opcodes are not namespaced");
-      return;
+      return false;
     }
     if (registry_ == nullptr) {
       reply_error(c, frame, ErrorCode::kUnsupported,
                   "server has no namespace registry");
-      return;
+      return false;
     }
     ns_backend = registry_->resolve(ns_name);
     if (ns_backend == nullptr) {
       reply_error(c, frame, ErrorCode::kUnknownNamespace,
                   "unknown namespace");
-      return;
+      return false;
     }
     be = ns_backend.get();
   }
   c.payload.clear();
-  std::size_t batch_keys = 0;
   try {
     switch (op) {
       case Opcode::kQuery:
@@ -449,18 +491,18 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
           if (op == Opcode::kQuery) {
             reply_error(c, frame, ErrorCode::kBadRequest,
                         "sequenced flag on an idempotent opcode");
-            return;
+            return false;
           }
           // Dedup path: fills c.payload (fresh apply or cached replay);
           // on false an error reply has already been sent.
-          if (!serve_sequenced(c, f, op, *be)) return;
+          if (!serve_sequenced(c, f, op, *be)) return false;
           batch_keys = c.keys.size();
           break;
         }
         if (const char* err = parse_key_batch(f.payload, c.keys);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         const auto& hook = op == Opcode::kQuery ? be->contains_batch
                            : op == Opcode::kInsert ? be->insert_batch
@@ -468,13 +510,13 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!hook) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "opcode not supported by this backend");
-          return;
+          return false;
         }
         if (op == Opcode::kInsert && be->admit) {
           if (const char* err = be->admit(c.keys.size());
               err != nullptr) {
             reply_error(c, frame, ErrorCode::kQuotaExceeded, err);
-            return;
+            return false;
           }
         }
         c.verdicts.assign(c.keys.size(), 0);
@@ -493,7 +535,7 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->stats) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "stats not supported by this backend");
-          return;
+          return false;
         }
         StatsReply s = be->stats();
         s.requests_served = served_.load(std::memory_order_relaxed);
@@ -507,7 +549,7 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->health) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "health not supported by this backend");
-          return;
+          return false;
         }
         HealthReply r = be->health();
         // The backend's readiness veto (a follower still catching up)
@@ -521,7 +563,7 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->snapshot) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "backend has no durable storage");
-          return;
+          return false;
         }
         SnapshotReply r;
         r.last_seq = be->snapshot();
@@ -533,18 +575,18 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->replicate) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "replication requires a durable backend");
-          return;
+          return false;
         }
         ReplicateRequest req;
         if (const char* err = parse_reply_pod(f.payload, req);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         if (const char* err = be->replicate(req, c.payload);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kInternal, err);
-          return;
+          return false;
         }
         metrics_->repl_requests.inc();
         break;
@@ -553,18 +595,18 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->snap_fetch) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "replication requires a durable backend");
-          return;
+          return false;
         }
         SnapFetchRequest req;
         if (const char* err = parse_reply_pod(f.payload, req);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         if (const char* err = be->snap_fetch(req, c.payload);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kInternal, err);
-          return;
+          return false;
         }
         metrics_->repl_requests.inc();
         break;
@@ -573,7 +615,7 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (!be->repl_status) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "replication status requires a durable backend");
-          return;
+          return false;
         }
         append_reply_pod(c.payload, be->repl_status());
         metrics_->repl_requests.inc();
@@ -583,12 +625,12 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (const char* err = parse_key_batch(f.payload, c.keys);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         if (!be->est_count) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "count estimation not supported by this backend");
-          return;
+          return false;
         }
         c.counts.assign(c.keys.size(), 0);
         be->est_count(c.keys, c.counts);
@@ -603,20 +645,20 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (registry_ == nullptr) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "server has no namespace registry");
-          return;
+          return false;
         }
         std::string_view name;
         NsConfigWire cfg;
         if (const char* err = parse_ns_create(f.payload, name, cfg);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         ErrorCode code = ErrorCode::kBadRequest;
         if (const std::string err = registry_->create(name, cfg, code);
             !err.empty()) {
           reply_error(c, frame, code, err);
-          return;
+          return false;
         }
         metrics_->admin_requests.inc();
         break;  // success reply has an empty payload
@@ -625,19 +667,19 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (registry_ == nullptr) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "server has no namespace registry");
-          return;
+          return false;
         }
         std::string_view name;
         if (const char* err = parse_ns_drop(f.payload, name);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         ErrorCode code = ErrorCode::kBadRequest;
         if (const std::string err = registry_->drop(name, code);
             !err.empty()) {
           reply_error(c, frame, code, err);
-          return;
+          return false;
         }
         metrics_->admin_requests.inc();
         break;
@@ -646,12 +688,12 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (registry_ == nullptr) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "server has no namespace registry");
-          return;
+          return false;
         }
         if (!f.payload.empty()) {
           reply_error(c, frame, ErrorCode::kBadRequest,
                       "nslist: trailing bytes");
-          return;
+          return false;
         }
         append_ns_list_reply(c.payload, registry_->list());
         metrics_->admin_requests.inc();
@@ -661,20 +703,20 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
         if (registry_ == nullptr) {
           reply_error(c, frame, ErrorCode::kUnsupported,
                       "server has no namespace registry");
-          return;
+          return false;
         }
         std::string_view name;
         if (const char* err = parse_ns_drop(f.payload, name);
             err != nullptr) {
           reply_error(c, frame, ErrorCode::kBadRequest, err);
-          return;
+          return false;
         }
         NsTickReply r;
         ErrorCode code = ErrorCode::kBadRequest;
         if (const std::string err = registry_->tick(name, r.ticks, code);
             !err.empty()) {
           reply_error(c, frame, code, err);
-          return;
+          return false;
         }
         append_reply_pod(c.payload, r);
         metrics_->admin_requests.inc();
@@ -688,33 +730,10 @@ void Server::serve_frame(Connection& c, const Frame& frame) {
                     log::hex("trace_id", trace.trace_id),
                     log::str("peer", format_peer(c.peer)));
     reply_error(c, frame, ErrorCode::kInternal, e.what());
-    return;
+    return false;
   }
   append_frame(c.wbuf, op, kFlagResponse, h.request_id, c.payload);
-  const std::uint64_t dur =
-      (metrics::kStatsEnabled || slow_capture) ? metrics::now_ns() - t0
-                                               : 0;
-  if (metrics::kStatsEnabled) {
-    metrics_->duration_ns[h.opcode - 1]->record(dur);
-  }
-  if (slow_capture &&
-      dur >= static_cast<std::uint64_t>(
-                 options_.slow_request_threshold.count()) *
-                 1000) {
-    SlowRequest r;
-    r.start_ns = t0;
-    r.duration_ns = dur;
-    r.trace_id = trace.trace_id;
-    r.peer = c.peer;
-    r.batch_keys = static_cast<std::uint32_t>(batch_keys);
-    r.opcode = h.opcode;
-    slow_ring_.record(r);
-    MPCBF_LOG_WARN("server.slow_request", log::str("op", to_string(op)),
-                   log::u64("duration_ns", dur),
-                   log::u64("batch_keys", r.batch_keys),
-                   log::hex("trace_id", trace.trace_id),
-                   log::str("peer", format_peer(c.peer)));
-  }
+  return true;
 }
 
 bool Server::serve_sequenced(Connection& c, const Frame& frame,

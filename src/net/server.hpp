@@ -44,8 +44,8 @@
 #include "metrics/registry.hpp"
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
-#include "net/slow_ring.hpp"
 #include "net/socket.hpp"
+#include "trace/trace.hpp"
 
 namespace mpcbf::net {
 
@@ -458,7 +458,7 @@ class Server {
 
   /// The slow-request ring /tracez renders. Populated only when
   /// Options::slow_request_threshold is >= 0.
-  [[nodiscard]] const SlowRequestRing& slow_ring() const noexcept {
+  [[nodiscard]] const trace::SpanRing& slow_ring() const noexcept {
     return slow_ring_;
   }
 
@@ -479,7 +479,15 @@ class Server {
   /// Decodes and serves every complete frame in the read buffer.
   /// Returns false when the connection must be closed.
   bool drain_frames(Connection& c);
+  /// Serves one frame and accounts for it: one t0/now_ns pair feeds
+  /// the duration histogram, the armed tracer's net.request span and
+  /// the slow-request ring.
   void serve_frame(Connection& c, const Frame& frame);
+  /// Appends the frame's reply, or an error reply. Returns true when the
+  /// request was answered without error; reports the propagated trace
+  /// id and the batch size on the way.
+  bool answer_frame(Connection& c, const Frame& frame,
+                    std::uint64_t& trace_id, std::size_t& batch_keys);
   /// Sequenced-mutation path: dedups on (session_id, op_seq), replaying
   /// the cached reply for retries. Returns true when it fully handled
   /// the frame (reply already appended). `be` is the route target — the
@@ -509,7 +517,7 @@ class Server {
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   ServerMetrics* metrics_ = nullptr;  // registry-owned, process lifetime
-  SlowRequestRing slow_ring_;
+  trace::SpanRing slow_ring_;
 
   // Sequenced-mutation dedup: one entry per client session, holding the
   // last (op_seq, reply) so a failover retry replays instead of

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 
 namespace mpcbf::net {
@@ -71,6 +72,20 @@ std::uint64_t peer_id(int fd) noexcept {
   }
   return (static_cast<std::uint64_t>(ntohl(addr.sin_addr.s_addr)) << 16) |
          ntohs(addr.sin_port);
+}
+
+std::string format_peer(std::uint64_t peer) {
+  if (peer == 0) return "-";
+  const auto ip = static_cast<std::uint32_t>(peer >> 16);
+  std::string out;
+  char buf[8];
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                  (ip >> shift) & 0xFF).ptr);
+    out.push_back(shift != 0 ? '.' : ':');
+  }
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, peer & 0xFFFF).ptr);
+  return out;
 }
 
 std::uint16_t local_port(int fd) {

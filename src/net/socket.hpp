@@ -56,9 +56,11 @@ class Socket {
 [[nodiscard]] std::uint16_t local_port(int fd);
 
 /// The connected peer as a packed IPv4 id (`ip << 16 | port`), the
-/// compact form the slow-request ring stores; 0 when unavailable.
-/// Render with format_peer (net/slow_ring.hpp).
+/// compact form a trace::Span stores; 0 when unavailable.
 [[nodiscard]] std::uint64_t peer_id(int fd) noexcept;
+
+/// Renders a packed peer id as "a.b.c.d:port"; "-" for 0 (unknown).
+[[nodiscard]] std::string format_peer(std::uint64_t peer);
 
 /// One blocking connect attempt with send/receive timeouts applied to
 /// the resulting socket. Throws NetError on failure.

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,8 +28,8 @@
 #include "net/http.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
-#include "net/slow_ring.hpp"
 #include "net/socket.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -198,14 +199,16 @@ TEST(AdminServer, EndpointsAgainstFakes) {
   AdminServer srv({});
   std::atomic<int> severity{0};
   std::atomic<bool> ready{true};
-  SlowRequestRing ring;
-  SlowRequest sr;
-  sr.start_ns = 1000;
-  sr.duration_ns = 2500;
+  trace::SpanRing ring;
+  trace::Span sr;
+  sr.ts_ns = 1000;
+  sr.dur_ns = 2500;
+  sr.name = to_string(Opcode::kInsert);
+  sr.cat = trace::Category::kNet;
+  sr.arg_name = "batch_keys";
+  sr.arg = 7;
   sr.trace_id = 0xabcdef0123456789ull;
   sr.peer = (0x7F000001ull << 16) | 4242;
-  sr.batch_keys = 7;
-  sr.opcode = static_cast<std::uint8_t>(Opcode::kInsert);
   ring.record(sr);
 
   AdminEndpoints eps;
@@ -249,6 +252,7 @@ TEST(AdminServer, EndpointsAgainstFakes) {
             std::string::npos);
   EXPECT_NE(tracez.find("\"name\":\"insert\""), std::string::npos);
   EXPECT_NE(tracez.find("127.0.0.1:4242"), std::string::npos);
+  EXPECT_NE(tracez.find("\"batch_keys\":7"), std::string::npos);
 
   const auto metrics_resp = http_get(port, "/metrics");
   EXPECT_EQ(status_of(metrics_resp), 200);
@@ -262,22 +266,25 @@ TEST(AdminServer, EndpointsAgainstFakes) {
 }
 
 TEST(SlowRing, SeqlockSnapshotOrderedAndBounded) {
-  SlowRequestRing ring;
-  for (std::uint64_t i = 0; i < SlowRequestRing::kCapacity + 50; ++i) {
-    SlowRequest r;
-    r.duration_ns = i;
+  using trace::SpanRing;
+  SpanRing ring;
+  for (std::uint64_t i = 0; i < SpanRing::kCapacity + 50; ++i) {
+    trace::Span r;
+    r.dur_ns = i;  // the capture order, so the snapshot's order shows
     r.trace_id = i + 1;
-    r.opcode = static_cast<std::uint8_t>(Opcode::kQuery);
+    r.name = to_string(Opcode::kQuery);
     ring.record(r);
   }
   const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), SlowRequestRing::kCapacity);
-  // Oldest entries were overwritten; the snapshot is seq-ordered.
+  ASSERT_EQ(snap.size(), SpanRing::kCapacity);
+  // Oldest entries were overwritten; the snapshot is in capture order.
   for (std::size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].seq, snap[i].seq);
+    EXPECT_EQ(snap[i - 1].dur_ns + 1, snap[i].dur_ns);
+    EXPECT_EQ(snap[i].trace_id, snap[i].dur_ns + 1);
   }
-  EXPECT_EQ(snap.back().duration_ns, SlowRequestRing::kCapacity + 49);
-  EXPECT_EQ(ring.recorded(), SlowRequestRing::kCapacity + 50);
+  EXPECT_EQ(snap.front().dur_ns, 50u);
+  EXPECT_EQ(snap.back().dur_ns, SpanRing::kCapacity + 49);
+  EXPECT_EQ(ring.recorded(), SpanRing::kCapacity + 50);
 }
 
 TEST(SlowRing, FormatPeer) {
@@ -287,7 +294,8 @@ TEST(SlowRing, FormatPeer) {
 
 // The acceptance-locking e2e: a trace id stamped by a FailoverClient
 // shows up, rendered identically, in (1) the server's slow-request log
-// line, (2) the slow ring, (3) the /tracez JSON.
+// line, (2) the slow ring, (3) the /tracez JSON, (4) an armed tracer's
+// Chrome capture.
 TEST(AdminE2E, FailoverClientTraceIdReachesLogRingAndTracez) {
   auto filter = std::make_shared<core::Mpcbf<64>>(small_config());
   Server::Options sopts;
@@ -316,7 +324,11 @@ TEST(AdminE2E, FailoverClientTraceIdReachesLogRingAndTracez) {
   copts.endpoints = {{"127.0.0.1", server.port()}};
   FailoverClient client(copts);
   const std::vector<std::string> keys = {"alpha", "beta", "gamma"};
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.arm();
   client.insert(keys);
+  tracer.disarm();
   const std::uint64_t tid = client.last_trace_id();
   ASSERT_NE(tid, 0u);
   const std::string hex = log::format_hex16(tid);
@@ -338,19 +350,62 @@ TEST(AdminE2E, FailoverClientTraceIdReachesLogRingAndTracez) {
   for (const auto& r : server.slow_ring().snapshot()) {
     if (r.trace_id == tid) {
       in_ring = true;
-      EXPECT_EQ(r.opcode, static_cast<std::uint8_t>(Opcode::kInsert));
-      EXPECT_EQ(r.batch_keys, keys.size());
+      EXPECT_STREQ(r.name, to_string(Opcode::kInsert));
+      ASSERT_NE(r.arg_name, nullptr);
+      EXPECT_STREQ(r.arg_name, "batch_keys");
+      EXPECT_EQ(r.arg, keys.size());
     }
   }
   EXPECT_TRUE(in_ring);
 
   const auto tracez = body_of(http_get(admin.port(), "/tracez"));
-  EXPECT_NE(tracez.find(hex), std::string::npos)
+  EXPECT_NE(tracez.find("\"trace_id\":\"" + hex + "\""), std::string::npos)
       << "trace id " << hex << " missing from /tracez";
+
+  // The tracer renders the id as the same hex string, never as a JSON
+  // number a viewer would round to a double.
+  std::ostringstream capture;
+  tracer.write_chrome_json(capture);
+  tracer.clear();
+  EXPECT_NE(capture.str().find("\"trace_id\":\"" + hex + "\""),
+            std::string::npos)
+      << "trace id " << hex << " missing from the tracer capture";
 
   logger.set_sink(nullptr);
   logger.set_level(old_level);
   admin.stop();
+  server.stop();
+}
+
+// A traced request's net.request span keeps both its opcode arg and
+// the client's trace id.
+TEST(AdminE2E, TracedRequestSpanKeepsOpcodeAndTraceId) {
+  auto filter = std::make_shared<core::Mpcbf<64>>(small_config());
+  Server server(make_backend(filter), {});
+  server.start();
+  Client::Options copts;
+  copts.port = server.port();
+  Client c(copts);
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.arm();
+  const std::vector<std::string> keys = {"traced"};
+  c.insert(keys);
+  tracer.disarm();
+  const std::uint64_t tid = c.last_trace_id();
+  ASSERT_NE(tid, 0u);
+  int requests = 0;
+  for (const trace::Span& s : tracer.drain()) {
+    if (std::string_view(s.name) != "net.request") continue;
+    ++requests;
+    ASSERT_NE(s.arg_name, nullptr);
+    EXPECT_STREQ(s.arg_name, "opcode");
+    EXPECT_EQ(s.arg, static_cast<std::uint64_t>(Opcode::kInsert));
+    EXPECT_EQ(s.trace_id, tid);
+    EXPECT_NE(s.peer, 0u);
+  }
+  EXPECT_EQ(requests, 1);
+  tracer.clear();
   server.stop();
 }
 

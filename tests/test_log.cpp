@@ -9,6 +9,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -69,6 +70,62 @@ TEST(Log, FormatHex16) {
   EXPECT_EQ(log::format_hex16(0), "0000000000000000");
   EXPECT_EQ(log::format_hex16(0xdeadbeefull), "00000000deadbeef");
   EXPECT_EQ(log::format_hex16(0xABCDEF0123456789ull), "abcdef0123456789");
+}
+
+/// Decodes `text` as one complete JSON string literal (RFC 8259): false
+/// on a missing quote, a raw control byte or an unknown escape.
+bool decode_json_string(std::string_view text, std::string& out) {
+  if (text.size() < 2 || text.front() != '"' || text.back() != '"') {
+    return false;
+  }
+  out.clear();
+  for (std::size_t i = 1; i + 1 < text.size(); ++i) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) < 0x20) return false;
+    if (c == '"') return false;  // unescaped quote ends the string early
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (++i + 1 >= text.size()) return false;
+    switch (text[i]) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        if (i + 4 >= text.size() - 1) return false;  // before the quote
+        const std::string hex(text.substr(i + 1, 4));
+        if (hex.find_first_not_of("0123456789abcdefABCDEF") !=
+            std::string::npos) {
+          return false;
+        }
+        const unsigned long cp = std::stoul(hex, nullptr, 16);
+        if (cp >= 0x80) return false;  // the escaper only emits < 0x20
+        out.push_back(static_cast<char>(cp));
+        i += 4;
+        break;
+      }
+      default: return false;
+    }
+  }
+  return true;
+}
+
+TEST(Log, AppendJsonStringEscapesEveryControlByte) {
+  const std::string raw = "q\"b\\n\nr\rt\tc\x01" "end";
+  std::string out = "prefix:";
+  log::append_json_string(out, raw);
+  ASSERT_EQ(out.rfind("prefix:", 0), 0u);
+  const std::string_view literal = std::string_view(out).substr(7);
+  std::string decoded;
+  ASSERT_TRUE(decode_json_string(literal, decoded)) << literal;
+  EXPECT_EQ(decoded, raw);
+  EXPECT_EQ(literal, "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001end\"");
 }
 
 #ifndef MPCBF_DISABLE_LOGGING

@@ -1,10 +1,7 @@
 // Tracer semantics: armed gating, ring overflow accounting (drops are
 // counted, never silent), drain/clear lifecycle, Chrome trace-event JSON
-// well-formedness under concurrent writers, and span nesting.
-//
-// Built a second time as `test_trace_disabled` with MPCBF_DISABLE_TRACING
-// to prove the instrumented tree still compiles and behaves with every
-// macro expanded to a no-op (the *_DisabledBuild tests cover that TU).
+// well-formedness under concurrent writers, and span nesting; plus the
+// one encoder's rendering of a span's trace id, peer and args.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -20,8 +17,7 @@
 namespace {
 
 using mpcbf::trace::Category;
-using mpcbf::trace::CollectedEvent;
-using mpcbf::trace::Event;
+using mpcbf::trace::Span;
 using mpcbf::trace::Tracer;
 
 /// Minimal recursive-descent JSON syntax checker — enough to prove the
@@ -144,8 +140,6 @@ struct TracerSession {
   }
 };
 
-#ifndef MPCBF_DISABLE_TRACING
-
 TEST(Trace, DisarmedSpansRecordNothing) {
   Tracer::global().disarm();
   Tracer::global().clear();
@@ -169,14 +163,15 @@ TEST(Trace, ArmedSpansRecordWithArgsAndDuration) {
   mpcbf::trace::instant(Category::kTool, "unit.instant", "n", 7);
   const auto& events = Tracer::global().drain();
   ASSERT_EQ(events.size(), 2u);
-  const Event& span = events[0].event;
+  const Span& span = events[0];
   EXPECT_STREQ(span.name, "unit.span");
   EXPECT_EQ(span.cat, Category::kIo);
   EXPECT_GE(span.dur_ns, 1u);  // sub-clock spans are clamped, not instants
+  EXPECT_NE(span.tid, 0u);     // stamped with its thread ring at drain
   ASSERT_NE(span.arg_name, nullptr);
   EXPECT_STREQ(span.arg_name, "depth");
   EXPECT_EQ(span.arg, 3u);
-  const Event& inst = events[1].event;
+  const Span& inst = events[1];
   EXPECT_STREQ(inst.name, "unit.instant");
   EXPECT_EQ(inst.dur_ns, 0u);
   EXPECT_EQ(inst.arg, 7u);
@@ -225,8 +220,8 @@ TEST(Trace, NestedSpansAreContained) {
   const auto& events = Tracer::global().drain();
   ASSERT_EQ(events.size(), 2u);
   // Destructor order: inner emits first.
-  const Event& inner = events[0].event;
-  const Event& outer = events[1].event;
+  const Span& inner = events[0];
+  const Span& outer = events[1];
   EXPECT_STREQ(inner.name, "inner");
   EXPECT_STREQ(outer.name, "outer");
   EXPECT_GE(inner.ts_ns, outer.ts_ns);
@@ -301,7 +296,7 @@ TEST(Trace, InstrumentedFilterEmitsCoreSpans) {
   bool saw_insert = false;
   bool saw_query = false;
   bool saw_level_walk = false;
-  for (const auto& [e, tid] : events) {
+  for (const Span& e : events) {
     const std::string name = e.name;
     saw_insert |= name == "mpcbf.insert";
     saw_query |= name == "mpcbf.query";
@@ -312,36 +307,38 @@ TEST(Trace, InstrumentedFilterEmitsCoreSpans) {
   EXPECT_TRUE(saw_level_walk);
 }
 
-#else  // MPCBF_DISABLE_TRACING
-
-TEST(TraceDisabledBuild, MacrosAreInert) {
-  // The span macro yields a NullSpan: never live, args accepted and
-  // ignored, no tracer interaction.
-  MPCBF_TRACE_SPAN(span, kCore, "noop");
-  span.set_arg("x", 42);
-  EXPECT_FALSE(span.live());
-  MPCBF_TRACE_INSTANT(kCore, "noop_instant");
+TEST(Trace, ChromeJsonRendersTraceIdAndPeerOnlyWhenSet) {
+  Span full;
+  full.ts_ns = 5000;
+  full.dur_ns = 2500;
+  full.name = "insert";
+  full.cat = Category::kNet;
+  full.arg_name = "batch_keys";
+  full.arg = 7;
+  full.trace_id = 0xfedcba9876543210ull;  // above 2^53: must stay exact
+  full.peer = (0x0A000001ull << 16) | 80;
+  full.tid = 3;
+  Span bare;
+  bare.ts_ns = 6000;
+  bare.dur_ns = 1;
+  bare.name = "bare";
+  const std::vector<Span> spans = {full, bare};
+  std::string json;
+  mpcbf::trace::append_chrome_json(json, spans);
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"name\":\"insert\",\"cat\":\"net\",\"ph\":\"X\","
+                      "\"dur\":2.500,\"pid\":1,\"tid\":3,\"ts\":0.000,"
+                      "\"args\":{\"batch_keys\":7,"
+                      "\"trace_id\":\"fedcba9876543210\","
+                      "\"peer\":\"10.0.0.1:80\"}}"),
+            std::string::npos)
+      << json;
+  // A span without an arg, id or peer carries no args object at all.
+  EXPECT_NE(json.find("\"name\":\"bare\",\"cat\":\"core\",\"ph\":\"X\","
+                      "\"dur\":0.001,\"pid\":1,\"tid\":0,\"ts\":1.000}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("trace.dropped_events"), std::string::npos);
 }
-
-TEST(TraceDisabledBuild, InstrumentedFilterStillWorks) {
-  // The instrumented headers must compile to working filters with every
-  // trace site expanded to nothing.
-  mpcbf::core::MpcbfConfig cfg;
-  cfg.memory_bits = 1 << 16;
-  cfg.k = 3;
-  cfg.g = 2;
-  cfg.expected_n = 500;
-  cfg.policy = mpcbf::core::OverflowPolicy::kStash;
-  mpcbf::core::Mpcbf<64> filter(cfg);
-  for (int i = 0; i < 200; ++i) {
-    filter.insert("key" + std::to_string(i));
-  }
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(filter.contains("key" + std::to_string(i)));
-  }
-  EXPECT_TRUE(filter.erase("key0"));
-}
-
-#endif  // MPCBF_DISABLE_TRACING
 
 }  // namespace
