@@ -15,10 +15,8 @@
 #include <string_view>
 #include <vector>
 
-#include "core/atomic_mpcbf.hpp"
 #include "core/hcbf.hpp"
 #include "core/mpcbf.hpp"
-#include "core/sharded_mpcbf.hpp"
 #include "filters/blocked_bloom.hpp"
 #include "filters/bloom.hpp"
 #include "filters/counting_bloom.hpp"
@@ -158,14 +156,10 @@ BENCHMARK(BM_DLCBF_InsertErase);
 BENCHMARK(BM_VICBF_QueryPositive);
 BENCHMARK(BM_VICBF_InsertErase);
 
-// --- batch pipeline vs scalar loop --------------------------------------
+// --- batch calls -----------------------------------------------------------
 //
-// The batch benches use a filter much larger than the last-level cache so
-// every word access is a real memory round-trip — the regime the engine's
-// derive → gather → resolve pipeline targets. One benchmark iteration
-// processes kBatchLen keys, so values here are ns per *batch*, directly
-// comparable between the Scalar and Batch variants of the same filter.
-constexpr std::size_t kBatchMemory = 1u << 28;  // 256 Mb = 32 MiB of words
+// The batch benches process kBatchLen keys per benchmark iteration, so
+// values here are ns per *batch*.
 constexpr std::size_t kBatchN = 200000;
 constexpr std::size_t kBatchLen = 4096;
 
@@ -190,76 +184,6 @@ const std::vector<std::string>& batch_mixed() {
   return v;
 }
 
-std::unique_ptr<core::AtomicMpcbf> make_atomic_filled() {
-  auto f = std::make_unique<core::AtomicMpcbf>(kBatchMemory, 3, 2, kBatchN);
-  for (const auto& key : batch_members()) (void)f->insert(key);
-  return f;
-}
-
-std::unique_ptr<core::ShardedMpcbf<64>> make_sharded_filled() {
-  core::MpcbfConfig cfg;
-  cfg.memory_bits = kBatchMemory;
-  cfg.k = 3;
-  cfg.g = 2;
-  cfg.expected_n = kBatchN;
-  auto f = std::make_unique<core::ShardedMpcbf<64>>(cfg, 16);
-  for (const auto& key : batch_members()) (void)f->insert(key);
-  return f;
-}
-
-template <typename Filter>
-void query_scalar_loop(benchmark::State& state, Filter& f) {
-  const auto& keys = batch_mixed();
-  std::size_t base = 0;
-  std::vector<std::uint8_t> out(kBatchLen);
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kBatchLen; ++i) {
-      out[i] = f.contains(keys[base + i]) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(out.data());
-    base = (base + kBatchLen) % (keys.size() - kBatchLen);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBatchLen));
-}
-
-template <typename Filter>
-void query_batch(benchmark::State& state, Filter& f) {
-  const auto& keys = batch_mixed();
-  std::size_t base = 0;
-  std::vector<std::uint8_t> out(kBatchLen);
-  for (auto _ : state) {
-    f.contains_batch(std::span<const std::string>(&keys[base], kBatchLen),
-                     std::span<std::uint8_t>(out));
-    benchmark::DoNotOptimize(out.data());
-    base = (base + kBatchLen) % (keys.size() - kBatchLen);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kBatchLen));
-}
-
-void BM_ATOMIC_QueryScalarLoop4k(benchmark::State& state) {
-  static const auto f = make_atomic_filled();
-  query_scalar_loop(state, *f);
-}
-void BM_ATOMIC_QueryBatch4k(benchmark::State& state) {
-  static const auto f = make_atomic_filled();
-  query_batch(state, *f);
-}
-void BM_SHARDED_QueryScalarLoop4k(benchmark::State& state) {
-  static const auto f = make_sharded_filled();
-  query_scalar_loop(state, *f);
-}
-void BM_SHARDED_QueryBatch4k(benchmark::State& state) {
-  static const auto f = make_sharded_filled();
-  query_batch(state, *f);
-}
-
-BENCHMARK(BM_ATOMIC_QueryScalarLoop4k);
-BENCHMARK(BM_ATOMIC_QueryBatch4k);
-BENCHMARK(BM_SHARDED_QueryScalarLoop4k);
-BENCHMARK(BM_SHARDED_QueryBatch4k);
-
 // --- DRAM-resident MPCBF-1 batch calls ------------------------------------
 //
 // A 512 MiB Mpcbf<64> (k=3, g=1), several times any last-level cache, so
@@ -267,7 +191,7 @@ BENCHMARK(BM_SHARDED_QueryBatch4k);
 // kBatchLen keys the filter has not seen in this process (timing paused),
 // then times one batch call on them — cold words, as in a serving
 // workload, rather than a cycled key set a large L3 could learn. Values
-// are ns per batch, like the series above.
+// are ns per batch.
 constexpr std::size_t kDramMemory = std::size_t{1} << 32;  // 512 MiB
 constexpr std::uint64_t kDramPreload = std::uint64_t{1} << 22;
 

@@ -1,186 +1,61 @@
-// Concurrency and batching scaling — the deployment questions the paper's
-// hardware discussion raises, answered for the software implementations:
+// Batching scaling — the deployment question the paper's hardware
+// discussion raises, answered for the software filter: scalar
+// contains() (a batch of one) vs contains_batch() (gather-pipelined) on
+// a filter large enough that queries miss cache.
 //
-//  1. AtomicMpcbf (lock-free CAS) vs ShardedMpcbf (striped locks) vs a
-//     globally locked Mpcbf, across thread counts, on a mixed
-//     insert/query/erase workload;
-//  2. scalar contains() vs contains_batch() (gather-pipelined) on large
-//     filters where queries miss cache.
-//
-// Usage: bench_scaling [--ops 200000] [--threads-max 8] [--seed 11]
-#include <mutex>
-#include <thread>
-
+// Usage: bench_scaling [--n 200000] [--seed 11] [--csv out.csv]
 #include "bench_common.hpp"
-#include "core/atomic_mpcbf.hpp"
-#include "core/sharded_mpcbf.hpp"
-
-namespace {
-
-using namespace mpcbf;
-
-struct MixedWorkload {
-  std::vector<std::string> keys;
-};
-
-/// Runs `ops` mixed operations (50% query / 30% insert / 20% erase of
-/// inserted keys) across `threads` threads; returns Mops/s.
-template <typename InsertFn, typename QueryFn, typename EraseFn>
-double run_mixed(const MixedWorkload& w, unsigned threads, std::size_t ops,
-                 InsertFn ins, QueryFn qry, EraseFn ers) {
-  util::Stopwatch watch;
-  std::vector<std::thread> pool;
-  const std::size_t per_thread = ops / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      util::Xoshiro256 rng(t * 7919 + 13);
-      std::vector<const std::string*> owned;
-      owned.reserve(per_thread / 3 + 1);
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        const auto& key = w.keys[rng.bounded(w.keys.size())];
-        const auto op = rng.bounded(10);
-        if (op < 5) {
-          (void)qry(key);
-        } else if (op < 8) {
-          if (ins(key)) owned.push_back(&key);
-        } else if (!owned.empty()) {
-          (void)ers(*owned.back());
-          owned.pop_back();
-        }
-      }
-      // Drain to keep the filter bounded across configurations.
-      for (const auto* key : owned) {
-        (void)ers(*key);
-      }
-    });
-  }
-  for (auto& th : pool) th.join();
-  return static_cast<double>(ops) / watch.elapsed_seconds() / 1e6;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace mpcbf;
   util::CliArgs args(argc, argv);
-  const std::size_t ops = args.get_uint("ops", 200000);
-  const unsigned threads_max =
-      static_cast<unsigned>(args.get_uint("threads-max", 8));
+  const std::size_t n = args.get_uint("n", 200000);
   const std::uint64_t seed = args.get_uint("seed", 11);
   const std::string csv = args.get_string("csv", "");
-  args.reject_unknown({"ops", "threads-max", "seed", "csv"});
+  args.reject_unknown({"n", "seed", "csv"});
   mpcbf::bench::JsonReport report("scaling");
-  report.config("ops", ops);
-  report.config("threads_max", threads_max);
+  report.config("n", n);
   report.config("seed", seed);
 
-  std::cout << "=== Concurrency scaling (mixed 50q/30i/20e workload) ===\n";
-  std::cout << "ops=" << ops << " hardware threads="
-            << std::thread::hardware_concurrency() << " seed=" << seed
-            << "\n\n";
+  std::cout << "=== Batched vs scalar queries (gather pipelining) ===\n"
+            << "n=" << n << " seed=" << seed << "\n\n";
+  const auto keys = workload::generate_unique_strings(n, 6, seed + 1);
+  core::MpcbfConfig cfg;
+  cfg.memory_bits = 1ull << 26;  // 64 Mb: misses cache
+  cfg.k = 3;
+  cfg.g = 1;
+  cfg.expected_n = n;
+  cfg.seed = seed;
+  cfg.policy = core::OverflowPolicy::kStash;
+  core::Mpcbf<64> f(cfg);
+  for (const auto& k : keys) f.insert(k);
 
-  MixedWorkload w;
-  w.keys = workload::generate_unique_strings(20000, 6, seed);
-
-  util::Table table({"threads", "Atomic (Mops/s)", "Sharded16 (Mops/s)",
-                     "GlobalLock (Mops/s)"});
-
-  for (unsigned threads = 1; threads <= threads_max; threads *= 2) {
-    table.row().add(threads);
-    {
-      core::AtomicMpcbf f(1 << 21, 3, 1, w.keys.size(), seed, 16);
-      table.addf(run_mixed(
-                     w, threads, ops,
-                     [&](const std::string& k) { return f.insert(k); },
-                     [&](const std::string& k) { return f.contains(k); },
-                     [&](const std::string& k) { return f.erase(k); }),
-                 2);
-    }
-    {
-      core::MpcbfConfig cfg;
-      cfg.memory_bits = 1 << 21;
-      cfg.k = 3;
-      cfg.g = 1;
-      cfg.expected_n = w.keys.size();
-      cfg.n_max = 16;
-      cfg.seed = seed;
-      core::ShardedMpcbf<64> f(cfg, 16);
-      table.addf(run_mixed(
-                     w, threads, ops,
-                     [&](const std::string& k) { return f.insert(k); },
-                     [&](const std::string& k) { return f.contains(k); },
-                     [&](const std::string& k) { return f.erase(k); }),
-                 2);
-    }
-    {
-      core::MpcbfConfig cfg;
-      cfg.memory_bits = 1 << 21;
-      cfg.k = 3;
-      cfg.g = 1;
-      cfg.expected_n = w.keys.size();
-      cfg.n_max = 16;
-      cfg.seed = seed;
-      core::Mpcbf<64> f(cfg);
-      std::mutex mutex;
-      table.addf(
-          run_mixed(
-              w, threads, ops,
-              [&](const std::string& k) {
-                std::lock_guard<std::mutex> lock(mutex);
-                return f.insert(k);
-              },
-              [&](const std::string& k) {
-                std::lock_guard<std::mutex> lock(mutex);
-                return f.contains(k);
-              },
-              [&](const std::string& k) {
-                std::lock_guard<std::mutex> lock(mutex);
-                return f.erase(k);
-              }),
-          2);
-    }
+  double scalar_best = 1e300;
+  double batch_best = 1e300;
+  std::uint64_t sink = 0;
+  std::vector<std::uint8_t> out(keys.size());
+  for (int rep = 0; rep < 3; ++rep) {
+    util::Stopwatch w1;
+    for (const auto& k : keys) sink += f.contains(k);
+    scalar_best = std::min(scalar_best, w1.elapsed_seconds());
+    util::Stopwatch w2;
+    f.contains_batch(keys, out);
+    batch_best = std::min(batch_best, w2.elapsed_seconds());
   }
+  for (const auto b : out) sink += b;
+
+  const double scalar_mqps =
+      static_cast<double>(keys.size()) / scalar_best / 1e6;
+  const double batch_mqps = static_cast<double>(keys.size()) / batch_best / 1e6;
+  util::Table table({"path", "Mq/s"});
+  table.row().add("scalar contains()").addf(scalar_mqps, 2);
+  table.row().add("contains_batch()").addf(batch_mqps, 2);
   table.emit(csv);
-  report.add_table("throughput", table);
+  std::cout << "[sink=" << sink << "]\n";
+  report.add_table("queries", table);
   report.write();
 
-  // --- batched vs scalar queries -------------------------------------------
-  std::cout << "\n=== Batched vs scalar queries (gather pipelining) ===\n";
-  {
-    const std::size_t big_n = 200000;
-    const auto keys = workload::generate_unique_strings(big_n, 6, seed + 1);
-    core::MpcbfConfig cfg;
-    cfg.memory_bits = 1ull << 26;  // 64 Mb: misses cache
-    cfg.k = 3;
-    cfg.g = 1;
-    cfg.expected_n = big_n;
-    cfg.seed = seed;
-    cfg.policy = core::OverflowPolicy::kStash;
-    core::Mpcbf<64> f(cfg);
-    for (const auto& k : keys) f.insert(k);
-
-    double scalar_best = 1e300;
-    double batch_best = 1e300;
-    std::uint64_t sink = 0;
-    std::vector<std::uint8_t> out(keys.size());
-    for (int rep = 0; rep < 3; ++rep) {
-      util::Stopwatch w1;
-      for (const auto& k : keys) sink += f.contains(k);
-      scalar_best = std::min(scalar_best, w1.elapsed_seconds());
-      util::Stopwatch w2;
-      f.contains_batch(keys, out);
-      batch_best = std::min(batch_best, w2.elapsed_seconds());
-    }
-    for (const auto b : out) sink += b;
-    std::cout << "scalar contains(): "
-              << static_cast<double>(keys.size()) / scalar_best / 1e6
-              << " Mq/s\nbatched contains_batch(): "
-              << static_cast<double>(keys.size()) / batch_best / 1e6
-              << " Mq/s  [sink=" << sink << "]\n";
-  }
-
-  std::cout << "\nExpected shape: Atomic and Sharded scale with threads "
-               "while GlobalLock flattens\n(on multi-core hosts; a 1-core "
-               "host shows parity); batching wins once the\nfilter "
-               "outgrows cache.\n";
+  std::cout << "\nExpected shape: batching wins once the filter outgrows "
+               "cache.\n";
   return 0;
 }

@@ -535,6 +535,17 @@ int cmd_trace(const mpcbf::util::CliArgs& args) {
   auto& tracer = mpcbf::trace::Tracer::global();
   tracer.clear();
   tracer.arm();
+  // Runs `op` on every key, moving the thread ring's spans to the
+  // tracer's backlog every kDrainEvery keys: the ring holds 16384
+  // spans, a few thousand keys' worth, so a replay that drained only at
+  // the end would drop the rest.
+  constexpr std::size_t kDrainEvery = 1024;
+  const auto replay = [&](auto&& op) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      op(keys[i]);
+      if ((i + 1) % kDrainEvery == 0) (void)tracer.drain();
+    }
+  };
   std::size_t hits = 0;
   if (!dir.empty()) {
     auto durable = [&] {
@@ -544,8 +555,10 @@ int cmd_trace(const mpcbf::util::CliArgs& args) {
         return mpcbf::core::DurableMpcbf<64>(dir, durable_config(args));
       }
     }();
-    for (const auto& key : keys) durable.insert(key);
-    for (const auto& key : keys) hits += durable.contains(key) ? 1 : 0;
+    replay([&](const std::string& key) { durable.insert(key); });
+    replay([&](const std::string& key) {
+      hits += durable.contains(key) ? 1 : 0;
+    });
     durable.snapshot();
   } else {
     const std::string path = args.get_string("filter", "");
@@ -563,8 +576,10 @@ int cmd_trace(const mpcbf::util::CliArgs& args) {
       cfg.policy = mpcbf::core::OverflowPolicy::kStash;
       return mpcbf::core::Mpcbf<64>(cfg);
     }();
-    for (const auto& key : keys) filter.insert(key);
-    for (const auto& key : keys) hits += filter.contains(key) ? 1 : 0;
+    replay([&](const std::string& key) { filter.insert(key); });
+    replay([&](const std::string& key) {
+      hits += filter.contains(key) ? 1 : 0;
+    });
   }
   tracer.disarm();
 

@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/mman.h>
@@ -80,30 +79,6 @@ inline std::size_t advise_huge_pages(void* p, std::size_t n) noexcept {
   return 0;
 #endif
 }
-
-/// Allocator that advises every allocation for huge pages before the
-/// container constructs (and so first touches) its elements. For element
-/// types such as std::atomic, which a vector cannot reserve-then-resize.
-template <typename T>
-struct HugePageAllocator {
-  using value_type = T;
-
-  HugePageAllocator() = default;
-  template <typename U>
-  explicit HugePageAllocator(const HugePageAllocator<U>&) noexcept {}
-
-  [[nodiscard]] T* allocate(std::size_t n) {
-    T* p = std::allocator<T>{}.allocate(n);
-    (void)advise_huge_pages(p, n * sizeof(T));
-    return p;
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    std::allocator<T>{}.deallocate(p, n);
-  }
-
-  friend bool operator==(const HugePageAllocator&,
-                         const HugePageAllocator&) = default;
-};
 
 /// Drops the resident pages fully inside [p, p+n). Returns the bytes
 /// advised (0 when no full page fits or the platform lacks madvise). The

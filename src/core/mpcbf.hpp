@@ -16,8 +16,8 @@
 //
 // Thread-safety: const queries are safe concurrently with each other
 // (metrics counters are relaxed atomics); mutations require external
-// synchronization. For lock-free operation on W=64 see
-// core/atomic_mpcbf.hpp.
+// synchronization (net/server.hpp serves every filter under one
+// shared_mutex: readers share it, writers take it alone).
 #pragma once
 
 #include <algorithm>
@@ -92,16 +92,7 @@ class Mpcbf {
   static constexpr unsigned kMaxG = engine::kMaxG;
   static constexpr unsigned kMaxKPerWord = engine::kMaxKPerWord;
 
-  explicit Mpcbf(const MpcbfConfig& cfg)
-      : policy_(cfg.policy), short_circuit_(cfg.short_circuit) {
-    const MpcbfLayout layout = layout_for(cfg);
-    k_ = layout.k;
-    g_ = layout.g;
-    b1_ = layout.b1;
-    n_max_ = layout.n_max;
-    seed_ = layout.seed;
-    store_.init(layout.num_words);
-  }
+  explicit Mpcbf(const MpcbfConfig& cfg) : Mpcbf(cfg, layout_for(cfg)) {}
 
   /// The layout a filter built from `cfg` gets, without allocating it.
   /// Throws std::invalid_argument for the configs the constructor
@@ -158,7 +149,7 @@ class Mpcbf {
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
     engine::Targets t;
     hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
+    der_.derive_all(stream, t);
     span.set_arg("words", t.distinct_words);
     const bool ok = insert_derived(key, t, stream.accounted_bits(), stats_);
     sample_latency(metrics::OpClass::kInsert, timed, t0);
@@ -166,41 +157,15 @@ class Mpcbf {
   }
 
   /// Membership query. False positives possible; false negatives are not
-  /// (for keys whose inserts all succeeded).
+  /// (for keys whose inserts all succeeded). A batch of one: the same
+  /// derive → fetch → mask path and accounting as contains_batch, which
+  /// publishes one atomic trio for the op class the key hit.
   [[nodiscard]] bool contains(std::string_view key) const {
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.query");
-    const bool timed = stats_.should_sample();
-    const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-    hash::HashBitStream stream(key, seed_);
-    bool positive = true;
-    engine::SeenWords seen;
-    for (unsigned t = 0; t < g_; ++t) {
-      if (!positive && short_circuit_) break;
-      const std::size_t w = stream.next_index(store_.size());
-      MPCBF_TRACE_SPAN(fetch, kCore, "mpcbf.word_fetch");
-      fetch.set_arg("word", w);
-      seen.add(w);
-      const unsigned kw = model::hashes_per_word(k_, g_, t);
-      for (unsigned i = 0; i < kw; ++i) {
-        const auto pos = static_cast<unsigned>(stream.next_index(b1_));
-        if (!store_.test(w, pos)) {
-          positive = false;
-          if (short_circuit_) break;
-        }
-      }
-    }
-    const std::size_t words_touched = seen.count;
-    if (!positive && !stash_.empty()) {
-      MPCBF_TRACE_SPAN(probe, kCore, "mpcbf.stash_probe");
-      auto it = stash_.find(key);
-      if (it != stash_.end() && it->second > 0) positive = true;
-    }
-    span.set_arg("words", words_touched);
-    const auto c = positive ? metrics::OpClass::kQueryPositive
-                            : metrics::OpClass::kQueryNegative;
-    stats_.record(c, words_touched, stream.accounted_bits());
-    sample_latency(c, timed, t0);
-    return positive;
+    std::uint8_t out = 0;
+    query(std::span<const std::string_view>(&key, 1),
+          std::span<std::uint8_t>(&out, 1));
+    return out != 0;
   }
 
   /// Deletes one prior insert of `key`. Deleting a key that was never
@@ -216,7 +181,7 @@ class Mpcbf {
     if (!ok) {
       engine::Targets t;
       hash::HashBitStream stream(key, seed_);
-      deriver().derive_all(stream, t);
+      der_.derive_all(stream, t);
       ok = erase_derived(t, stream.accounted_bits(), stats_);
     }
     sample_latency(metrics::OpClass::kDelete, timed, t0);
@@ -229,8 +194,9 @@ class Mpcbf {
   [[nodiscard]] std::uint32_t count(std::string_view key) const {
     engine::Targets t;
     hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
-    const unsigned min_c = engine::LevelWalk<W>::min_counter(store_, b1_, t);
+    der_.derive_all(stream, t);
+    const unsigned min_c =
+        engine::LevelWalk<W>::min_counter(store_, der_.b1(), t);
     std::uint32_t stashed = 0;
     if (!stash_.empty()) {
       auto it = stash_.find(key);
@@ -270,9 +236,9 @@ class Mpcbf {
   [[nodiscard]] std::size_t num_words() const noexcept {
     return store_.size();
   }
-  [[nodiscard]] unsigned b1() const noexcept { return b1_; }
-  [[nodiscard]] unsigned k() const noexcept { return k_; }
-  [[nodiscard]] unsigned g() const noexcept { return g_; }
+  [[nodiscard]] unsigned b1() const noexcept { return der_.b1(); }
+  [[nodiscard]] unsigned k() const noexcept { return der_.k(); }
+  [[nodiscard]] unsigned g() const noexcept { return der_.g(); }
   [[nodiscard]] unsigned n_max() const noexcept { return n_max_; }
   [[nodiscard]] OverflowPolicy policy() const noexcept { return policy_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
@@ -298,7 +264,7 @@ class Mpcbf {
   [[nodiscard]] std::uint64_t total_hierarchy_bits() const noexcept {
     std::uint64_t t = 0;
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      t += store_.hierarchy_bits(w, b1_);
+      t += store_.hierarchy_bits(w, der_.b1());
     }
     return t;
   }
@@ -306,7 +272,7 @@ class Mpcbf {
   [[nodiscard]] unsigned max_word_hierarchy_bits() const noexcept {
     unsigned m = 0;
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      m = std::max(m, store_.hierarchy_bits(w, b1_));
+      m = std::max(m, store_.hierarchy_bits(w, der_.b1()));
     }
     return m;
   }
@@ -324,12 +290,12 @@ class Mpcbf {
 
   [[nodiscard]] FillReport fill_report() const {
     FillReport report;
-    report.hierarchy_histogram.assign(W - b1_ + 1, 0);
-    report.total_positions = store_.size() * b1_;
+    report.hierarchy_histogram.assign(W - der_.b1() + 1, 0);
+    report.total_positions = store_.size() * der_.b1();
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      ++report.hierarchy_histogram[store_.hierarchy_bits(w, b1_)];
-      for (unsigned pos = 0; pos < b1_; ++pos) {
-        const unsigned c = store_.counter(w, b1_, pos);
+      ++report.hierarchy_histogram[store_.hierarchy_bits(w, der_.b1())];
+      for (unsigned pos = 0; pos < der_.b1(); ++pos) {
+        const unsigned c = store_.counter(w, der_.b1(), pos);
         if (c >= report.counter_histogram.size()) {
           report.counter_histogram.resize(c + 1, 0);
         }
@@ -346,7 +312,7 @@ class Mpcbf {
   /// invariants.
   [[nodiscard]] bool validate() const {
     for (const auto& w : store_.words()) {
-      if (!Hcbf<W>::validate(w, b1_)) return false;
+      if (!Hcbf<W>::validate(w, der_.b1())) return false;
     }
     return true;
   }
@@ -366,16 +332,17 @@ class Mpcbf {
   /// not overlap (docs/architecture.md has the measurements). `out[i]`
   /// is set to the verdict for `keys[i]`; sizes must match.
   ///
-  /// AccessStats parity with scalar contains(): the resolve charges what
-  /// the scalar visit order would (short_circuit_ honoured, duplicate
-  /// words deduplicated, hash bits accounted only up to the
-  /// short-circuit point), so a batch and a scalar pass over the same
-  /// keys produce identical per-class op counts, word touches and
-  /// accounted bits — the property tests/test_stats_parity.cpp locks in.
+  /// Accounting: the resolve charges what the paper's lazy bit-by-bit
+  /// walk would (short_circuit_ honoured, duplicate words deduplicated,
+  /// hash bits accounted only up to the short-circuit point); scalar
+  /// contains() is this path over one key, so both record identical
+  /// per-class op counts, word touches and accounted bits
+  /// (tests/test_stats_parity.cpp checks both against a reference walk).
   /// Accounting is aggregated across the whole call (one atomic trio per
-  /// op class) and sampled chunks record their per-key average latency —
-  /// timing every chunk would put two clock reads plus a histogram
-  /// record on the hot path and blow the <5% overhead budget.
+  /// op class hit) and sampled chunks record their per-key average
+  /// latency in the batch-query histogram — timing every chunk would put
+  /// two clock reads plus a histogram record on the hot path and blow the
+  /// <5% overhead budget.
   void contains_batch(std::span<const std::string> keys,
                       std::span<std::uint8_t> out) const {
     contains_batch_impl<std::string>(keys, out);
@@ -417,7 +384,7 @@ class Mpcbf {
   // --- merge ---------------------------------------------------------------
 
   [[nodiscard]] MpcbfLayout layout() const noexcept {
-    return {store_.size(), k_, g_, b1_, n_max_, seed_};
+    return {store_.size(), der_.k(), der_.g(), der_.b1(), n_max_, seed_};
   }
 
   /// True iff `other` has the identical layout and hash seed, i.e. the two
@@ -433,20 +400,21 @@ class Mpcbf {
   /// would overflow.
   bool merge(const Mpcbf& other) {
     if (!compatible(other)) return false;
+    const unsigned b1 = der_.b1();
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (store_.hierarchy_bits(w, b1_) + other.store_.hierarchy_bits(w, b1_) >
-          W - b1_) {
+      if (store_.hierarchy_bits(w, b1) + other.store_.hierarchy_bits(w, b1) >
+          W - b1) {
         ++overflow_events_;
         return false;
       }
     }
     for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (other.store_.hierarchy_bits(w, b1_) == 0) continue;
-      unsigned used = store_.hierarchy_bits(w, b1_);
-      for (unsigned pos = 0; pos < b1_; ++pos) {
-        const unsigned c = other.store_.counter(w, b1_, pos);
+      if (other.store_.hierarchy_bits(w, b1) == 0) continue;
+      unsigned used = store_.hierarchy_bits(w, b1);
+      for (unsigned pos = 0; pos < b1; ++pos) {
+        const unsigned c = other.store_.counter(w, b1, pos);
         for (unsigned i = 0; i < c; ++i) {
-          const HcbfResult r = store_.increment(w, b1_, pos, used++);
+          const HcbfResult r = store_.increment(w, b1, pos, used++);
           assert(r.ok);
           (void)r;
         }
@@ -498,14 +466,14 @@ class Mpcbf {
   }
 
   /// Writes the bare v1 payload (magic + body, no frame) — the unit
-  /// composite containers (DurableMpcbf snapshots, ShardedMpcbf) embed
-  /// inside their own frames.
+  /// composite containers (DurableMpcbf snapshots, ElasticMpcbf segments,
+  /// DecayingMpcbf generations) embed inside their own frames.
   void save_payload(std::ostream& os) const {
     io::write_magic(os, kMagic);
     io::write_pod<std::uint32_t>(os, W);
-    io::write_pod<std::uint32_t>(os, k_);
-    io::write_pod<std::uint32_t>(os, g_);
-    io::write_pod<std::uint32_t>(os, b1_);
+    io::write_pod<std::uint32_t>(os, der_.k());
+    io::write_pod<std::uint32_t>(os, der_.g());
+    io::write_pod<std::uint32_t>(os, der_.b1());
     io::write_pod<std::uint32_t>(os, n_max_);
     io::write_pod<std::uint8_t>(os, static_cast<std::uint8_t>(policy_));
     io::write_pod<std::uint8_t>(os, short_circuit_ ? 1 : 0);
@@ -521,7 +489,7 @@ class Mpcbf {
       const std::size_t n = std::min(kUsageChunk, store_.size() - base);
       for (std::size_t i = 0; i < n; ++i) {
         usage[i] = static_cast<std::uint16_t>(
-            store_.hierarchy_bits(base + i, b1_));
+            store_.hierarchy_bits(base + i, der_.b1()));
       }
       os.write(reinterpret_cast<const char*>(usage.data()),
                static_cast<std::streamsize>(n * sizeof(std::uint16_t)));
@@ -548,6 +516,15 @@ class Mpcbf {
   }
 
  private:
+  Mpcbf(const MpcbfConfig& cfg, const MpcbfLayout& layout)
+      : der_(layout.num_words, layout.k, layout.g, layout.b1),
+        n_max_(layout.n_max),
+        policy_(cfg.policy),
+        seed_(layout.seed),
+        short_circuit_(cfg.short_circuit) {
+    store_.init(layout.num_words);
+  }
+
   /// Parses the v1 body (everything after the magic) with full
   /// cross-validation: every length is memory-capped before allocation,
   /// each word must be a valid HCBF whose derived usage matches the
@@ -595,7 +572,7 @@ class Mpcbf {
                                  e.what());
       }
     }();
-    if (f.b1_ != b1) {
+    if (f.der_.b1() != b1) {
       throw std::runtime_error("Mpcbf::load: layout mismatch");
     }
     auto& words = f.store_.words();
@@ -640,7 +617,7 @@ class Mpcbf {
       if (size < stash_total) {
         throw std::runtime_error("Mpcbf::load: size below stash total");
       }
-      if (hierarchy_total != (size - stash_total) * f.k_) {
+      if (hierarchy_total != (size - stash_total) * f.der_.k()) {
         throw std::runtime_error(
             "Mpcbf::load: element count inconsistent with word state");
       }
@@ -663,19 +640,15 @@ class Mpcbf {
       }
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t w = base + i;
-        const unsigned used = store_.hierarchy_bits(w, b1_);
-        if (!Hcbf<W>::validate(store_.words()[w], b1_) || used != usage[i]) {
+        const unsigned used = store_.hierarchy_bits(w, der_.b1());
+        if (!Hcbf<W>::validate(store_.words()[w], der_.b1()) ||
+            used != usage[i]) {
           throw std::runtime_error("Mpcbf::load: corrupt filter state");
         }
         total += used;
       }
     }
     return total;
-  }
-
-  /// The layout scalars the engine needs; trivially constructed per op.
-  [[nodiscard]] engine::TargetDeriver deriver() const noexcept {
-    return engine::TargetDeriver(store_.size(), k_, g_, b1_);
   }
 
   /// Records a sampled operation's latency. Const because filters record
@@ -693,7 +666,7 @@ class Mpcbf {
   bool insert_derived(std::string_view key, const engine::Targets& t,
                       std::uint64_t derive_bits, Tally& tally) {
     engine::WordUsage usage;
-    if (!engine::capacity_ok(store_, b1_, t, usage)) {
+    if (!engine::capacity_ok(store_, der_.b1(), t, usage)) {
       ++overflow_events_;
       switch (policy_) {
         case OverflowPolicy::kThrow:
@@ -720,7 +693,8 @@ class Mpcbf {
       // non-zero counters" machinery; depth is the hierarchy bits the
       // walk claimed across all target words.
       MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
-      extra_bits = engine::LevelWalk<W>::increment_all(store_, b1_, t, usage);
+      extra_bits =
+          engine::LevelWalk<W>::increment_all(store_, der_.b1(), t, usage);
       walk.set_arg("depth", extra_bits);
     }
     ++size_;
@@ -751,7 +725,7 @@ class Mpcbf {
     typename engine::LevelWalk<W>::DecrementResult walk_result;
     {
       MPCBF_TRACE_SPAN(walk, kCore, "mpcbf.level_walk");
-      walk_result = engine::LevelWalk<W>::decrement_all(store_, b1_, t);
+      walk_result = engine::LevelWalk<W>::decrement_all(store_, der_.b1(), t);
       walk.set_arg("depth", walk_result.extra_bits);
     }
     underflow_events_ += walk_result.underflows;
@@ -772,7 +746,14 @@ class Mpcbf {
     }
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.query_batch");
     span.set_arg("keys", keys.size());
-    engine::query_batch(store_, deriver(), short_circuit_, keys, seed_, out,
+    query(keys, out);
+  }
+
+  /// The one query path of contains() and contains_batch(): the engine's
+  /// query_batch, with the stash probe deciding keys the words reject.
+  template <class Key>
+  void query(std::span<const Key> keys, std::span<std::uint8_t> out) const {
+    engine::query_batch(store_, der_, short_circuit_, keys, seed_, out,
                         stats_, [&](std::size_t i) {
                           if (stash_.empty()) return false;
                           auto it = stash_.find(std::string_view(keys[i]));
@@ -820,7 +801,6 @@ class Mpcbf {
   template <class Key, class Apply>
   void mutate_batch(metrics::OpClass c, std::span<const Key> keys,
                     Apply&& apply) {
-    const engine::TargetDeriver der = deriver();
     std::array<engine::Targets, engine::kBatchChunk> targets;
     std::array<std::uint64_t, engine::kBatchChunk> derive_bits;
     engine::OpTally tally;
@@ -829,19 +809,18 @@ class Mpcbf {
           keys.size(),
           [&](std::size_t key_i, std::size_t slot) {
             hash::HashBitStream stream(keys[key_i], seed_);
-            der.derive_all(stream, targets[slot]);
+            der_.derive_all(stream, targets[slot]);
             derive_bits[slot] = stream.accounted_bits();
           },
           [&](std::size_t slot) {
-            return engine::gather_targets(store_, targets[slot], g_);
+            return engine::gather_targets(store_, targets[slot], der_.g());
           },
           [&](std::size_t key_i, std::size_t slot) {
             const bool timed = stats_.should_sample();
             const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
             apply(key_i, targets[slot], derive_bits[slot], tally);
             sample_latency(c, timed, t0);
-          },
-          [](std::size_t) {}, [](std::size_t) {});
+          });
     } catch (...) {
       tally.publish(stats_);
       throw;
@@ -850,9 +829,9 @@ class Mpcbf {
   }
 
   engine::PlainWords<W> store_;
-  unsigned k_;
-  unsigned g_;
-  unsigned b1_ = 0;
+  /// The layout scalars (k, g, b1, word count) and the index constants
+  /// derived from them, computed once per filter.
+  engine::TargetDeriver der_;
   unsigned n_max_ = 0;
   OverflowPolicy policy_;
   std::uint64_t seed_;

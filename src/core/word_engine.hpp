@@ -1,33 +1,27 @@
-// Word engine — the shared kernel every MPCBF variant is built from.
+// Word engine — the shared kernel the MPCBF filter is built from.
 //
 // The paper's contribution is one small machine: hash bits are turned into
 // g word targets with ⌈k/g⌉ level-1 positions each (Sec. III-C), and each
-// word runs the hierarchical counter walk of core/hcbf.hpp. Before this
-// header existed that kernel was hand-copied into Mpcbf, AtomicMpcbf and
-// (indirectly) ShardedMpcbf/DurableMpcbf, each copy drifting on limits and
-// missing the batch pipeline. This header is the single source:
+// word runs the hierarchical counter walk of core/hcbf.hpp. This header is
+// the single source of that machine:
 //
 //   * TargetDeriver — HashBitStream -> Targets (words + positions) in the
 //     one canonical derivation order every operation must agree on, with
 //     the paper's consumed-bit accounting riding along in the stream.
-//   * WordPlan / group_by_word — the same targets regrouped by *distinct*
-//     word, the layout single-CAS-per-word storage needs.
 //   * LevelWalk<W> — the hierarchical increment/decrement/min-counter
 //     walk applied across a target set, storage-policy agnostic.
-//   * PlainWords<W> / AtomicWords64 — the two storage policies: a plain
-//     huge-page-advised word vector (external synchronization), and a
-//     seq-consistent CAS-loop word vector (lock-free, W == 64). Neither
-//     keeps out-of-word metadata: a word's hierarchy usage is re-derived
-//     from its value, once per distinct word per operation.
+//   * PlainWords<W> — the storage: a huge-page-advised word vector under
+//     external synchronization, with no out-of-word metadata: a word's
+//     hierarchy usage is re-derived from its value, once per distinct word
+//     per operation.
 //   * batch_pipeline — the batch skeleton every insert_batch/erase_batch
 //     runs: derive a chunk's targets (pure compute), gather its words
 //     with plain demand loads in one tight loop so the out-of-order core
 //     overlaps the cache misses, then resolve each key in key order.
-//   * query_batch — the same three phases for plain-storage queries, on
-//     a compact per-key record: one hash, one fetch per group word and
-//     one fail mask per word, with accounting that reproduces the scalar
-//     query's exactly (tests/test_stats_parity.cpp). evaluate_eager is
-//     the lock-free storage's one-snapshot-per-word counterpart.
+//   * query_batch — the one query path, scalar and batch: the same three
+//     phases on a compact per-key record, one hash, one fetch per group
+//     word and one fail mask per word, with the paper's lazy bit-by-bit
+//     accounting reproduced exactly (tests/test_stats_parity.cpp).
 //   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
@@ -38,7 +32,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -146,21 +139,10 @@ struct Targets {
 };
 static_assert(sizeof(Targets) <= 640, "a batch chunk's targets must fit L1d");
 
-/// The same targets regrouped by distinct word (first-seen order),
-/// positions contiguous per word in derivation order — the layout a
-/// single-CAS-per-word storage applies in one shot. CSR-style so a word
-/// that absorbs every group's positions still fits.
-struct WordPlan {
-  std::array<std::size_t, kMaxG> word;
-  std::array<unsigned, kMaxG + 1> offset;
-  std::array<std::uint16_t, kMaxPositions> pos;
-  unsigned num_words = 0;
-};
-
 /// Turns a HashBitStream into the Targets word/position set. Holds the
 /// layout scalars and the constants derived from them (index bounds,
-/// positions per group), computed once per deriver, so a batch call
-/// builds one for all its keys.
+/// positions per group), computed once per deriver: Mpcbf holds one for
+/// its lifetime, so no operation recomputes them.
 class TargetDeriver {
  public:
   TargetDeriver(std::size_t num_words, unsigned k, unsigned g,
@@ -237,33 +219,6 @@ class TargetDeriver {
   unsigned kw_last_;
 };
 
-/// Regroups canonical targets by distinct word. Position order within a
-/// word is derivation order, so applying a plan produces bit-identical
-/// word state to applying the flat targets.
-inline void group_by_word(const Targets& t, WordPlan& p) noexcept {
-  p.num_words = 0;
-  unsigned filled = 0;
-  p.offset[0] = 0;
-  for (unsigned i = 0; i < t.total_positions; ++i) {
-    bool known = false;
-    for (unsigned s = 0; s < p.num_words; ++s) {
-      if (p.word[s] == t.word_of(i)) {
-        known = true;
-        break;
-      }
-    }
-    if (known) continue;
-    const std::size_t w = t.word_of(i);
-    p.word[p.num_words] = w;
-    for (unsigned j = i; j < t.total_positions; ++j) {
-      if (t.word_of(j) == w) {
-        p.pos[filled++] = static_cast<std::uint16_t>(t.pos(j));
-      }
-    }
-    p.offset[++p.num_words] = filled;
-  }
-}
-
 /// Hierarchy usage of the distinct words one insert touches: derived from
 /// the word values by capacity_ok, then advanced by
 /// LevelWalk::increment_all as each increment lands.
@@ -332,9 +287,6 @@ class PlainWords {
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
-  [[nodiscard]] bool test(std::size_t w, unsigned pos) const noexcept {
-    return words_[w].test(pos);
-  }
   [[nodiscard]] const Word& word(std::size_t w) const noexcept {
     return words_[w];
   }
@@ -384,94 +336,6 @@ class PlainWords {
  private:
   std::vector<Word> words_;
 };
-
-/// Lock-free storage over 64-bit words: every mutation is a
-/// load → pure transform → CAS loop, capacity re-derived from the word
-/// value inside the loop (no out-of-word metadata), so the CAS publishes
-/// a fully consistent word and some thread always makes progress.
-class AtomicWords64 {
- public:
-  static constexpr unsigned kWordBits = 64;
-
-  /// Allocates `l` zeroed words; the allocator advises the array for
-  /// huge pages before the zeroing constructors first touch it.
-  void init(std::size_t l) { words_ = Words(l); }
-
-  [[nodiscard]] std::size_t size() const noexcept { return words_.size(); }
-  [[nodiscard]] std::uint64_t load_acquire(std::size_t w) const noexcept {
-    return words_[w].load(std::memory_order_acquire);
-  }
-  [[nodiscard]] std::uint64_t load_relaxed(std::size_t w) const noexcept {
-    return words_[w].load(std::memory_order_relaxed);
-  }
-  void store_relaxed(std::size_t w, std::uint64_t v) noexcept {
-    words_[w].store(v, std::memory_order_relaxed);
-  }
-  /// Demand-loads word `w` for the batch gather (see PlainWords).
-  [[nodiscard]] std::uint64_t gather(std::size_t w) const noexcept {
-    return words_[w].load(std::memory_order_relaxed);
-  }
-
-  /// CAS loop applying all of plan group `s`'s increments (or decrements)
-  /// to its word. Returns false on overflow/underflow (word unchanged).
-  bool apply_group(const WordPlan& p, unsigned s, unsigned b1,
-                   bool increment) noexcept {
-    std::atomic<std::uint64_t>& slot = words_[p.word[s]];
-    std::uint64_t expected = slot.load(std::memory_order_acquire);
-    for (;;) {
-      bits::WordBitset<64> w;
-      w.set_limb(0, expected);
-      unsigned used = Hcbf<64>::hierarchy_bits(w, b1);
-      bool ok = true;
-      for (unsigned i = p.offset[s]; i < p.offset[s + 1] && ok; ++i) {
-        if (increment) {
-          const HcbfResult r = Hcbf<64>::increment(w, b1, p.pos[i], used);
-          ok = r.ok;
-          if (ok) ++used;
-        } else {
-          ok = Hcbf<64>::decrement(w, b1, p.pos[i]).ok;
-        }
-      }
-      if (!ok) return false;
-      if (slot.compare_exchange_weak(expected, w.limb(0),
-                                     std::memory_order_release,
-                                     std::memory_order_acquire)) {
-        return true;
-      }
-      // expected reloaded by compare_exchange; retry on the fresh value.
-    }
-  }
-
- private:
-  using Words = std::vector<std::atomic<std::uint64_t>,
-                            util::HugePageAllocator<std::atomic<std::uint64_t>>>;
-  Words words_;
-};
-
-/// Eager-evaluation verdict: one atomic snapshot per distinct word, test
-/// its positions in derivation order, stop at the first unset bit — the
-/// exact visit order of the eager scalar query (hash bits don't shrink
-/// under short-circuiting there; the caller accounts the full derivation).
-struct EagerEval {
-  bool positive;
-  unsigned words_touched;
-};
-
-[[nodiscard]] inline EagerEval evaluate_eager(const AtomicWords64& words,
-                                              const WordPlan& p,
-                                              unsigned b1) noexcept {
-  (void)b1;
-  for (unsigned s = 0; s < p.num_words; ++s) {
-    bits::WordBitset<64> w;
-    w.set_limb(0, words.load_acquire(p.word[s]));
-    for (unsigned i = p.offset[s]; i < p.offset[s + 1]; ++i) {
-      if (!w.test(p.pos[i])) {
-        return {false, s + 1};
-      }
-    }
-  }
-  return {true, p.num_words};
-}
 
 // --- the hierarchical level walk -----------------------------------------
 
@@ -558,8 +422,8 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 #endif
 }
 
-/// The batch skeleton of the mutations (and of AtomicMpcbf's queries).
-/// Each chunk of kBatchChunk keys runs in three phases:
+/// The batch skeleton of the mutations. Each chunk of kBatchChunk keys
+/// runs in three phases:
 ///   1. derive(key_i, slot) — hash the key into its targets: pure compute,
 ///      no memory hint;
 ///   2. gather(slot) — demand-load the slot's words and return them
@@ -571,23 +435,18 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 ///      one chunk that share a word see each other's writes;
 ///   3. resolve(key_i, slot) — each key in key order, exactly as the
 ///      scalar operation would.
-/// `chunk_begin(count)` / `chunk_end(count)` bracket each chunk for
-/// sampled timing. Plain-storage queries run the same three phases in
-/// query_batch, without the per-key callbacks.
-template <class DeriveFn, class GatherFn, class ResolveFn, class ChunkBegin,
-          class ChunkEnd>
+/// Queries run the same three phases in query_batch, on a compact record
+/// instead of per-key callbacks.
+template <class DeriveFn, class GatherFn, class ResolveFn>
 void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
-                    ResolveFn&& resolve, ChunkBegin&& chunk_begin,
-                    ChunkEnd&& chunk_end) {
+                    ResolveFn&& resolve) {
   for (std::size_t base = 0; base < n; base += kBatchChunk) {
     const std::size_t count = std::min(kBatchChunk, n - base);
-    chunk_begin(count);
     for (std::size_t i = 0; i < count; ++i) derive(base + i, i);
     std::uint64_t loaded = 0;
     for (std::size_t i = 0; i < count; ++i) loaded += gather(i);
     keep_loads(loaded);
     for (std::size_t i = 0; i < count; ++i) resolve(base + i, i);
-    chunk_end(count);
   }
 }
 
@@ -656,60 +515,50 @@ template <class Word>
   return fail;
 }
 
-/// Keys per query_batch chunk, at most. A query record (g words and
-/// their positions) is a fraction of a Targets, so a chunk holds twice
+/// Keys per query_batch chunk. A query record (g words and their
+/// positions) is a fraction of a Targets, so a chunk holds twice
 /// kBatchChunk keys: a batch-64 call is one chunk, and its 64 loads go
 /// out in one gather instead of two back to back. The records live in
 /// two small stack buffers (4 KiB together); a shape whose records do
-/// not fit 64 times (g > 4 or k > 16) runs smaller chunks.
+/// not fit 64 times (g > 4 or k > 16) runs chunks of kWideQueryChunk
+/// keys, which any legal shape fits, and a one-key call (scalar
+/// contains) runs one chunk of one. The chunk size is a compile-time
+/// constant in each case: one known only at run time cost a one-key
+/// call about 8 ns, and a chunk of one folds its loops away and keeps
+/// its records in a small frame.
 inline constexpr std::size_t kQueryChunk = 2 * kBatchChunk;
 inline constexpr std::size_t kQueryWordSlots = 256;
 inline constexpr std::size_t kQueryPositionSlots = 1024;
-static_assert(kQueryWordSlots >= kMaxG &&
-              kQueryPositionSlots >= kMaxPositions,
+inline constexpr std::size_t kWideQueryChunk =
+    std::min(kQueryWordSlots / kMaxG, kQueryPositionSlots / kMaxPositions);
+static_assert(kWideQueryChunk >= 1,
               "a chunk must hold at least one key of any shape");
 
-/// The query side of the batch pipeline over plain storage. Per chunk:
-///   1. derive each key into a compact record — its g group words and
-///      its positions, in derivation order;
-///   2. gather the chunk's group words (see batch_pipeline);
-///   3. resolve each key: per group, one loaded word and a fail mask
-///      whose bit i is set when the group's i-th position reads 0. The
-///      verdict is that no group fails.
-/// Per-call constants (index bounds, positions per group, bits per
-/// index) come from `der`, built once per call.
-///
-/// Accounting replays the lazy scalar query (Mpcbf::contains) without
-/// walking it bit by bit: a visited group costs ceil_log2(l) plus
-/// ceil_log2(b1) per position it consumes, and under short_circuit the
-/// first failing group ends the walk after ctz(fail) + 1 positions;
-/// words counts the distinct words of the visited groups. A batch and a
-/// scalar pass over the same keys therefore record identical per-class
-/// ops, words and bits (tests/test_stats_parity.cpp).
-///
-/// `rescue(i)` decides key i when the words answer negative (the stash
-/// probe). Tallies live in locals and are published once per call; one
-/// sampled chunk in kLatencySampleEvery records its per-key latency.
-template <class Storage, class Key, class Rescue>
-void query_batch(const Storage& store, const TargetDeriver& der,
-                 bool short_circuit, std::span<const Key> keys,
-                 std::uint64_t seed, std::span<std::uint8_t> out,
-                 metrics::AccessStats& stats, Rescue&& rescue) {
+namespace detail {
+
+/// query_batch's three phases over chunks of kChunk keys; the record
+/// buffers hold one chunk of the widest shape kChunk admits.
+template <std::size_t kChunk, class Storage, class Key, class Rescue>
+void query_chunks(const Storage& store, const TargetDeriver& der,
+                  bool short_circuit, std::span<const Key> keys,
+                  std::uint64_t seed, std::span<std::uint8_t> out,
+                  metrics::AccessStats& stats, Rescue& rescue) {
   const unsigned g = der.g();
   const unsigned per_key = der.total_positions();
   const unsigned word_bits = der.word_bits();
   const unsigned pos_bits = der.pos_bits();
-  const std::size_t chunk = std::min(
-      {kQueryChunk, kQueryWordSlots / g, kQueryPositionSlots / per_key});
-  std::array<std::size_t, kQueryWordSlots> group_words;
-  std::array<std::uint16_t, kQueryPositionSlots> positions;
+  std::array<std::size_t, std::min(kQueryWordSlots, kChunk * kMaxG)>
+      group_words;
+  std::array<std::uint16_t,
+             std::min(kQueryPositionSlots, kChunk * kMaxPositions)>
+      positions;
   std::uint64_t positives = 0;
   std::uint64_t positive_words = 0;
   std::uint64_t positive_bits = 0;
   std::uint64_t all_words = 0;
   std::uint64_t all_bits = 0;
-  for (std::size_t base = 0; base < keys.size(); base += chunk) {
-    const std::size_t count = std::min(chunk, keys.size() - base);
+  for (std::size_t base = 0; base < keys.size(); base += kChunk) {
+    const std::size_t count = std::min(kChunk, keys.size() - base);
     const bool timed = stats.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
 
@@ -751,6 +600,13 @@ void query_batch(const Storage& store, const TargetDeriver& der,
         bits += (word_bits + consumed * pos_bits) & walking;
         if (short_circuit) walking &= fail == 0 ? ~0u : 0u;
         any_fail |= fail;
+        // Once the walk has stopped, the later groups only compute values
+        // the masks discard. A one-key call leaves at that point instead
+        // of waiting for their words; a batch keeps the loop branch-free,
+        // since a verdict-dependent branch mispredicts on mixed keys.
+        if constexpr (kChunk == 1) {
+          if (walking == 0) break;
+        }
       }
       bool positive = any_fail == 0;
       if (!positive) positive = rescue(base + i);
@@ -769,6 +625,49 @@ void query_batch(const Storage& store, const TargetDeriver& der,
                  positive_bits);
   stats.record_n(metrics::OpClass::kQueryNegative, keys.size() - positives,
                  all_words - positive_words, all_bits - positive_bits);
+}
+
+}  // namespace detail
+
+/// The query side of the batch pipeline over plain storage. Per chunk:
+///   1. derive each key into a compact record — its g group words and
+///      its positions, in derivation order;
+///   2. gather the chunk's group words (see batch_pipeline);
+///   3. resolve each key: per group, one loaded word and a fail mask
+///      whose bit i is set when the group's i-th position reads 0. The
+///      verdict is that no group fails.
+/// Per-call constants (index bounds, positions per group, bits per
+/// index) come from `der`, built once per filter.
+///
+/// Accounting replays the paper's lazy bit-by-bit query without walking
+/// it bit by bit: a visited group costs ceil_log2(l) plus ceil_log2(b1)
+/// per position it consumes, and under short_circuit the first failing
+/// group ends the walk after ctz(fail) + 1 positions; words counts the
+/// distinct words of the visited groups. tests/test_stats_parity.cpp
+/// checks per-class ops, words and bits against a test-local reference
+/// walk, for batches and for the one-key calls of Mpcbf::contains.
+///
+/// `rescue(i)` decides key i when the words answer negative (the stash
+/// probe). Tallies live in locals and are published once per call, one
+/// atomic trio per op class that occurred (a one-key call publishes
+/// one); one sampled chunk in kLatencySampleEvery records its per-key
+/// latency.
+template <class Storage, class Key, class Rescue>
+void query_batch(const Storage& store, const TargetDeriver& der,
+                 bool short_circuit, std::span<const Key> keys,
+                 std::uint64_t seed, std::span<std::uint8_t> out,
+                 metrics::AccessStats& stats, Rescue&& rescue) {
+  if (keys.size() == 1) {
+    detail::query_chunks<1>(store, der, short_circuit, keys, seed, out,
+                            stats, rescue);
+  } else if (der.g() * kQueryChunk <= kQueryWordSlots &&
+      der.total_positions() * kQueryChunk <= kQueryPositionSlots) {
+    detail::query_chunks<kQueryChunk>(store, der, short_circuit, keys, seed,
+                                      out, stats, rescue);
+  } else {
+    detail::query_chunks<kWideQueryChunk>(store, der, short_circuit, keys,
+                                          seed, out, stats, rescue);
+  }
 }
 
 }  // namespace mpcbf::core::engine

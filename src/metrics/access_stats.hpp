@@ -22,8 +22,9 @@
 //
 // Latency is sampled, not per-op: timing every operation would cost two
 // clock reads (~40ns) against query costs of the same order. should_sample
-// admits every kLatencySampleEvery-th operation; batch queries record one
-// per-key average per chunk instead (see Mpcbf::contains_batch).
+// admits every kLatencySampleEvery-th operation; Mpcbf queries, scalar
+// (a batch of one) or batch, record one per-key average per sampled
+// chunk in the batch-query histogram instead (engine::query_batch).
 #pragma once
 
 #include <array>
@@ -133,18 +134,6 @@ class AccessStats {
     }
     for (auto& h : latency_) h.reset();
     batch_latency_.reset();
-  }
-
-  /// Folds `other`'s tallies into this instance (sharded filters
-  /// aggregate their shards' stats through this).
-  void merge(const AccessStats& other) noexcept {
-    for (unsigned i = 0; i < kNumOpClasses; ++i) {
-      buckets_[i].ops.inc(other.buckets_[i].ops.value());
-      buckets_[i].words.inc(other.buckets_[i].words.value());
-      buckets_[i].bits.inc(other.buckets_[i].bits.value());
-      latency_[i].merge(other.latency_[i]);
-    }
-    batch_latency_.merge(other.batch_latency_);
   }
 
   [[nodiscard]] std::uint64_t ops(OpClass c) const noexcept {

@@ -51,15 +51,13 @@ inline void publish_access_stats(Registry& reg, std::string_view filter,
 
 /// Publishes a filter's stats plus whichever structural/event metrics
 /// the concrete type exposes (size, memory, overflow/underflow events,
-/// stash occupancy). Works with Mpcbf, AtomicMpcbf, ShardedMpcbf and
-/// the baseline filters — members are probed, not required.
+/// stash occupancy). Works with Mpcbf, its durable, elastic and decaying
+/// wrappers and the baseline filters — members are probed, not required.
 template <typename Filter>
 void publish_filter(Registry& reg, std::string_view label,
                     const Filter& f) {
   if constexpr (requires { f.stats(); }) {
     publish_access_stats(reg, label, f.stats());
-  } else if constexpr (requires { f.stats_snapshot(); }) {
-    publish_access_stats(reg, label, f.stats_snapshot());
   }
   if constexpr (requires { f.size(); }) {
     reg.gauge("mpcbf_filter_elements", "Elements currently represented",

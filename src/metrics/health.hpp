@@ -25,7 +25,7 @@
 // non-Ok sample fires the configured callback and bumps
 // mpcbf_health_alarms_total{severity=...}. The prober reads the filter
 // without locking — point it at a filter that is not concurrently
-// mutated, or at AtomicMpcbf (whose readers are wait-free).
+// mutated (the server samples under its backend's shared lock).
 #pragma once
 
 #include <algorithm>
@@ -126,8 +126,8 @@ class HealthProber {
 
   /// Starts a background thread probing `f` every `interval` until
   /// stop() (or destruction). The caller must keep `f` alive and must
-  /// not mutate it concurrently unless the filter's readers are
-  /// thread-safe (AtomicMpcbf / ShardedMpcbf).
+  /// not mutate it concurrently: no filter here has readers that are
+  /// safe against a concurrent writer.
   template <typename Filter>
   void watch(const Filter& f, std::chrono::milliseconds interval) {
     stop();

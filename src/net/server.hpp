@@ -9,7 +9,7 @@
 //                       FilterBackend (type-erased)
 //                               │ shared_mutex
 //                               ▼
-//             Mpcbf / DurableMpcbf / ShardedMpcbf batch paths
+//        Mpcbf / Durable<F> / ElasticMpcbf / DecayingMpcbf batch paths
 //
 // Request pipelining: a connection may send any number of frames without
 // waiting; each is answered before the next is decoded, so responses
@@ -230,9 +230,9 @@ void erase_batch(F& f, std::span<const std::string_view> keys,
 
 }  // namespace detail
 
-/// Wraps a concrete filter in a FilterBackend. Works with Mpcbf, every
-/// Durable<F> and ShardedMpcbf (members are probed, not required —
-/// the publish_filter idiom). All request classes are serialized
+/// Wraps a concrete filter in a FilterBackend. Works with Mpcbf and
+/// every Durable<F> (members are probed, not required — the
+/// publish_filter idiom). All request classes are serialized
 /// through one shared_mutex: queries/stats/health take it shared,
 /// mutations and snapshots exclusive, matching the filters' "const
 /// queries are concurrent-safe, mutations are not" contract. Pass the

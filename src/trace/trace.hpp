@@ -41,7 +41,6 @@ namespace mpcbf::trace {
 enum class Category : std::uint8_t {
   kCore,       ///< filter hot paths (query/insert/erase/level walk)
   kIo,         ///< WAL append/flush/fsync, snapshot save/load
-  kShard,      ///< ShardedMpcbf fan-out
   kMapReduce,  ///< mapreduce stage execution
   kTool,       ///< CLI / harness driver scopes
   kNet,        ///< mpcbfd server request handling / client RPCs
@@ -51,7 +50,6 @@ enum class Category : std::uint8_t {
   switch (c) {
     case Category::kCore: return "core";
     case Category::kIo: return "io";
-    case Category::kShard: return "shard";
     case Category::kMapReduce: return "mapreduce";
     case Category::kTool: return "tool";
     case Category::kNet: return "net";

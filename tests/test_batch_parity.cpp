@@ -1,35 +1,29 @@
 // Batch/scalar parity: a contains_batch/insert_batch/erase_batch call on
-// Mpcbf (every word width and g), AtomicMpcbf or ShardedMpcbf must return
-// bit-identical verdicts, leave byte-identical filter state AND record
-// identical per-op-class AccessStats to the equivalent scalar loop — with
-// several keys of one pipeline chunk sharing a word, stash diversions and
-// underflowing erases in the mix. Also exercises contains_batch under
-// concurrent inserts (run under TSan in CI) and the DurableMpcbf batch
-// journaling path.
+// Mpcbf (every word width and g) must return bit-identical verdicts,
+// leave byte-identical filter state AND record identical per-op-class
+// AccessStats to the equivalent scalar loop — with several keys of one
+// pipeline chunk sharing a word, stash diversions and underflowing
+// erases in the mix. Also exercises the DurableMpcbf batch journaling
+// path.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
-#include "core/atomic_mpcbf.hpp"
 #include "core/durable_mpcbf.hpp"
 #include "core/mpcbf.hpp"
-#include "core/sharded_mpcbf.hpp"
 #include "metrics/access_stats.hpp"
 #include "workload/string_sets.hpp"
 
 namespace {
 
-using mpcbf::core::AtomicMpcbf;
 using mpcbf::core::DurableMpcbf;
 using mpcbf::core::Mpcbf;
 using mpcbf::core::MpcbfConfig;
 using mpcbf::core::OverflowPolicy;
-using mpcbf::core::ShardedMpcbf;
 using mpcbf::metrics::AccessStats;
 using mpcbf::metrics::OpClass;
 using mpcbf::workload::generate_unique_strings;
@@ -241,249 +235,6 @@ TEST(MpcbfBatchParity, EraseBatchRejectsSizeMismatch) {
   const std::vector<std::string> keys = {"a", "b"};
   std::vector<std::uint8_t> ok(1);
   EXPECT_THROW(f.erase_batch(keys, ok), std::invalid_argument);
-}
-
-// --- AtomicMpcbf --------------------------------------------------------
-
-// Runs the same mixed workload through scalar contains() on one filter
-// and contains_batch() on an identically-built twin, then compares both
-// verdicts and accounting.
-void run_atomic_query_parity(unsigned k, unsigned g, std::size_t n_keys) {
-  const auto keys = generate_unique_strings(n_keys, 6, 301 + k);
-  const auto probes = generate_unique_strings(n_keys, 8, 302 + g);
-  AtomicMpcbf scalar_f(1 << 18, k, g, n_keys);
-  AtomicMpcbf batch_f(1 << 18, k, g, n_keys);
-  for (const auto& key : keys) {
-    ASSERT_EQ(scalar_f.insert(key), batch_f.insert(key));
-  }
-  const auto mixed = mixed_workload(keys, probes);
-  scalar_f.reset_stats();
-  batch_f.reset_stats();
-
-  std::vector<std::uint8_t> scalar_out(mixed.size());
-  for (std::size_t i = 0; i < mixed.size(); ++i) {
-    scalar_out[i] = scalar_f.contains(mixed[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_out(mixed.size(), 0xFF);
-  batch_f.contains_batch(mixed, batch_out);
-
-  ASSERT_EQ(scalar_out, batch_out);
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
-}
-
-TEST(AtomicBatchParity, QueryG1) { run_atomic_query_parity(3, 1, 1500); }
-TEST(AtomicBatchParity, QueryG2) { run_atomic_query_parity(4, 2, 2000); }
-TEST(AtomicBatchParity, QueryG4UnevenK) {
-  // k=6, g=4 exercises uneven hashes_per_word splits.
-  run_atomic_query_parity(6, 4, 2000);
-}
-
-TEST(AtomicBatchParity, InsertBatchMatchesScalarLoopIncludingOverflow) {
-  // Tight capacity (n_max=1) forces overflow rejects, so the rollback
-  // path and its words-touched accounting (2*done+1) are exercised too.
-  const auto keys = generate_unique_strings(400, 6, 303);
-  AtomicMpcbf scalar_f(1 << 10, 4, 2, 0, 0xAB, /*n_max=*/1);
-  AtomicMpcbf batch_f(1 << 10, 4, 2, 0, 0xAB, /*n_max=*/1);
-
-  std::vector<std::uint8_t> scalar_ok(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    scalar_ok[i] = scalar_f.insert(keys[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_ok(keys.size(), 0xFF);
-  batch_f.insert_batch(keys, batch_ok);
-
-  ASSERT_EQ(scalar_ok, batch_ok);
-  EXPECT_GT(scalar_f.overflow_events(), 0u);
-  EXPECT_EQ(scalar_f.overflow_events(), batch_f.overflow_events());
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
-  // Word state is identical, so every later query must agree.
-  for (const auto& key : keys) {
-    EXPECT_EQ(scalar_f.contains(key), batch_f.contains(key));
-  }
-}
-
-TEST(AtomicBatchParity, CollidingChunkLeavesIdenticalWords) {
-  // 8 words: each 32-key chunk puts several keys (and repeated keys) on
-  // one word, so every CAS of the resolve phase must see the writes of
-  // the chunk's earlier keys. Scalar erases afterwards must agree too.
-  const auto unique = generate_unique_strings(120, 6, 312);
-  std::vector<std::string> keys;
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    keys.push_back(unique[i]);
-    if (i % 4 == 0) keys.push_back(unique[i]);
-  }
-  AtomicMpcbf scalar_f(8 * 64, 3, 1, 0, 0xCD, /*n_max=*/4);
-  AtomicMpcbf batch_f(8 * 64, 3, 1, 0, 0xCD, /*n_max=*/4);
-  std::vector<std::uint8_t> scalar_ok(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    scalar_ok[i] = scalar_f.insert(keys[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_ok(keys.size(), 0xFF);
-  batch_f.insert_batch(keys, batch_ok);
-  ASSERT_EQ(scalar_ok, batch_ok);
-  EXPECT_GT(scalar_f.overflow_events(), 0u);
-  EXPECT_EQ(saved_bytes(scalar_f), saved_bytes(batch_f));
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
-
-  std::vector<std::uint8_t> scalar_out(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    scalar_out[i] = scalar_f.contains(keys[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_out(keys.size(), 0xFF);
-  batch_f.contains_batch(keys, batch_out);
-  ASSERT_EQ(scalar_out, batch_out);
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
-
-  for (const auto& key : keys) {
-    EXPECT_EQ(scalar_f.erase(key), batch_f.erase(key));
-  }
-  EXPECT_EQ(saved_bytes(scalar_f), saved_bytes(batch_f));
-  EXPECT_EQ(scalar_f.underflow_events(), batch_f.underflow_events());
-}
-
-TEST(AtomicBatchParity, StringViewOverloadMatchesStringOverload) {
-  const auto keys = generate_unique_strings(300, 6, 304);
-  AtomicMpcbf f(1 << 16, 4, 2, keys.size());
-  std::vector<std::uint8_t> ok(keys.size());
-  std::vector<std::string_view> views(keys.begin(), keys.end());
-  f.insert_batch(std::span<const std::string_view>(views),
-                 std::span<std::uint8_t>(ok));
-  std::vector<std::uint8_t> out_str(keys.size());
-  std::vector<std::uint8_t> out_view(keys.size());
-  f.contains_batch(keys, out_str);
-  f.contains_batch(std::span<const std::string_view>(views),
-                   std::span<std::uint8_t>(out_view));
-  EXPECT_EQ(out_str, out_view);
-  // Every accepted key must query positive (rejected keys may not).
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (ok[i]) {
-      EXPECT_EQ(out_str[i], 1);
-    }
-  }
-}
-
-TEST(AtomicBatchParity, ContainsBatchUnderConcurrentInserts) {
-  // Pre-inserted keys must stay positive while other threads insert:
-  // counters only grow, so a batch query racing lock-free inserts can
-  // never lose an established key. This is the TSan workout for the
-  // gather + snapshot-resolve pipeline against the CAS write path.
-  const std::size_t n_established = 512;
-  const std::size_t n_per_writer = 2000;
-  const unsigned n_writers = 4;
-  const auto established = generate_unique_strings(n_established, 6, 305);
-  AtomicMpcbf f(1 << 21, 4, 2,
-                n_established + n_writers * n_per_writer);
-  for (const auto& key : established) ASSERT_TRUE(f.insert(key));
-
-  std::vector<std::thread> writers;
-  writers.reserve(n_writers);
-  for (unsigned w = 0; w < n_writers; ++w) {
-    writers.emplace_back([&f, w] {
-      const auto keys =
-          generate_unique_strings(n_per_writer, 10, 400 + w);
-      for (const auto& key : keys) (void)f.insert(key);
-    });
-  }
-
-  std::vector<std::uint8_t> out(established.size());
-  for (int round = 0; round < 50; ++round) {
-    f.contains_batch(established, out);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], 1) << "established key lost in round " << round;
-    }
-  }
-  for (auto& t : writers) t.join();
-  EXPECT_TRUE(f.validate());
-}
-
-// --- ShardedMpcbf -------------------------------------------------------
-
-MpcbfConfig sharded_config() {
-  MpcbfConfig cfg;
-  cfg.memory_bits = 1 << 18;
-  cfg.k = 4;
-  cfg.g = 2;
-  cfg.expected_n = 2000;
-  return cfg;
-}
-
-TEST(ShardedBatchParity, QueryVerdictsAndStatsMatchScalarLoop) {
-  const auto cfg = sharded_config();
-  const auto keys = generate_unique_strings(2000, 6, 306);
-  const auto probes = generate_unique_strings(2000, 8, 307);
-  ShardedMpcbf<64> scalar_f(cfg, 8);
-  ShardedMpcbf<64> batch_f(cfg, 8);
-  for (const auto& key : keys) {
-    ASSERT_EQ(scalar_f.insert(key), batch_f.insert(key));
-  }
-  const auto mixed = mixed_workload(keys, probes);
-  scalar_f.reset_stats();
-  batch_f.reset_stats();
-
-  std::vector<std::uint8_t> scalar_out(mixed.size());
-  for (std::size_t i = 0; i < mixed.size(); ++i) {
-    scalar_out[i] = scalar_f.contains(mixed[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_out(mixed.size(), 0xFF);
-  batch_f.contains_batch(mixed, batch_out);
-
-  ASSERT_EQ(scalar_out, batch_out);
-  expect_same_accounting(scalar_f.stats_snapshot(),
-                         batch_f.stats_snapshot());
-}
-
-TEST(ShardedBatchParity, InsertBatchMatchesScalarLoopIncludingOverflow) {
-  MpcbfConfig cfg = sharded_config();
-  cfg.memory_bits = 1 << 12;  // tight: some shards overflow
-  cfg.expected_n = 0;
-  cfg.n_max = 1;
-  cfg.policy = OverflowPolicy::kReject;
-  const auto keys = generate_unique_strings(600, 6, 308);
-  ShardedMpcbf<64> scalar_f(cfg, 4);
-  ShardedMpcbf<64> batch_f(cfg, 4);
-
-  std::vector<std::uint8_t> scalar_ok(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    scalar_ok[i] = scalar_f.insert(keys[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_ok(keys.size(), 0xFF);
-  batch_f.insert_batch(keys, batch_ok);
-
-  ASSERT_EQ(scalar_ok, batch_ok);
-  EXPECT_GT(scalar_f.overflow_events(), 0u);
-  EXPECT_EQ(scalar_f.overflow_events(), batch_f.overflow_events());
-  EXPECT_EQ(scalar_f.size(), batch_f.size());
-  expect_same_accounting(scalar_f.stats_snapshot(),
-                         batch_f.stats_snapshot());
-  for (const auto& key : keys) {
-    EXPECT_EQ(scalar_f.contains(key), batch_f.contains(key));
-  }
-}
-
-TEST(ShardedBatchParity, BatchUnderConcurrentMutators) {
-  // Striped locks serialize per shard; a batch query concurrent with
-  // scalar inserts of other keys must keep established keys positive.
-  const auto cfg = sharded_config();
-  const auto established = generate_unique_strings(400, 6, 309);
-  ShardedMpcbf<64> f(cfg, 8);
-  for (const auto& key : established) ASSERT_TRUE(f.insert(key));
-
-  std::vector<std::thread> writers;
-  for (unsigned w = 0; w < 4; ++w) {
-    writers.emplace_back([&f, w] {
-      const auto keys = generate_unique_strings(800, 10, 500 + w);
-      for (const auto& key : keys) (void)f.insert(key);
-    });
-  }
-  std::vector<std::uint8_t> out(established.size());
-  for (int round = 0; round < 30; ++round) {
-    f.contains_batch(established, out);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      ASSERT_EQ(out[i], 1) << "established key lost in round " << round;
-    }
-  }
-  for (auto& t : writers) t.join();
-  EXPECT_TRUE(f.validate());
 }
 
 // --- DurableMpcbf -------------------------------------------------------

@@ -20,9 +20,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/atomic_mpcbf.hpp"
 #include "core/mpcbf.hpp"
-#include "core/sharded_mpcbf.hpp"
 #include "filters/counting_bloom.hpp"
 #include "filters/dlcbf.hpp"
 #include "filters/mlccbf.hpp"
@@ -98,14 +96,6 @@ std::vector<Driver> all_filters(std::uint64_t seed) {
       "MPCBF-128", std::make_shared<mpcbf::core::Mpcbf<128>>(mcfg), ~0u));
   drivers.push_back(make_driver(
       "MPCBF-512", std::make_shared<mpcbf::core::Mpcbf<512>>(mcfg), ~0u));
-  drivers.push_back(make_driver(
-      "Sharded", std::make_shared<mpcbf::core::ShardedMpcbf<64>>(mcfg, 4),
-      ~0u));
-  drivers.push_back(make_driver(
-      "Atomic",
-      std::make_shared<mpcbf::core::AtomicMpcbf>(1 << 17, 3, 1, 2000, seed,
-                                                 /*n_max=*/12),
-      ~0u));
   drivers.push_back(make_driver(
       "CBF",
       std::make_shared<mpcbf::filters::CountingBloomFilter>(1 << 17, 3,

@@ -45,10 +45,10 @@ class DurableMpcbfTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("mpcbf_durable_test_" + std::string(::testing::UnitTest::
-                                                    GetInstance()
-                                                        ->current_test_info()
-                                                        ->name()));
+           std::string("mpcbf_durable_test_")
+               .append(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -293,7 +293,9 @@ TEST_F(DurableMpcbfTest, GroupCommitFlushEvery) {
   DurableMpcbf<64>::Options opt = fast_options();
   opt.flush_every = 16;
   DurableMpcbf<64> d(dir_, small_config(), opt);
-  for (int i = 0; i < 15; ++i) d.insert("k" + std::to_string(i));
+  for (int i = 0; i < 15; ++i) {
+    d.insert(std::string("k").append(std::to_string(i)));
+  }
   EXPECT_EQ(d.pending_records(), 15u);
   d.insert("k15");  // 16th mutation triggers the group flush
   EXPECT_EQ(d.pending_records(), 0u);
@@ -356,10 +358,12 @@ void expect_golden_round_trip(const std::string& file,
 TEST(DurableGolden, DecayingSnapshotRoundTripsByteForByte) {
   std::vector<std::string> present;
   for (int i = 0; i < 120; ++i) {
-    present.push_back("golden-decay-" + std::to_string(i));
+    present.push_back(
+        std::string("golden-decay-").append(std::to_string(i)));
   }
   for (int i = 220; i < 300; ++i) {
-    present.push_back("golden-decay-" + std::to_string(i));
+    present.push_back(
+        std::string("golden-decay-").append(std::to_string(i)));
   }
   expect_golden_round_trip<mpcbf::core::DurableDecayingMpcbf<64>>(
       "durable_decay_golden.snap", present, 280);

@@ -31,7 +31,7 @@ TEST(HeavyHitters, EstimatesNeverUndercount) {
     // Skewed stream: low ids much hotter.
     const auto id = static_cast<std::uint64_t>(
         rng.uniform01() * rng.uniform01() * 500);
-    const std::string key = "k" + std::to_string(id);
+    const std::string key = std::string("k").append(std::to_string(id));
     sketch.add(key);
     ++exact[key];
   }
@@ -50,7 +50,7 @@ TEST(HeavyHitters, FindsTheActualHitters) {
   for (int i = 0; i < 300; ++i) sketch.add("elephant-2");
   for (int i = 0; i < 100; ++i) sketch.add("elephant-3");
   for (int i = 0; i < 5000; ++i) {
-    sketch.add("mouse-" + std::to_string(i));
+    sketch.add(std::string("mouse-").append(std::to_string(i)));
   }
   const auto top = sketch.top(3);
   ASSERT_EQ(top.size(), 3u);
@@ -88,7 +88,7 @@ TEST(HeavyHitters, TopIsSortedAndBounded) {
   HeavyHitterSketch sketch(cfg);
   for (int k = 1; k <= 20; ++k) {
     for (int i = 0; i < k * 3; ++i) {
-      sketch.add("key-" + std::to_string(k));
+      sketch.add(std::string("key-").append(std::to_string(k)));
     }
   }
   const auto top = sketch.top(5);

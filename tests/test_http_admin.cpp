@@ -531,7 +531,10 @@ TEST(AdminConcurrency, ScrapeDuringMutationStorm) {
       Client c(copts);
       std::vector<std::string> keys;
       for (int i = 0; i < 16; ++i) {
-        keys.push_back("w" + std::to_string(t) + "-" + std::to_string(i));
+        keys.push_back(std::string("w")
+                           .append(std::to_string(t))
+                           .append("-")
+                           .append(std::to_string(i)));
       }
       while (!stop.load(std::memory_order_relaxed)) {
         c.insert(keys);

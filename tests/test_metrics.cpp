@@ -319,21 +319,6 @@ TEST(AccessStatsAdapter, RecordNMatchesRecordLoop) {
   EXPECT_DOUBLE_EQ(a.mean_update_bandwidth(), b.mean_update_bandwidth());
 }
 
-TEST(AccessStatsAdapter, MergeAggregates) {
-  AccessStats a;
-  AccessStats b;
-  a.record(OpClass::kQueryPositive, 1, 10);
-  a.record_latency(OpClass::kQueryPositive, 100);
-  b.record(OpClass::kQueryPositive, 3, 30);
-  b.record_latency(OpClass::kQueryPositive, 200);
-  a.merge(b);
-  EXPECT_EQ(a.ops(OpClass::kQueryPositive), 2u);
-  EXPECT_EQ(a.words(OpClass::kQueryPositive), 4u);
-  EXPECT_EQ(a.bits(OpClass::kQueryPositive), 40u);
-  EXPECT_EQ(a.latency(OpClass::kQueryPositive).count(), 2u);
-  EXPECT_EQ(a.latency(OpClass::kQueryPositive).max(), 200u);
-}
-
 TEST(AccessStatsAdapter, PublishesIntoRegistry) {
   AccessStats s;
   s.record(OpClass::kQueryNegative, 1, 11);

@@ -1,20 +1,24 @@
-// Differential accounting tests: batch and scalar query paths must
-// produce identical AccessStats for the same key sequence, across
-// short-circuit settings, group counts and stash interaction — the
-// property the paper's access-bandwidth tables depend on (a batch
-// measurement that accounted differently from the scalar path would
-// make Tables I-III untrustworthy). Plus regressions for the erase()
-// size-drift bug and the allocation-free stash probe.
+// Query accounting tests: scalar contains() and contains_batch() share
+// one implementation (engine::query_batch), so each is checked against
+// an independent reference — the paper's lazy bit-by-bit query walk,
+// kept here in the test — on verdicts and on per-class ops, words and
+// bits, across word widths, group counts, short-circuit settings and
+// stash rescues. The paper's access-bandwidth tables depend on this
+// accounting (Tables I-III). Plus the mutation batches against scalar
+// loops, and regressions for the erase() size-drift bug and the
+// allocation-free stash probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mpcbf.hpp"
 #include "core/word_engine.hpp"
 #include "hash/hash_stream.hpp"
 #include "metrics/access_stats.hpp"
+#include "model/fpr_model.hpp"
 #include "workload/string_sets.hpp"
 
 namespace {
@@ -27,19 +31,87 @@ using mpcbf::metrics::OpClass;
 using mpcbf::workload::generate_unique_strings;
 
 // Asserts the per-class op/word/bit tallies of two stats objects agree.
-void expect_same_accounting(const AccessStats& scalar,
-                            const AccessStats& batch) {
+void expect_same_accounting(const AccessStats& expected,
+                            const AccessStats& actual) {
   for (unsigned i = 0; i < mpcbf::metrics::kNumOpClasses; ++i) {
     const auto c = static_cast<OpClass>(i);
-    EXPECT_EQ(scalar.ops(c), batch.ops(c)) << "ops class " << i;
-    EXPECT_EQ(scalar.words(c), batch.words(c)) << "words class " << i;
-    EXPECT_EQ(scalar.bits(c), batch.bits(c)) << "bits class " << i;
+    EXPECT_EQ(expected.ops(c), actual.ops(c)) << "ops class " << i;
+    EXPECT_EQ(expected.words(c), actual.words(c)) << "words class " << i;
+    EXPECT_EQ(expected.bits(c), actual.bits(c)) << "bits class " << i;
   }
 }
 
-// Runs the same mixed workload through scalar contains() on one filter
-// and contains_batch() on an identically-built twin, then compares both
+// The reference query: the paper's lazy walk over `f`'s words, one hash
+// draw at a time. Per group it draws the word index, then tests the
+// group's positions one by one; under short_circuit it stops at the
+// first unset bit. A key the words reject is positive iff the stash
+// holds it: an unset level-1 bit means a zero counter, so count() is
+// then the stashed copies alone. Records the distinct words of the
+// visited groups and the bits drawn into `stats`.
+template <unsigned W>
+bool reference_contains(const Mpcbf<W>& f, bool short_circuit,
+                        std::string_view key, AccessStats& stats) {
+  mpcbf::hash::HashBitStream stream(key, f.seed());
+  bool positive = true;
+  std::vector<std::size_t> seen;
+  for (unsigned t = 0; t < f.g(); ++t) {
+    if (!positive && short_circuit) break;
+    const std::size_t w = stream.next_index(f.num_words());
+    if (std::find(seen.begin(), seen.end(), w) == seen.end()) {
+      seen.push_back(w);
+    }
+    const unsigned kw = mpcbf::model::hashes_per_word(f.k(), f.g(), t);
+    for (unsigned i = 0; i < kw; ++i) {
+      const auto pos = static_cast<unsigned>(stream.next_index(f.b1()));
+      if (!f.word(w).test(pos)) {
+        positive = false;
+        if (short_circuit) break;
+      }
+    }
+  }
+  if (!positive) positive = f.count(key) > 0;
+  stats.record(positive ? OpClass::kQueryPositive : OpClass::kQueryNegative,
+               seen.size(), stream.accounted_bits());
+  return positive;
+}
+
+// Queries `queries` through scalar contains() on `scalar_f`, through
+// contains_batch() on its identically-built twin `batch_f`, and through
+// the reference walk, then checks both against the reference on
 // verdicts and accounting. Returns the verdicts.
+template <unsigned W>
+std::vector<std::uint8_t> check_against_reference(
+    bool short_circuit, Mpcbf<W>& scalar_f, Mpcbf<W>& batch_f,
+    const std::vector<std::string>& queries) {
+  scalar_f.reset_stats();
+  batch_f.reset_stats();
+  AccessStats ref_stats;
+  std::vector<std::uint8_t> ref_out(queries.size());
+  std::vector<std::uint8_t> scalar_out(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ref_out[i] =
+        reference_contains(scalar_f, short_circuit, queries[i], ref_stats);
+    scalar_out[i] = scalar_f.contains(queries[i]) ? 1 : 0;
+  }
+  std::vector<std::uint8_t> batch_out(queries.size(), 0xFF);
+  batch_f.contains_batch(queries, batch_out);
+
+  EXPECT_EQ(ref_out, scalar_out);
+  EXPECT_EQ(ref_out, batch_out);
+  {
+    SCOPED_TRACE("scalar contains()");
+    expect_same_accounting(ref_stats, scalar_f.stats());
+  }
+  {
+    SCOPED_TRACE("contains_batch()");
+    expect_same_accounting(ref_stats, batch_f.stats());
+  }
+  return ref_out;
+}
+
+// Inserts `n_keys` keys into two filters built from `cfg`, then checks a
+// mixed query list (each key followed by a never-inserted probe) against
+// the reference. Returns the verdicts.
 template <unsigned W = 64>
 std::vector<std::uint8_t> run_parity_case(MpcbfConfig cfg,
                                           std::size_t n_keys,
@@ -58,19 +130,8 @@ std::vector<std::uint8_t> run_parity_case(MpcbfConfig cfg,
     mixed.push_back(keys[i]);
     mixed.push_back(probes[i]);
   }
-  scalar_f.reset_stats();
-  batch_f.reset_stats();
-
-  std::vector<std::uint8_t> scalar_out(mixed.size());
-  for (std::size_t i = 0; i < mixed.size(); ++i) {
-    scalar_out[i] = scalar_f.contains(mixed[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_out(mixed.size(), 0xFF);
-  batch_f.contains_batch(mixed, batch_out);
-
-  EXPECT_EQ(scalar_out, batch_out);
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
-  return batch_out;
+  return check_against_reference(cfg.short_circuit, scalar_f, batch_f,
+                                 mixed);
 }
 
 // What a sweep case exercised, counted over its keys' derived targets.
@@ -148,10 +209,11 @@ void sweep_width(Coverage& cov) {
 }
 
 TEST(StatsParity, SweepWidthsGroupsAndShortCircuit) {
-  // Identical verdicts and per-class ops/words/bits for every width and
-  // g, including colliding group words, repeated positions, a last
-  // group with zero positions and stash rescues. The coverage counts
-  // check that the sweep really produced each of those.
+  // The reference walk's verdicts and per-class ops/words/bits, on both
+  // query paths, for every width and g, including colliding group
+  // words, repeated positions, a last group with zero positions and
+  // stash rescues. The coverage counts check that the sweep really
+  // produced each of those.
   Coverage cov;
   sweep_width<64>(cov);
   sweep_width<128>(cov);
@@ -164,9 +226,9 @@ TEST(StatsParity, SweepWidthsGroupsAndShortCircuit) {
 }
 
 TEST(StatsParity, WideShapesRunSmallerQueryChunks) {
-  // g = 8 leaves room for 32 keys' group words per chunk, and 40
-  // positions per key for 25 keys' positions: both shapes resolve in
-  // several chunks per call, not one of 64.
+  // Records of g = 8 group words, or of 40 positions per key, do not
+  // fit 64 times in the query buffers: both shapes resolve in chunks of
+  // kWideQueryChunk keys, several per call.
   for (const bool sc : {true, false}) {
     MpcbfConfig eight;
     eight.memory_bits = 64 * 256;
@@ -246,7 +308,7 @@ TEST(StatsParity, BatchAccountsHashBits) {
 
 TEST(StatsParity, StashedKeysCountPositive) {
   // Keys diverted to the stash must classify as positive queries on both
-  // paths, with equal accounting.
+  // paths, with the reference walk's accounting.
   MpcbfConfig cfg;
   cfg.memory_bits = 64;
   cfg.k = 3;
@@ -262,18 +324,29 @@ TEST(StatsParity, StashedKeysCountPositive) {
   ASSERT_GT(scalar_f.stash_size(), 0u);
   std::vector<std::string> queries = keys;
   queries.emplace_back("never-inserted-xyz");
-  scalar_f.reset_stats();
-  batch_f.reset_stats();
-  std::vector<std::uint8_t> scalar_out(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    scalar_out[i] = scalar_f.contains(queries[i]) ? 1 : 0;
-  }
-  std::vector<std::uint8_t> batch_out(queries.size());
-  batch_f.contains_batch(queries, batch_out);
-  ASSERT_EQ(scalar_out, batch_out);
-  expect_same_accounting(scalar_f.stats(), batch_f.stats());
+  check_against_reference(cfg.short_circuit, scalar_f, batch_f, queries);
   // All four inserted keys are positive (filter or stash).
   EXPECT_EQ(scalar_f.stats().ops(OpClass::kQueryPositive), 4u);
+  EXPECT_EQ(batch_f.stats().ops(OpClass::kQueryPositive), 4u);
+}
+
+TEST(StatsParity, ScalarQueryPublishesOnlyTheClassItHit) {
+  // A one-key call publishes one op class: a positive leaves the
+  // negative tallies untouched and vice versa.
+  auto f = Mpcbf<64>::with_memory(1 << 14, 3, 1, 100);
+  ASSERT_TRUE(f.insert("present"));
+  f.reset_stats();
+  ASSERT_TRUE(f.contains("present"));
+  EXPECT_EQ(f.stats().ops(OpClass::kQueryPositive), 1u);
+  EXPECT_EQ(f.stats().ops(OpClass::kQueryNegative), 0u);
+  EXPECT_EQ(f.stats().words(OpClass::kQueryNegative), 0u);
+  EXPECT_EQ(f.stats().bits(OpClass::kQueryNegative), 0u);
+  f.reset_stats();
+  ASSERT_FALSE(f.contains("absent-key-0123"));
+  EXPECT_EQ(f.stats().ops(OpClass::kQueryNegative), 1u);
+  EXPECT_EQ(f.stats().ops(OpClass::kQueryPositive), 0u);
+  EXPECT_EQ(f.stats().words(OpClass::kQueryPositive), 0u);
+  EXPECT_EQ(f.stats().bits(OpClass::kQueryPositive), 0u);
 }
 
 TEST(StatsParity, MutationBatchesAccountLikeScalarLoops) {

@@ -237,7 +237,7 @@ TEST(Trace, ChromeJsonParsesUnderConcurrentWriters) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        MPCBF_TRACE_SPAN(outer, kShard, "mt.outer");
+        MPCBF_TRACE_SPAN(outer, kTool, "mt.outer");
         outer.set_arg("i", static_cast<std::uint64_t>(i));
         MPCBF_TRACE_SPAN(inner, kCore, "mt.inner");
       }

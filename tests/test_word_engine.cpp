@@ -1,10 +1,7 @@
 // Unit tests for the shared word-engine core (src/core/word_engine.hpp)
-// plus the cross-variant shape-validation contract: every filter built on
-// the engine must accept and reject exactly the same (k, g) shapes. The
-// kMaxKPerWord satellite regression lives here — Mpcbf historically
-// allowed ⌈k/g⌉ up to 32 while AtomicMpcbf silently capped its position
-// arrays at 16, so a k=40, g=2 filter worked on one and corrupted memory
-// on the other.
+// plus the cross-filter shape-validation contract: every filter built on
+// the engine must accept and reject exactly the same (k, g) shapes, so a
+// shape one accepts can never overflow another's fixed position arrays.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/atomic_mpcbf.hpp"
 #include "core/mpcbf.hpp"
 #include "core/word_engine.hpp"
 #include "filters/pcbf.hpp"
@@ -23,7 +19,6 @@
 namespace {
 
 namespace engine = mpcbf::core::engine;
-using mpcbf::core::AtomicMpcbf;
 using mpcbf::core::Mpcbf;
 using mpcbf::core::MpcbfConfig;
 using mpcbf::filters::Pcbf;
@@ -59,19 +54,16 @@ TEST(WordEngine, ShapeErrorMessageNamesTheVariant) {
   }
 }
 
-// --- cross-variant rejection parity (the kMaxKPerWord satellite) --------
+// --- cross-filter rejection parity --------------------------------------
 
 TEST(WordEngine, VariantsRejectTheSameOverWideShapes) {
-  // ⌈66/2⌉ = 33 > kMaxKPerWord: every variant must reject it, not just
-  // some. Before the shared constant, AtomicMpcbf advertised 16 while
-  // Mpcbf enforced 32.
+  // ⌈66/2⌉ = 33 > kMaxKPerWord: every engine filter must reject it.
   MpcbfConfig cfg;
   cfg.memory_bits = 1 << 16;
   cfg.k = 66;
   cfg.g = 2;
   cfg.n_max = 1;
   EXPECT_THROW(Mpcbf<64>{cfg}, std::invalid_argument);
-  EXPECT_THROW(AtomicMpcbf(1 << 16, 66, 2, 100), std::invalid_argument);
   PcbfConfig pcfg;
   pcfg.memory_bits = 1 << 16;
   pcfg.k = 66;
@@ -88,8 +80,6 @@ TEST(WordEngine, VariantsAcceptTheSameMaxWidthShape) {
   cfg.g = 2;
   cfg.n_max = 1;
   EXPECT_NO_THROW(Mpcbf<64>{cfg});
-  EXPECT_NO_THROW(AtomicMpcbf(1 << 16, 64, 2, 0, mpcbf::hash::kDefaultSeed,
-                              /*n_max=*/1));
   PcbfConfig pcfg;
   pcfg.memory_bits = 1 << 16;
   pcfg.k = 64;
@@ -100,8 +90,6 @@ TEST(WordEngine, VariantsAcceptTheSameMaxWidthShape) {
 TEST(WordEngine, VariantConstantsAliasTheEngine) {
   EXPECT_EQ(Mpcbf<64>::kMaxG, engine::kMaxG);
   EXPECT_EQ(Mpcbf<64>::kMaxKPerWord, engine::kMaxKPerWord);
-  EXPECT_EQ(AtomicMpcbf::kMaxG, engine::kMaxG);
-  EXPECT_EQ(AtomicMpcbf::kMaxKPerWord, engine::kMaxKPerWord);
 }
 
 // --- SeenWords ----------------------------------------------------------
@@ -143,7 +131,7 @@ TEST(WordEngine, DeriveAllMatchesManualStreamConsumption) {
   EXPECT_EQ(s1.accounted_bits(), s2.accounted_bits());
 }
 
-// --- group_by_word ------------------------------------------------------
+// --- Targets ------------------------------------------------------------
 
 // Builds targets from (word, position) entries in derivation order; a
 // change of word starts a new hash group, as derive_all would record it.
@@ -182,34 +170,6 @@ TEST(WordEngine, TargetsPackGroupAndPosition) {
     EXPECT_EQ(t.pos(i),
               engine::kMaxPositionRange - 1 - i % engine::kMaxKPerWord);
   }
-}
-
-TEST(WordEngine, GroupByWordKeepsFirstSeenOrderAndDerivationOrder) {
-  // Words 9 and 4 collide across groups; positions must regroup per
-  // distinct word, contiguous, preserving derivation order within each.
-  const auto t = make_targets({{9, 1}, {9, 5}, {4, 2}, {9, 7}, {4, 0}});
-  engine::WordPlan p;
-  engine::group_by_word(t, p);
-  ASSERT_EQ(p.num_words, 2u);
-  EXPECT_EQ(p.word[0], 9u);
-  EXPECT_EQ(p.word[1], 4u);
-  ASSERT_EQ(p.offset[0], 0u);
-  ASSERT_EQ(p.offset[1], 3u);
-  ASSERT_EQ(p.offset[2], 5u);
-  EXPECT_EQ(p.pos[0], 1u);
-  EXPECT_EQ(p.pos[1], 5u);
-  EXPECT_EQ(p.pos[2], 7u);
-  EXPECT_EQ(p.pos[3], 2u);
-  EXPECT_EQ(p.pos[4], 0u);
-}
-
-TEST(WordEngine, GroupByWordSingleWordAbsorbsEverything) {
-  const auto t = make_targets({{3, 0}, {3, 1}, {3, 2}});
-  engine::WordPlan p;
-  engine::group_by_word(t, p);
-  ASSERT_EQ(p.num_words, 1u);
-  EXPECT_EQ(p.word[0], 3u);
-  EXPECT_EQ(p.offset[1], 3u);
 }
 
 // --- capacity_ok --------------------------------------------------------
@@ -302,7 +262,9 @@ engine::Targets targets_of(const std::string& key) {
 
 std::vector<std::string> query_keys(std::size_t n) {
   std::vector<std::string> keys;
-  for (std::size_t i = 0; i < n; ++i) keys.push_back("q" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(std::string("q").append(std::to_string(i)));
+  }
   return keys;
 }
 
@@ -360,7 +322,7 @@ TEST(WordEngine, QueryBatchChargesPositionsUpToTheFirstFailure) {
   std::string key;
   engine::Targets t;
   for (int i = 0;; ++i) {
-    key = "ctz" + std::to_string(i);
+    key = std::string("ctz").append(std::to_string(i));
     t = targets_of(key);
     if (t.pos(0) != t.pos(1)) break;
   }
@@ -388,42 +350,35 @@ TEST(WordEngine, BatchPipelineDerivesThenGathersThenResolvesPerChunk) {
   // the resolves in key order; chunks run one after another.
   const std::size_t n = engine::kBatchChunk + 5;  // one full + one partial
   std::vector<std::string> events;
-  std::vector<std::size_t> chunk_sizes;
+  const auto event = [&](char phase, std::size_t i) {
+    std::string e(1, phase);
+    e += std::to_string(i);
+    events.push_back(std::move(e));
+  };
   engine::batch_pipeline(
       n,
       [&](std::size_t key_i, std::size_t slot) {
         EXPECT_EQ(slot, key_i % engine::kBatchChunk);
-        events.push_back("d" + std::to_string(key_i));
+        event('d', key_i);
       },
       [&](std::size_t slot) {
-        events.push_back("g" + std::to_string(slot));
+        event('g', slot);
         return std::uint64_t{slot};
       },
       [&](std::size_t key_i, std::size_t slot) {
         EXPECT_EQ(slot, key_i % engine::kBatchChunk);
-        events.push_back("r" + std::to_string(key_i));
-      },
-      [&](std::size_t count) { chunk_sizes.push_back(count); },
-      [&](std::size_t count) { events.push_back("e" + std::to_string(count)); });
+        event('r', key_i);
+      });
 
-  std::vector<std::string> expected;
+  const std::vector<std::string> got = std::move(events);
+  events.clear();
   for (std::size_t base = 0; base < n; base += engine::kBatchChunk) {
     const std::size_t count = std::min(engine::kBatchChunk, n - base);
-    for (std::size_t i = 0; i < count; ++i) {
-      expected.push_back("d" + std::to_string(base + i));
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      expected.push_back("g" + std::to_string(i));
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      expected.push_back("r" + std::to_string(base + i));
-    }
-    expected.push_back("e" + std::to_string(count));
+    for (std::size_t i = 0; i < count; ++i) event('d', base + i);
+    for (std::size_t i = 0; i < count; ++i) event('g', i);
+    for (std::size_t i = 0; i < count; ++i) event('r', base + i);
   }
-  EXPECT_EQ(events, expected);
-  ASSERT_EQ(chunk_sizes.size(), 2u);
-  EXPECT_EQ(chunk_sizes[0], engine::kBatchChunk);
-  EXPECT_EQ(chunk_sizes[1], 5u);
+  EXPECT_EQ(got, events);
 }
 
 TEST(WordEngine, GatherReadsEveryLimbBoundaryOfTheWord) {
