@@ -1,6 +1,6 @@
 // Batching scaling — the deployment question the paper's hardware
 // discussion raises, answered for the software filter: scalar
-// contains() (a batch of one) vs contains_batch() (gather-pipelined) on
+// contains() (the one-key walk) vs contains_batch() (gather-pipelined) on
 // a filter large enough that queries miss cache.
 //
 // Usage: bench_scaling [--n 200000] [--seed 11] [--csv out.csv]

@@ -157,8 +157,8 @@ class Mpcbf {
   }
 
   /// Membership query. False positives possible; false negatives are not
-  /// (for keys whose inserts all succeeded). A batch of one: the same
-  /// derive → fetch → mask path and accounting as contains_batch, which
+  /// (for keys whose inserts all succeeded). A batch of one through
+  /// engine::query_batch, which runs it as the paper's lazy walk and
   /// publishes one atomic trio for the op class the key hit.
   [[nodiscard]] bool contains(std::string_view key) const {
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.query");
@@ -335,8 +335,8 @@ class Mpcbf {
   /// Accounting: the resolve charges what the paper's lazy bit-by-bit
   /// walk would (short_circuit_ honoured, duplicate words deduplicated,
   /// hash bits accounted only up to the short-circuit point); scalar
-  /// contains() is this path over one key, so both record identical
-  /// per-class op counts, word touches and accounted bits
+  /// contains() is the same engine call over one key, and both record
+  /// the walk's per-class op counts, word touches and accounted bits
   /// (tests/test_stats_parity.cpp checks both against a reference walk).
   /// Accounting is aggregated across the whole call (one atomic trio per
   /// op class hit) and sampled chunks record their per-key average
@@ -751,8 +751,10 @@ class Mpcbf {
 
   /// The one query path of contains() and contains_batch(): the engine's
   /// query_batch, with the stash probe deciding keys the words reject.
+  /// Inlined, so contains() runs the one-key walk without a call.
   template <class Key>
-  void query(std::span<const Key> keys, std::span<std::uint8_t> out) const {
+  MPCBF_ENGINE_INLINE void query(std::span<const Key> keys,
+                                 std::span<std::uint8_t> out) const {
     engine::query_batch(store_, der_, short_circuit_, keys, seed_, out,
                         stats_, [&](std::size_t i) {
                           if (stash_.empty()) return false;

@@ -18,10 +18,11 @@
 //     runs: derive a chunk's targets (pure compute), gather its words
 //     with plain demand loads in one tight loop so the out-of-order core
 //     overlaps the cache misses, then resolve each key in key order.
-//   * query_batch — the one query path, scalar and batch: the same three
-//     phases on a compact per-key record, one hash, one fetch per group
-//     word and one fail mask per word, with the paper's lazy bit-by-bit
-//     accounting reproduced exactly (tests/test_stats_parity.cpp).
+//   * query_batch — the one query path, scalar and batch: a batch runs
+//     the same three phases on a compact per-key record, one hash, one
+//     fetch per group word and one fail mask per word, with the paper's
+//     lazy bit-by-bit accounting reproduced exactly; a one-key call runs
+//     that lazy walk itself (tests/test_stats_parity.cpp).
 //   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
@@ -38,6 +39,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bitvec/word_bitset.hpp"
@@ -163,12 +165,21 @@ class TargetDeriver {
   MPCBF_ENGINE_INLINE void derive(hash::HashBitStream& stream,
                                   OnWord&& on_word, OnPos&& on_pos) const {
     for (unsigned wi = 0; wi < g_; ++wi) {
-      on_word(wi, stream.next_index(word_bound_));
+      on_word(wi, next_word(stream));
       const unsigned kw = positions_in(wi);
-      for (unsigned i = 0; i < kw; ++i) {
-        on_pos(wi, static_cast<unsigned>(stream.next_index(pos_bound_)));
-      }
+      for (unsigned i = 0; i < kw; ++i) on_pos(wi, next_pos(stream));
     }
+  }
+
+  /// The next word index and the next level-1 position of the order
+  /// above, one draw at a time (a one-key query derives lazily).
+  MPCBF_ENGINE_INLINE std::size_t next_word(
+      hash::HashBitStream& stream) const noexcept {
+    return stream.next_index(word_bound_);
+  }
+  MPCBF_ENGINE_INLINE unsigned next_pos(
+      hash::HashBitStream& stream) const noexcept {
+    return static_cast<unsigned>(stream.next_index(pos_bound_));
   }
 
   /// Derives all g word indices and k positions in the canonical order.
@@ -519,26 +530,56 @@ template <class Word>
 /// positions) is a fraction of a Targets, so a chunk holds twice
 /// kBatchChunk keys: a batch-64 call is one chunk, and its 64 loads go
 /// out in one gather instead of two back to back. The records live in
-/// two small stack buffers (4 KiB together); a shape whose records do
-/// not fit 64 times (g > 4 or k > 16) runs chunks of kWideQueryChunk
-/// keys, which any legal shape fits, and a one-key call (scalar
-/// contains) runs one chunk of one. The chunk size is a compile-time
-/// constant in each case: one known only at run time cost a one-key
-/// call about 8 ns, and a chunk of one folds its loops away and keeps
-/// its records in a small frame.
+/// two small stack buffers (4 KiB together); shapes whose records do not
+/// fit 64 times (g > 4 or k > 16) run as many keys per chunk as fit.
 inline constexpr std::size_t kQueryChunk = 2 * kBatchChunk;
 inline constexpr std::size_t kQueryWordSlots = 256;
 inline constexpr std::size_t kQueryPositionSlots = 1024;
-inline constexpr std::size_t kWideQueryChunk =
-    std::min(kQueryWordSlots / kMaxG, kQueryPositionSlots / kMaxPositions);
-static_assert(kWideQueryChunk >= 1,
+static_assert(kQueryWordSlots >= kMaxG &&
+                  kQueryPositionSlots >= kMaxPositions,
               "a chunk must hold at least one key of any shape");
 
-namespace detail {
+/// A one-key call (scalar contains) is the paper's lazy walk itself:
+/// with no other key's misses to overlap, it draws each group's word and
+/// positions as it tests them and stops where the walk stops, so a
+/// negative that fails on its first position neither hashes nor fetches
+/// the rest. Words and bits are the distinct words it read and the bits
+/// it drew.
+template <class Storage, class Rescue>
+MPCBF_ENGINE_INLINE bool query_one(const Storage& store,
+                                   const TargetDeriver& der,
+                                   bool short_circuit, std::string_view key,
+                                   std::uint64_t seed,
+                                   metrics::AccessStats& stats,
+                                   Rescue& rescue) {
+  const bool timed = stats.should_sample();
+  const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
+  hash::HashBitStream stream(key, seed);
+  std::array<std::size_t, kMaxG> word{};
+  unsigned touched = 0;
+  bool positive = true;
+  for (unsigned wi = 0; wi < der.g() && (positive || !short_circuit); ++wi) {
+    word[wi] = der.next_word(stream);
+    touched += first_visit(word.data(), wi);
+    const auto& w = store.word(word[wi]);
+    for (unsigned j = der.positions_in(wi); j > 0; --j) {
+      if (!w.test(der.next_pos(stream))) {
+        positive = false;
+        if (short_circuit) break;
+      }
+    }
+  }
+  if (!positive) positive = rescue(0);
+  const auto c = positive ? metrics::OpClass::kQueryPositive
+                          : metrics::OpClass::kQueryNegative;
+  stats.record(c, touched, stream.accounted_bits());
+  if (timed) stats.record_latency(c, metrics::now_ns() - t0);
+  return positive;
+}
 
-/// query_batch's three phases over chunks of kChunk keys; the record
-/// buffers hold one chunk of the widest shape kChunk admits.
-template <std::size_t kChunk, class Storage, class Key, class Rescue>
+/// query_batch over more than one key: derive → gather → resolve, one
+/// chunk of up to kQueryChunk keys at a time.
+template <class Storage, class Key, class Rescue>
 void query_chunks(const Storage& store, const TargetDeriver& der,
                   bool short_circuit, std::span<const Key> keys,
                   std::uint64_t seed, std::span<std::uint8_t> out,
@@ -547,18 +588,17 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
   const unsigned per_key = der.total_positions();
   const unsigned word_bits = der.word_bits();
   const unsigned pos_bits = der.pos_bits();
-  std::array<std::size_t, std::min(kQueryWordSlots, kChunk * kMaxG)>
-      group_words;
-  std::array<std::uint16_t,
-             std::min(kQueryPositionSlots, kChunk * kMaxPositions)>
-      positions;
+  const std::size_t chunk = std::min(
+      {kQueryChunk, kQueryWordSlots / g, kQueryPositionSlots / per_key});
+  std::array<std::size_t, kQueryWordSlots> group_words;
+  std::array<std::uint16_t, kQueryPositionSlots> positions;
   std::uint64_t positives = 0;
   std::uint64_t positive_words = 0;
   std::uint64_t positive_bits = 0;
   std::uint64_t all_words = 0;
   std::uint64_t all_bits = 0;
-  for (std::size_t base = 0; base < keys.size(); base += kChunk) {
-    const std::size_t count = std::min(kChunk, keys.size() - base);
+  for (std::size_t base = 0; base < keys.size(); base += chunk) {
+    const std::size_t count = std::min(chunk, keys.size() - base);
     const bool timed = stats.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
 
@@ -583,7 +623,7 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
       const std::size_t* word = &group_words[i * g];
       const std::uint16_t* pos = &positions[i * per_key];
       std::uint32_t any_fail = 0;
-      // All ones while the scalar walk would still be running: under
+      // All ones while the lazy walk would still be running: under
       // short_circuit it stops after the first failing group.
       unsigned walking = ~0u;
       unsigned touched = 0;
@@ -600,13 +640,6 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
         bits += (word_bits + consumed * pos_bits) & walking;
         if (short_circuit) walking &= fail == 0 ? ~0u : 0u;
         any_fail |= fail;
-        // Once the walk has stopped, the later groups only compute values
-        // the masks discard. A one-key call leaves at that point instead
-        // of waiting for their words; a batch keeps the loop branch-free,
-        // since a verdict-dependent branch mispredicts on mixed keys.
-        if constexpr (kChunk == 1) {
-          if (walking == 0) break;
-        }
       }
       bool positive = any_fail == 0;
       if (!positive) positive = rescue(base + i);
@@ -627,46 +660,44 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
                  all_words - positive_words, all_bits - positive_bits);
 }
 
-}  // namespace detail
-
-/// The query side of the batch pipeline over plain storage. Per chunk:
+/// The one query path, batch and scalar, over plain storage. Per chunk:
 ///   1. derive each key into a compact record — its g group words and
 ///      its positions, in derivation order;
 ///   2. gather the chunk's group words (see batch_pipeline);
 ///   3. resolve each key: per group, one loaded word and a fail mask
 ///      whose bit i is set when the group's i-th position reads 0. The
 ///      verdict is that no group fails.
-/// Per-call constants (index bounds, positions per group, bits per
-/// index) come from `der`, built once per filter.
+/// A one-key call runs the lazy walk these phases replay (query_one);
+/// the dispatch is inlined, so it never enters the batch body, whose
+/// 4 KiB of record buffers cost a one-key call about 10 ns.
 ///
-/// Accounting replays the paper's lazy bit-by-bit query without walking
-/// it bit by bit: a visited group costs ceil_log2(l) plus ceil_log2(b1)
-/// per position it consumes, and under short_circuit the first failing
-/// group ends the walk after ctz(fail) + 1 positions; words counts the
-/// distinct words of the visited groups. tests/test_stats_parity.cpp
-/// checks per-class ops, words and bits against a test-local reference
-/// walk, for batches and for the one-key calls of Mpcbf::contains.
+/// A batch's accounting replays the lazy walk without branching on
+/// verdicts (which mispredict on mixed keys): a visited group costs
+/// ceil_log2(l) plus ceil_log2(b1) per position it consumes, and under
+/// short_circuit the first failing group ends the walk after
+/// ctz(fail) + 1 positions; words counts the distinct words of the
+/// visited groups. tests/test_stats_parity.cpp checks both paths against
+/// a test-local reference walk.
 ///
 /// `rescue(i)` decides key i when the words answer negative (the stash
-/// probe). Tallies live in locals and are published once per call, one
-/// atomic trio per op class that occurred (a one-key call publishes
-/// one); one sampled chunk in kLatencySampleEvery records its per-key
-/// latency.
+/// probe). Tallies are published once per call, one atomic trio per op
+/// class that occurred. One sampled call in kLatencySampleEvery records
+/// its latency: a one-key call in the per-op histogram of the class it
+/// hit, a batch chunk its per-key average in the batch-query histogram.
 template <class Storage, class Key, class Rescue>
-void query_batch(const Storage& store, const TargetDeriver& der,
-                 bool short_circuit, std::span<const Key> keys,
-                 std::uint64_t seed, std::span<std::uint8_t> out,
-                 metrics::AccessStats& stats, Rescue&& rescue) {
+MPCBF_ENGINE_INLINE void query_batch(const Storage& store,
+                                     const TargetDeriver& der,
+                                     bool short_circuit,
+                                     std::span<const Key> keys,
+                                     std::uint64_t seed,
+                                     std::span<std::uint8_t> out,
+                                     metrics::AccessStats& stats,
+                                     Rescue&& rescue) {
   if (keys.size() == 1) {
-    detail::query_chunks<1>(store, der, short_circuit, keys, seed, out,
-                            stats, rescue);
-  } else if (der.g() * kQueryChunk <= kQueryWordSlots &&
-      der.total_positions() * kQueryChunk <= kQueryPositionSlots) {
-    detail::query_chunks<kQueryChunk>(store, der, short_circuit, keys, seed,
-                                      out, stats, rescue);
+    out[0] = query_one(store, der, short_circuit, keys[0], seed, stats,
+                       rescue);
   } else {
-    detail::query_chunks<kWideQueryChunk>(store, der, short_circuit, keys,
-                                          seed, out, stats, rescue);
+    query_chunks(store, der, short_circuit, keys, seed, out, stats, rescue);
   }
 }
 

@@ -22,9 +22,10 @@
 //
 // Latency is sampled, not per-op: timing every operation would cost two
 // clock reads (~40ns) against query costs of the same order. should_sample
-// admits every kLatencySampleEvery-th operation; Mpcbf queries, scalar
-// (a batch of one) or batch, record one per-key average per sampled
-// chunk in the batch-query histogram instead (engine::query_batch).
+// admits every kLatencySampleEvery-th operation. A scalar Mpcbf query
+// records under the class it hit like any other operation; a batch
+// query records one per-key average per sampled chunk in the
+// batch-query histogram instead (engine::query_batch).
 #pragma once
 
 #include <array>

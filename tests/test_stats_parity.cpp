@@ -228,7 +228,7 @@ TEST(StatsParity, SweepWidthsGroupsAndShortCircuit) {
 TEST(StatsParity, WideShapesRunSmallerQueryChunks) {
   // Records of g = 8 group words, or of 40 positions per key, do not
   // fit 64 times in the query buffers: both shapes resolve in chunks of
-  // kWideQueryChunk keys, several per call.
+  // as many keys as fit (32 and 25), several per call.
   for (const bool sc : {true, false}) {
     MpcbfConfig eight;
     eight.memory_bits = 64 * 256;
@@ -347,6 +347,33 @@ TEST(StatsParity, ScalarQueryPublishesOnlyTheClassItHit) {
   EXPECT_EQ(f.stats().ops(OpClass::kQueryPositive), 0u);
   EXPECT_EQ(f.stats().words(OpClass::kQueryPositive), 0u);
   EXPECT_EQ(f.stats().bits(OpClass::kQueryPositive), 0u);
+}
+
+TEST(StatsParity, ScalarQueryLatencyLandsInItsVerdictClass) {
+  // One call in kLatencySampleEvery is timed: a one-key call records in
+  // the per-op histogram of the class it hit, a batch chunk in the
+  // batch-query histogram.
+  const auto every = mpcbf::metrics::kLatencySampleEvery;
+  auto f = Mpcbf<64>::with_memory(1 << 14, 3, 1, 100);
+  ASSERT_TRUE(f.insert("present"));
+  f.reset_stats();
+  for (std::uint64_t i = 0; i < every; ++i) ASSERT_TRUE(f.contains("present"));
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryPositive).count(), 1u);
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryNegative).count(), 0u);
+  EXPECT_EQ(f.stats().batch_latency().count(), 0u);
+  f.reset_stats();
+  for (std::uint64_t i = 0; i < every; ++i) {
+    ASSERT_FALSE(f.contains("absent-key-0123"));
+  }
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryNegative).count(), 1u);
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryPositive).count(), 0u);
+  f.reset_stats();
+  const std::vector<std::string> pair = {"present", "absent-key-0123"};
+  std::vector<std::uint8_t> out(pair.size());
+  for (std::uint64_t i = 0; i < every; ++i) f.contains_batch(pair, out);
+  EXPECT_EQ(f.stats().batch_latency().count(), 1u);
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryPositive).count(), 0u);
+  EXPECT_EQ(f.stats().latency(OpClass::kQueryNegative).count(), 0u);
 }
 
 TEST(StatsParity, MutationBatchesAccountLikeScalarLoops) {
