@@ -103,9 +103,9 @@ int main(int argc, char** argv) {
       .addf(query_log_site_ns, 2);
 
   if (compiled_in) {
-    report.metric("query_log_disarmed_ns", query_log_site_ns);
+    report.metric("query_log_disarmed_ns", query_log_site_ns, "ns");
   } else {
-    report.metric("query_log_compiled_out_ns", query_log_site_ns);
+    report.metric("query_log_compiled_out_ns", query_log_site_ns, "ns");
   }
 
 #ifndef MPCBF_DISABLE_LOGGING
@@ -170,10 +170,10 @@ int main(int argc, char** argv) {
   table.row().add("slow-ring record").addf(record_ns, 2);
   table.row().add("slow-ring snapshot + JSON (/tracez)")
       .addf(snapshot_ns, 2);
-  report.metric("log_line_admitted_ns", admitted_ns);
-  report.metric("log_line_suppressed_ns", suppressed_ns);
-  report.metric("slow_ring_record_ns", record_ns);
-  report.metric("tracez_render_ns", snapshot_ns);
+  report.metric("log_line_admitted_ns", admitted_ns, "ns");
+  report.metric("log_line_suppressed_ns", suppressed_ns, "ns");
+  report.metric("slow_ring_record_ns", record_ns, "ns");
+  report.metric("tracez_render_ns", snapshot_ns, "ns");
   sink += json_bytes;
 #endif
 

@@ -114,10 +114,10 @@ int main(int argc, char** argv) {
     const double u = insert_erase_ns_per_op(f, churn, reps);
     std::printf("segments=%-2zu  query %8.1f ns/op   update %8.1f ns/op\n",
                 f.live_segments(), q, u);
-    report.metric("query_seg" + std::to_string(target) + "_ns_per_op", q);
-    report.metric("update_seg" + std::to_string(target) + "_ns_per_op", u);
+    report.metric("query_seg" + std::to_string(target) + "_ns_per_op", q, "ns");
+    report.metric("update_seg" + std::to_string(target) + "_ns_per_op", u, "ns");
   }
-  report.metric("model_fpr_final", f.model_fpr());
+  report.metric("model_fpr_final", f.model_fpr(), "ratio");
   report.write();
 
   if (!f.validate()) {

@@ -105,11 +105,11 @@ int main(int argc, char** argv) {
     // Per-query cost in ns — the series bench_compare.py gates on.
     const double per_q = 1e9 / static_cast<double>(num_queries);
     const std::string mb_label = bench::format_mb(memory) + "Mb";
-    report.metric("ns_per_query/CBF/" + mb_label, cbf_s * per_q);
-    report.metric("ns_per_query/PCBF-1/" + mb_label, pcbf1_s * per_q);
-    report.metric("ns_per_query/PCBF-2/" + mb_label, pcbf2_s * per_q);
-    report.metric("ns_per_query/MPCBF-1/" + mb_label, mp1_s * per_q);
-    report.metric("ns_per_query/MPCBF-2/" + mb_label, mp2_s * per_q);
+    report.metric("ns_per_query/CBF/" + mb_label, cbf_s * per_q, "ns");
+    report.metric("ns_per_query/PCBF-1/" + mb_label, pcbf1_s * per_q, "ns");
+    report.metric("ns_per_query/PCBF-2/" + mb_label, pcbf2_s * per_q, "ns");
+    report.metric("ns_per_query/MPCBF-1/" + mb_label, mp1_s * per_q, "ns");
+    report.metric("ns_per_query/MPCBF-2/" + mb_label, mp2_s * per_q, "ns");
   }
   table.emit(csv);
   report.add_table("query_time_ms", table);
@@ -191,8 +191,8 @@ int main(int argc, char** argv) {
 
     std::cout << "CBF     reads-only: " << cbf_ms << " ms\n";
     std::cout << "MPCBF-1 reads-only: " << mp_ms << " ms\n";
-    report.metric("reads_only_ms/CBF", cbf_ms);
-    report.metric("reads_only_ms/MPCBF-1", mp_ms);
+    report.metric("reads_only_ms/CBF", cbf_ms, "ms");
+    report.metric("reads_only_ms/MPCBF-1", mp_ms, "ms");
   }
 
   std::cout << "\n[sink=" << sink << "]\n";

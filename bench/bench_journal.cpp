@@ -187,13 +187,18 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      captured.emplace_back(run.benchmark_name(),
-                            run.GetAdjustedRealTime());
+      captured.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
+                          benchmark::GetTimeUnitString(run.time_unit)});
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  std::vector<std::pair<std::string, double>> captured;
+  struct Series {
+    std::string name;
+    double value;
+    std::string unit;
+  };
+  std::vector<Series> captured;
 };
 
 }  // namespace
@@ -205,8 +210,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   mpcbf::bench::JsonReport report("journal");
-  for (const auto& [bench_name, ns] : reporter.captured) {
-    report.metric(bench_name, ns);
+  for (const auto& [bench_name, value, unit] : reporter.captured) {
+    report.metric(bench_name, value, unit);
   }
   report.write();
   return 0;

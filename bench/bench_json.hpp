@@ -5,7 +5,8 @@
 //
 // The report is deliberately schema-light: a flat `config` object (the
 // harness's knobs), a flat `metrics` object (scalar results such as
-// ns/op — the series bench_compare.py keys on), and `tables` (each
+// ns/op — the series bench_compare.py keys on), a `units` object naming
+// each metric's unit (bench_compare.py gates by it), and `tables` (each
 // util::Table dumped as an array of header-keyed row objects, numeric
 // cells emitted as JSON numbers). Environment metadata — git sha, peak
 // RSS, wall-clock — is captured automatically at write() time.
@@ -125,9 +126,12 @@ class JsonReport {
     config_.emplace_back(key, std::to_string(value));
   }
 
-  /// Scalar result series — the names bench_compare.py regression-gates.
-  void metric(const std::string& name, double value) {
+  /// Scalar result series in `unit` ("ns", "qps", "us", "x", "ratio",
+  /// ...). bench_compare.py regression-gates the "ns" and "qps" series.
+  void metric(const std::string& name, double value,
+              const std::string& unit) {
     metrics_.emplace_back(name, value);
+    units_.emplace_back(name, quote(unit));
   }
 
   /// Dumps a results table as `tables.<name>` (array of row objects).
@@ -184,6 +188,9 @@ class JsonReport {
     }
     emit_pairs(out, metric_pairs);
     out << "},\n";
+    out << "  \"units\": {";
+    emit_pairs(out, units_);
+    out << "},\n";
     out << "  \"tables\": {";
     bool first = true;
     for (const auto& [k, v] : tables_) {
@@ -227,6 +234,7 @@ class JsonReport {
   std::string name_;
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<std::pair<std::string, double>> metrics_;
+  std::vector<std::pair<std::string, std::string>> units_;
   std::vector<std::pair<std::string, std::string>> tables_;
 };
 

@@ -8,6 +8,7 @@
 
 #include "bench_json.hpp"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -308,6 +309,73 @@ void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
 
 BENCHMARK(BM_MPCBF1_QueryBatch_L2);
 
+// --- chunk derive ----------------------------------------------------------
+//
+// The derive stage of a batch call alone: 64 keys of 17 bytes (the
+// perfbench key shape) into query records on the filter-dram layout
+// (2^27 words, k = 3, g = 1, b1 = 52). Each iteration takes the next 64
+// keys of a 512-key pool, so consecutive calls derive different keys
+// while the key bytes stay cache-resident, as the 64 keys a served
+// batch has just decoded are. x8 is
+// engine::derive_chunk: eight keys per hash::murmur3_128_x8 call and the
+// deriver's draw schedule where the CPU has AVX-512, else the scalar
+// path. Scalar is the HashBitStream derive per key. Values are ns per
+// call of 64 keys.
+constexpr std::size_t kDeriveBatch = 64;
+constexpr std::size_t kDerivePool = 512;
+
+const std::vector<std::string>& derive_keys() {
+  static const auto v = workload::generate_unique_strings(kDerivePool, 17, 99);
+  return v;
+}
+
+template <class DeriveFn>
+void derive_series(benchmark::State& state, DeriveFn&& derive) {
+  const core::engine::TargetDeriver der(std::size_t{1} << 27, 3, 1, 52);
+  const auto& keys = derive_keys();
+  std::array<std::size_t, kDeriveBatch> words{};
+  std::array<std::uint16_t, 3 * kDeriveBatch> positions{};
+  std::size_t base = 0;
+  for (auto _ : state) {
+    std::size_t* w = words.data();
+    std::uint16_t* p = positions.data();
+    derive(der, std::span<const std::string>(&keys[base], kDeriveBatch),
+           [&](std::size_t w_i) { *w++ = w_i; },
+           [&](unsigned pos) { *p++ = static_cast<std::uint16_t>(pos); });
+    benchmark::DoNotOptimize(words.data());
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+    base = (base + kDeriveBatch) % kDerivePool;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDeriveBatch));
+}
+
+void BM_DeriveChunk_x8(benchmark::State& state) {
+  derive_series(state, [](const auto& der, auto keys, auto on_word,
+                          auto on_pos) {
+    core::engine::derive_chunk(
+        der, keys, hash::kDefaultSeed,
+        [&](std::size_t, unsigned, std::size_t w) { on_word(w); },
+        [&](std::size_t, unsigned, unsigned p) { on_pos(p); });
+  });
+}
+
+void BM_DeriveChunk_Scalar(benchmark::State& state) {
+  derive_series(state, [](const auto& der, auto keys, auto on_word,
+                          auto on_pos) {
+    for (const auto& key : keys) {
+      hash::HashBitStream stream(key, hash::kDefaultSeed);
+      der.derive(
+          stream, [&](unsigned, std::size_t w) { on_word(w); },
+          [&](unsigned, unsigned p) { on_pos(p); });
+    }
+  });
+}
+
+BENCHMARK(BM_DeriveChunk_x8);
+BENCHMARK(BM_DeriveChunk_Scalar);
+
 // --- HCBF word primitives -----------------------------------------------
 
 void BM_HcbfWord_IncrementDecrement(benchmark::State& state) {
@@ -399,13 +467,18 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
-      captured.emplace_back(run.benchmark_name(),
-                            run.GetAdjustedRealTime());
+      captured.push_back({run.benchmark_name(), run.GetAdjustedRealTime(),
+                          benchmark::GetTimeUnitString(run.time_unit)});
     }
     ConsoleReporter::ReportRuns(runs);
   }
 
-  std::vector<std::pair<std::string, double>> captured;
+  struct Series {
+    std::string name;
+    double value;
+    std::string unit;
+  };
+  std::vector<Series> captured;
 };
 
 }  // namespace
@@ -417,8 +490,8 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   mpcbf::bench::JsonReport report("micro_ops");
-  for (const auto& [bench_name, ns] : reporter.captured) {
-    report.metric(bench_name, ns);
+  for (const auto& [bench_name, value, unit] : reporter.captured) {
+    report.metric(bench_name, value, unit);
   }
   report.write();
   return 0;

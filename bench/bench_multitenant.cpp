@@ -231,13 +231,13 @@ int main(int argc, char** argv) {
   report.config("n", n);
   report.config("namespaces", tenants);
   report.config("workers", workers);
-  report.metric("query_batch1_flat_ns_per_key", rows[0].ns_per_key);
-  report.metric("query_batch1_scoped_ns_per_key", rows[1].ns_per_key);
-  report.metric("query_batch64_flat_ns_per_key", rows[2].ns_per_key);
-  report.metric("query_batch64_scoped_ns_per_key", rows[3].ns_per_key);
-  report.metric("query_batch64_rotating_ns_per_key", rows[4].ns_per_key);
-  report.metric("routing_overhead_batch64_x", overhead64);
-  report.metric("nslist_us", list_us);
+  report.metric("query_batch1_flat_ns_per_key", rows[0].ns_per_key, "ns");
+  report.metric("query_batch1_scoped_ns_per_key", rows[1].ns_per_key, "ns");
+  report.metric("query_batch64_flat_ns_per_key", rows[2].ns_per_key, "ns");
+  report.metric("query_batch64_scoped_ns_per_key", rows[3].ns_per_key, "ns");
+  report.metric("query_batch64_rotating_ns_per_key", rows[4].ns_per_key, "ns");
+  report.metric("routing_overhead_batch64_x", overhead64, "x");
+  report.metric("nslist_us", list_us, "us");
   report.write();
 
   if (overhead64 > 1.5) {

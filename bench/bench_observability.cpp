@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "(sink " << sink % 10 << ")\n";
   report.add_table("ns_per_op", table);
-  report.metric("scalar_contains_ns", scalar_ns);
-  report.metric("batch_contains_ns", batch_ns);
-  report.metric("insert_erase_ns", update_ns);
-  report.metric("histogram_record_ns", hist_ns);
-  report.metric("counter_inc_ns", ctr_ns);
+  report.metric("scalar_contains_ns", scalar_ns, "ns");
+  report.metric("batch_contains_ns", batch_ns, "ns");
+  report.metric("insert_erase_ns", update_ns, "ns");
+  report.metric("histogram_record_ns", hist_ns, "ns");
+  report.metric("counter_inc_ns", ctr_ns, "ns");
 
   if (!csv.empty()) {
     std::ofstream os(csv);

@@ -308,16 +308,14 @@ int main(int argc, char** argv) {
   report.config("clients", clients);
   report.config("workers", workers);
   report.config("n", n);
-  report.metric("query_batch1_ns_per_key", rows[0].ns_per_key);
-  report.metric("query_batch8_ns_per_key", rows[1].ns_per_key);
-  report.metric("query_batch64_ns_per_key", rows[2].ns_per_key);
-  report.metric("query_batch64_concurrent_ns_per_key", mt);
-  report.metric("failover_first_query_ns", failover_ns);
-  report.metric("batch64_speedup_x", speedup);
-  // QPS series deliberately avoid "ns" in the name (bench_compare
-  // gates ns-metrics on increase, qps-metrics on decrease).
-  report.metric("saturation_flat_mutex_qps", flat.qps);
-  report.metric("saturation_flat_mutex_p99_us", flat.p99_us);
+  report.metric("query_batch1_ns_per_key", rows[0].ns_per_key, "ns");
+  report.metric("query_batch8_ns_per_key", rows[1].ns_per_key, "ns");
+  report.metric("query_batch64_ns_per_key", rows[2].ns_per_key, "ns");
+  report.metric("query_batch64_concurrent_ns_per_key", mt, "ns");
+  report.metric("failover_first_query_ns", failover_ns, "ns");
+  report.metric("batch64_speedup_x", speedup, "x");
+  report.metric("saturation_flat_mutex_qps", flat.qps, "qps");
+  report.metric("saturation_flat_mutex_p99_us", flat.p99_us, "us");
   report.write();
 
   if (speedup < 5.0) {

@@ -135,11 +135,11 @@ int main(int argc, char** argv) {
             << "  (ring drops during armed run: " << drops << ")\n";
 
   report.add_table("ns_per_op", table);
-  report.metric("query_disarmed_ns", query_off_ns);
-  report.metric("update_disarmed_ns", update_off_ns);
-  report.metric("query_armed_ns", query_on_ns);
-  report.metric("update_armed_ns", update_on_ns);
-  report.metric("armed_ring_drops", static_cast<double>(drops));
+  report.metric("query_disarmed_ns", query_off_ns, "ns");
+  report.metric("update_disarmed_ns", update_off_ns, "ns");
+  report.metric("query_armed_ns", query_on_ns, "ns");
+  report.metric("update_armed_ns", update_on_ns, "ns");
+  report.metric("armed_ring_drops", static_cast<double>(drops), "count");
 
   if (!csv.empty()) {
     std::ofstream os(csv);

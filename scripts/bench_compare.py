@@ -1,29 +1,39 @@
 #!/usr/bin/env python3
 """Regression gate over the JSON bench reports.
 
-Compares the ns/op metric series in freshly generated
+Compares the metric series in freshly generated
 results/json/BENCH_<name>.json reports against a committed baseline
 directory and fails (exit 1) when any gated metric regressed by more
 than --tolerance (default 15%).
 
-Two metric families are gated, for the benches listed in --benches
-(default: the ones the CI perf gate watches): latency-style metrics
-(name containing "ns") fail on an INCREASE beyond tolerance, and
-throughput-style metrics (name containing "qps") fail on a DECREASE
-beyond tolerance — the server saturation curve reports qps series so a
-scalability regression trips the gate even when per-key latency holds.
-Improvements and new metrics are reported but never fail the gate; a
-metric present in the baseline but missing from the candidate fails it
-(a silently vanished series is how perf coverage rots). Numeric series
-of the same reports that neither family matches (for example
-BM_Crc32c_* or the *_QueryPositive micro benches) are listed as
-"report-only" rows, so their movement is visible without gating them.
+A series is gated by its unit, which each report lists in its `units`
+object (bench/bench_json.hpp), for the benches listed in --benches
+(default: the ones the CI perf gate watches):
+  * "ns" (latency per operation) fails on an INCREASE beyond tolerance;
+  * "qps" (throughput) fails on a DECREASE beyond tolerance — the server
+    saturation curve reports qps series so a scalability regression
+    trips the gate even when per-key latency holds.
+Series in any other unit (us, ms, x, ratio, count) and the series that
+match REPORT_ONLY below are listed as "report-only" rows, so their
+movement is visible without gating them:
+  * BM_Crc32c_* — kernel timings, checked for equality by test_crc32c;
+  * *_QueryPositive — scalar positive queries, which the gated fig08
+    ns_per_query/* and elastic query_seg* series time as well;
+  * BM_WordBitset_InsertRemove — a 0.36 ns loop that swings 60% with
+    host load.
+Units come from the candidate reports (the baseline's where a series
+is missing from the candidate). Improvements and new metrics are
+reported but never fail the gate; a gated metric present in the
+baseline but missing from the candidate fails it (a silently vanished
+series is how perf coverage rots), and so does a vanished series whose
+unit no report names, unless REPORT_ONLY lists it.
 
 Both --baseline and --candidate may be given multiple times; each
-metric is reduced to its minimum across the runs before comparing.
-Min-of-N is the standard de-noising for latency series — scheduler and
-cache interference only ever add time — so run the candidate benches
-~3 times on shared hardware to keep the gate from tripping on noise.
+metric is reduced to its best value across the runs before comparing
+(minimum for ns, maximum for qps). Min-of-N is the standard de-noising
+for latency series — scheduler and cache interference only ever add
+time — so run the candidate benches ~3 times on shared hardware to keep
+the gate from tripping on noise.
 
 Usage:
   scripts/bench_compare.py \
@@ -34,89 +44,76 @@ Usage:
 """
 
 import argparse
+import fnmatch
 import json
 import os
 import sys
 
 DEFAULT_BENCHES = "micro_ops,fig08_query_time,server,elastic,multitenant"
 
+# Gated units: unit -> True when higher is better.
+GATED_UNITS = {"ns": False, "qps": True}
 
-def is_throughput(name: str) -> bool:
-    """qps series gate on decrease; everything else gated is ns/op."""
-    return "qps" in name
+REPORT_ONLY = ("BM_Crc32c_*", "*_QueryPositive", "BM_WordBitset_InsertRemove")
 
 
-def load_metrics(directories, bench: str, select=None):
-    """Best value per metric across every directory holding this
-    bench's report: minimum for ns/op series, maximum for qps series —
-    interference only ever adds latency and removes throughput.
-    `select` picks the series (default: gated_metrics).
-    Returns (metrics-or-None, paths-searched)."""
-    select = select or gated_metrics
-    merged = None
+def is_report_only(name: str) -> bool:
+    return any(fnmatch.fnmatchcase(name, pat) for pat in REPORT_ONLY)
+
+
+def load_reports(directories, bench: str):
+    """Numeric metrics and units of every directory holding this bench's
+    report, each metric reduced to its best value across the runs.
+    Returns (metrics-or-None, units, paths-searched)."""
+    reports = []
     paths = []
     for directory in directories:
         path = os.path.join(directory, f"BENCH_{bench}.json")
         paths.append(path)
-        if not os.path.exists(path):
-            continue
-        with open(path) as fh:
-            report = json.load(fh)
-        metrics = select(report)
-        if merged is None:
-            merged = metrics
-        else:
-            for name, value in metrics.items():
-                if name not in merged:
-                    merged[name] = value
-                elif is_throughput(name):
-                    merged[name] = max(merged[name], value)
-                else:
-                    merged[name] = min(merged[name], value)
-    return merged, paths
-
-
-def gated_metrics(report: dict):
-    """ns/op and qps series — counts, ratios, and RSS are not gates."""
-    return {
-        name: value
-        for name, value in report.get("metrics", {}).items()
-        if ("ns" in name or "qps" in name)
-        and isinstance(value, (int, float))
-    }
-
-
-def report_only_metrics(report: dict):
-    """Numeric series the gate does not watch."""
-    gated = gated_metrics(report)
-    return {
-        name: value
-        for name, value in report.get("metrics", {}).items()
-        if name not in gated and isinstance(value, (int, float))
-        and not isinstance(value, bool)
-    }
+        if os.path.exists(path):
+            with open(path) as fh:
+                reports.append(json.load(fh))
+    if not reports:
+        return None, {}, paths
+    units = {}
+    for report in reports:
+        for name, unit in report.get("units", {}).items():
+            units.setdefault(name, unit)
+    merged = {}
+    for report in reports:
+        for name, value in report.get("metrics", {}).items():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                continue
+            if name not in merged:
+                merged[name] = value
+            elif GATED_UNITS.get(units.get(name)):
+                merged[name] = max(merged[name], value)
+            else:
+                merged[name] = min(merged[name], value)
+    return merged, units, paths
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", required=True, action="append",
                     help="directory with committed BENCH_<name>.json files "
-                         "(repeatable; per-metric min is used)")
+                         "(repeatable; per-metric best is used)")
     ap.add_argument("--candidate", required=True, action="append",
                     help="directory with freshly generated reports "
-                         "(repeatable; per-metric min is used)")
+                         "(repeatable; per-metric best is used)")
     ap.add_argument("--benches", default=DEFAULT_BENCHES,
                     help="comma-separated bench names to gate "
                          f"(default: {DEFAULT_BENCHES})")
     ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="allowed fractional ns/op increase (default 0.15)")
+                    help="allowed fractional regression (default 0.15)")
     args = ap.parse_args()
 
     failures = []
     rows = []
     for bench in [b for b in args.benches.split(",") if b]:
-        base_metrics, base_paths = load_metrics(args.baseline, bench)
-        cand_metrics, cand_paths = load_metrics(args.candidate, bench)
+        base_metrics, base_units, base_paths = load_reports(args.baseline,
+                                                            bench)
+        cand_metrics, units, cand_paths = load_reports(args.candidate, bench)
         if base_metrics is None:
             print(f"[bench_compare] no baseline for {bench} "
                   f"(searched {base_paths}) — skipping", file=sys.stderr)
@@ -125,42 +122,41 @@ def main() -> int:
             failures.append(f"{bench}: candidate report missing "
                             f"(searched {cand_paths})")
             continue
+        for name, unit in base_units.items():
+            units.setdefault(name, unit)
+
+        def gated(name):
+            return units.get(name) in GATED_UNITS and not is_report_only(name)
+
         for name, base_val in sorted(base_metrics.items()):
             if name not in cand_metrics:
-                failures.append(f"{bench}/{name}: metric vanished from "
-                                "candidate report")
+                if gated(name) or (name not in units
+                                   and not is_report_only(name)):
+                    failures.append(f"{bench}/{name}: metric vanished from "
+                                    "candidate report")
                 continue
             cand_val = cand_metrics[name]
-            if base_val <= 0:
+            delta = ((cand_val - base_val) / base_val
+                     if base_val > 0 else None)
+            if not gated(name):
+                rows.append((bench, name, base_val, cand_val, delta,
+                             "report-only"))
                 continue
-            delta = (cand_val - base_val) / base_val
+            if delta is None:
+                continue
+            unit = units[name]
             status = "ok"
-            if is_throughput(name):
-                if -delta > args.tolerance:
-                    status = "REGRESSED"
-                    failures.append(
-                        f"{bench}/{name}: {base_val:.2f} -> {cand_val:.2f} "
-                        f"qps ({delta * 100.0:.1f}% < -"
-                        f"{args.tolerance * 100.0:.0f}%)")
-            elif delta > args.tolerance:
+            worse = -delta if GATED_UNITS[unit] else delta
+            if worse > args.tolerance:
                 status = "REGRESSED"
                 failures.append(
                     f"{bench}/{name}: {base_val:.2f} -> {cand_val:.2f} "
-                    f"ns/op (+{delta * 100.0:.1f}% > "
+                    f"{unit} ({delta * 100.0:+.1f}%, tolerance "
                     f"{args.tolerance * 100.0:.0f}%)")
             rows.append((bench, name, base_val, cand_val, delta, status))
         for name in sorted(set(cand_metrics) - set(base_metrics)):
-            rows.append((bench, name, None, cand_metrics[name], None, "new"))
-        base_other, _ = load_metrics(args.baseline, bench,
-                                     report_only_metrics)
-        cand_other, _ = load_metrics(args.candidate, bench,
-                                     report_only_metrics)
-        for name, cand_val in sorted(cand_other.items()):
-            base_val = base_other.get(name)
-            delta = ((cand_val - base_val) / base_val
-                     if base_val else None)
-            rows.append((bench, name, base_val, cand_val, delta,
-                         "report-only"))
+            rows.append((bench, name, None, cand_metrics[name], None,
+                         "new" if gated(name) else "report-only"))
 
     if rows:
         width = max(len(f"{b}/{n}") for b, n, *_ in rows) + 2

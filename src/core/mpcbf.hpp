@@ -85,6 +85,35 @@ struct MpcbfLayout {
   friend bool operator==(const MpcbfLayout&, const MpcbfLayout&) = default;
 };
 
+/// A one-sided summary of a stash: one bit per first-word index modulo
+/// kBits, set for every stashed key. A clear bit proves the key is not
+/// stashed, so a negative query skips the stash's hash-table probe
+/// unless a stashed key shares its bit. Bits are never cleared one at a
+/// time (keys share them); the summary is cleared when the stash
+/// empties and rebuilt from the stash on load.
+class StashSummary {
+ public:
+  static constexpr std::size_t kBits = 4096;
+
+  void add(std::size_t word) noexcept {
+    bits_[word / 64 % kLimbs] |= bit(word);
+  }
+  [[nodiscard]] bool may_hold(std::size_t word) const noexcept {
+    return (bits_[word / 64 % kLimbs] & bit(word)) != 0;
+  }
+  void merge(const StashSummary& other) noexcept {
+    for (std::size_t i = 0; i < kLimbs; ++i) bits_[i] |= other.bits_[i];
+  }
+  void clear() noexcept { bits_.fill(0); }
+
+ private:
+  static constexpr std::size_t kLimbs = kBits / 64;
+  static std::uint64_t bit(std::size_t word) noexcept {
+    return std::uint64_t{1} << (word % 64);
+  }
+  std::array<std::uint64_t, kLimbs> bits_{};
+};
+
 template <unsigned W = 64>
 class Mpcbf {
  public:
@@ -197,17 +226,15 @@ class Mpcbf {
     der_.derive_all(stream, t);
     const unsigned min_c =
         engine::LevelWalk<W>::min_counter(store_, der_.b1(), t);
-    std::uint32_t stashed = 0;
-    if (!stash_.empty()) {
-      auto it = stash_.find(key);
-      if (it != stash_.end()) stashed = it->second;
-    }
+    const std::uint32_t stashed =
+        stash_summary_.may_hold(t.group_word[0]) ? stash_count(key) : 0;
     return min_c + stashed;
   }
 
   void clear() {
     store_.reset();
     stash_.clear();
+    stash_summary_.clear();
     size_ = 0;
     overflow_events_ = 0;
     underflow_events_ = 0;
@@ -226,6 +253,7 @@ class Mpcbf {
                               words.size() * sizeof(bits::WordBitset<W>));
     std::vector<bits::WordBitset<W>>().swap(words);
     stash_.clear();
+    stash_summary_.clear();
     size_ = 0;
     return bytes;
   }
@@ -423,6 +451,7 @@ class Mpcbf {
     for (const auto& [key, count] : other.stash_) {
       stash_[key] += count;
     }
+    stash_summary_.merge(other.stash_summary_);
     size_ += other.size_;
     return true;
   }
@@ -609,6 +638,7 @@ class Mpcbf {
       throw std::runtime_error(
           "Mpcbf::load: stash entries under a non-stash overflow policy");
     }
+    f.rebuild_stash_summary();
     // Conservation law (docs/hcbf-format.md): every successful non-stash
     // insert adds exactly k hierarchy bits and every successful erase
     // removes k, so with no underflows on record the persisted element
@@ -680,6 +710,7 @@ class Mpcbf {
           MPCBF_TRACE_INSTANT(kCore, "mpcbf.stash_divert", "stash_size",
                               stash_.size() + 1);
           ++stash_[std::string(key)];
+          stash_summary_.add(t.group_word[0]);
           ++size_;
           tally.record(metrics::OpClass::kInsert, t.distinct_words,
                        derive_bits);
@@ -711,6 +742,7 @@ class Mpcbf {
     auto it = stash_.find(key);
     if (it == stash_.end() || it->second == 0) return false;
     if (--it->second == 0) stash_.erase(it);
+    if (stash_.empty()) stash_summary_.clear();
     --size_;
     tally.record(metrics::OpClass::kDelete, 0, 0);
     return true;
@@ -751,16 +783,33 @@ class Mpcbf {
 
   /// The one query path of contains() and contains_batch(): the engine's
   /// query_batch, with the stash probe deciding keys the words reject.
-  /// Inlined, so contains() runs the one-key walk without a call.
+  /// The probe hashes into the stash only when the stash summary has the
+  /// key's first word. Inlined, so contains() runs the one-key walk
+  /// without a call.
   template <class Key>
   MPCBF_ENGINE_INLINE void query(std::span<const Key> keys,
                                  std::span<std::uint8_t> out) const {
-    engine::query_batch(store_, der_, short_circuit_, keys, seed_, out,
-                        stats_, [&](std::size_t i) {
-                          if (stash_.empty()) return false;
-                          auto it = stash_.find(std::string_view(keys[i]));
-                          return it != stash_.end() && it->second > 0;
-                        });
+    engine::query_batch(
+        store_, der_, short_circuit_, keys, seed_, out, stats_,
+        [&](std::size_t i, std::size_t first_word) {
+          return stash_summary_.may_hold(first_word) &&
+                 stash_count(std::string_view(keys[i])) > 0;
+        });
+  }
+
+  /// Stashed copies of `key`.
+  [[nodiscard]] std::uint32_t stash_count(std::string_view key) const {
+    auto it = stash_.find(key);
+    return it == stash_.end() ? 0 : it->second;
+  }
+
+  /// Rebuilds the stash summary from the stash (load).
+  void rebuild_stash_summary() {
+    stash_summary_.clear();
+    for (const auto& entry : stash_) {
+      hash::HashBitStream stream(entry.first, seed_);
+      stash_summary_.add(der_.next_word(stream));
+    }
   }
 
   template <class Key>
@@ -804,15 +853,14 @@ class Mpcbf {
   void mutate_batch(metrics::OpClass c, std::span<const Key> keys,
                     Apply&& apply) {
     std::array<engine::Targets, engine::kBatchChunk> targets;
-    std::array<std::uint64_t, engine::kBatchChunk> derive_bits;
+    const std::uint64_t derive_bits = der_.derive_bits();
     engine::OpTally tally;
     try {
       engine::batch_pipeline(
           keys.size(),
-          [&](std::size_t key_i, std::size_t slot) {
-            hash::HashBitStream stream(keys[key_i], seed_);
-            der_.derive_all(stream, targets[slot]);
-            derive_bits[slot] = stream.accounted_bits();
+          [&](std::size_t base, std::size_t count) {
+            engine::derive_targets(der_, keys.subspan(base, count), seed_,
+                                   targets.data());
           },
           [&](std::size_t slot) {
             return engine::gather_targets(store_, targets[slot], der_.g());
@@ -820,7 +868,7 @@ class Mpcbf {
           [&](std::size_t key_i, std::size_t slot) {
             const bool timed = stats_.should_sample();
             const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-            apply(key_i, targets[slot], derive_bits[slot], tally);
+            apply(key_i, targets[slot], derive_bits, tally);
             sample_latency(c, timed, t0);
           });
     } catch (...) {
@@ -844,6 +892,9 @@ class Mpcbf {
   // Transparent hash/eq: string_view probes on the query path are
   // allocation-free; only inserts materialize a std::string key.
   util::StringKeyMap<std::uint32_t> stash_;
+  /// Which first words stashed keys have; the query path probes stash_
+  /// only for keys whose first word it may hold.
+  StashSummary stash_summary_;
   mutable metrics::AccessStats stats_;
 };
 

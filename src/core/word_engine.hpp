@@ -8,6 +8,12 @@
 //   * TargetDeriver — HashBitStream -> Targets (words + positions) in the
 //     one canonical derivation order every operation must agree on, with
 //     the paper's consumed-bit accounting riding along in the stream.
+//     Where a whole derivation fits in the first 128-bit hash block it
+//     also holds a draw schedule that derives from that block alone.
+//   * derive_chunk — the derive stage of every batch: eight keys of one
+//     length per hash::murmur3_128_x8 call (AVX-512, chosen at run time)
+//     through the schedule, the stream elsewhere; bit-identical either
+//     way.
 //   * LevelWalk<W> — the hierarchical increment/decrement/min-counter
 //     walk applied across a target set, storage-policy agnostic.
 //   * PlainWords<W> — the storage: a huge-page-advised word vector under
@@ -156,6 +162,7 @@ class TargetDeriver {
         kw_(model::hashes_per_word(k, g, 0)),
         kw_last_(model::hashes_per_word(k, g, g - 1)) {
     assert(g >= 1 && g <= kMaxG && b1 <= kMaxPositionRange);
+    x8_ = build_schedule() && hash::murmur3_128_x8_available();
   }
 
   /// The canonical derivation order every operation agrees on: for each
@@ -198,6 +205,41 @@ class TargetDeriver {
     t.distinct_words = seen.count;
   }
 
+  /// derive() from the key's first 128-bit hash block `h` alone, through
+  /// the draw schedule: the same indices in the same order. Valid only
+  /// where has_schedule().
+  template <class OnWord, class OnPos>
+  MPCBF_ENGINE_INLINE void derive_block(hash::Hash128 h, OnWord&& on_word,
+                                        OnPos&& on_pos) const {
+    // Locals, so the callbacks' stores cannot force reloads of them.
+    const hash::IndexBound word_bound = word_bound_;
+    const hash::IndexBound pos_bound = pos_bound_;
+    const unsigned g = g_;
+    const unsigned kw = kw_;
+    const unsigned kw_last = kw_last_;
+    const std::uint8_t* at = schedule_.data();
+    for (unsigned wi = 0; wi < g; ++wi) {
+      on_word(wi, draw(h, *at++, word_bound));
+      for (unsigned i = wi + 1 < g ? kw : kw_last; i > 0; --i) {
+        on_pos(wi, static_cast<unsigned>(draw(h, *at++, pos_bound)));
+      }
+    }
+  }
+
+  /// True when every draw of a derivation comes from the first hash block
+  /// and every multiply-shift fits in 64 bits (derive_block applies).
+  [[nodiscard]] bool has_schedule() const noexcept { return scheduled_; }
+  /// has_schedule() on a CPU that runs hash::murmur3_128_x8: derive_chunk
+  /// hashes eight keys of one length at a time.
+  [[nodiscard]] bool x8() const noexcept { return x8_; }
+
+  /// Paper-metric bits one full derivation accounts: ceil_log2(l) per
+  /// word index and ceil_log2(b1) per position, whatever the key.
+  [[nodiscard]] std::uint64_t derive_bits() const noexcept {
+    return std::uint64_t{g_} * word_bound_.log2 +
+           std::uint64_t{total_positions()} * pos_bound_.log2;
+  }
+
   /// Positions hash group `wi` receives: ⌈k/g⌉, the remainder for the
   /// last group (model::hashes_per_word without its division).
   [[nodiscard]] unsigned positions_in(unsigned wi) const noexcept {
@@ -222,13 +264,127 @@ class TargetDeriver {
   [[nodiscard]] unsigned pos_bits() const noexcept { return pos_bound_.log2; }
 
  private:
+  /// Draws one index whose raw bits start at bit `at` of the block (lane
+  /// at / 64): next_index's arithmetic without the stream.
+  static MPCBF_ENGINE_INLINE std::size_t draw(
+      hash::Hash128 h, unsigned at, const hash::IndexBound& b) noexcept {
+    const std::uint64_t lane = at < 64 ? h.lo : h.hi;
+    const std::uint64_t v =
+        (lane >> (at & 63)) & ((std::uint64_t{1} << b.width) - 1);
+    return b.pow2 ? static_cast<std::size_t>(v)
+                  : static_cast<std::size_t>((v * b.bound) >> b.width);
+  }
+
+  /// Replays HashBitStream's lane bookkeeping once over the canonical
+  /// order, recording where each draw's raw bits start. Returns false
+  /// when a draw would need a second block, a multiply-shift would
+  /// overflow 64 bits, or the shape has more draws than the schedule
+  /// holds (only bound-1 shapes, whose draws take no bits, can).
+  bool build_schedule() noexcept {
+    if (g_ + total_positions() > schedule_.size()) return false;
+    for (const hash::IndexBound* b : {&word_bound_, &pos_bound_}) {
+      if (!b->pow2 && b->width + b->log2 > 64) return false;
+    }
+    unsigned lane = 0;
+    unsigned used = 0;
+    std::size_t d = 0;
+    const auto place = [&](const hash::IndexBound& b) {
+      if (used + b.width > 64) {
+        if (lane == 1) return false;
+        lane = 1;
+        used = 0;
+      }
+      schedule_[d++] = static_cast<std::uint8_t>(lane * 64 + used);
+      used += b.width;
+      return true;
+    };
+    for (unsigned wi = 0; wi < g_; ++wi) {
+      if (!place(word_bound_)) return false;
+      for (unsigned i = positions_in(wi); i > 0; --i) {
+        if (!place(pos_bound_)) return false;
+      }
+    }
+    scheduled_ = true;
+    return true;
+  }
+
   hash::IndexBound word_bound_;
   hash::IndexBound pos_bound_;
   unsigned k_;
   unsigned g_;
   unsigned kw_;
   unsigned kw_last_;
+  bool scheduled_ = false;
+  bool x8_ = false;
+  /// Start bit (lane * 64 + shift) of each draw, in canonical order.
+  std::array<std::uint8_t, 128> schedule_{};
 };
+
+/// Derives keys[0..n) in order, each in the canonical order, exactly as
+/// der.derive over a HashBitStream per key would: the one derive stage of
+/// query_batch and of the batch mutations. on_word(i, wi, w) and
+/// on_pos(i, wi, pos) receive key i's draws. Where der.x8(), each aligned
+/// group of eight keys of one length is hashed in one
+/// hash::murmur3_128_x8 call and derived through the deriver's schedule;
+/// a group of mixed lengths, the last n % 8 keys and every key on other
+/// shapes or CPUs go through HashBitStream.
+template <class Key, class OnWord, class OnPos>
+MPCBF_ENGINE_INLINE void derive_chunk(const TargetDeriver& der,
+                                      std::span<const Key> keys,
+                                      std::uint64_t seed, OnWord&& on_word,
+                                      OnPos&& on_pos) {
+  const auto scalar = [&](std::size_t i) {
+    hash::HashBitStream stream(keys[i], seed);
+    der.derive(
+        stream, [&](unsigned wi, std::size_t w) { on_word(i, wi, w); },
+        [&](unsigned wi, unsigned p) { on_pos(i, wi, p); });
+  };
+  std::size_t i = 0;
+  if (der.x8()) {
+    for (; i + 8 <= keys.size(); i += 8) {
+      const std::size_t len = keys[i].size();
+      std::array<const char*, 8> data;
+      bool same_len = true;
+      for (std::size_t j = 0; j < 8; ++j) {
+        data[j] = keys[i + j].data();
+        same_len &= keys[i + j].size() == len;
+      }
+      if (!same_len) {
+        for (std::size_t j = 0; j < 8; ++j) scalar(i + j);
+        continue;
+      }
+      hash::Hash128x8 h;
+      hash::murmur3_128_x8(data.data(), len, seed, h);
+      for (std::size_t j = 0; j < 8; ++j) {
+        der.derive_block(
+            {h.lo[j], h.hi[j]},
+            [&](unsigned wi, std::size_t w) { on_word(i + j, wi, w); },
+            [&](unsigned wi, unsigned p) { on_pos(i + j, wi, p); });
+      }
+    }
+  }
+  for (; i < keys.size(); ++i) scalar(i);
+}
+
+/// derive_chunk into one Targets per key (out[i] for keys[i]), with
+/// derive_all's distinct-word count.
+template <class Key>
+MPCBF_ENGINE_INLINE void derive_targets(const TargetDeriver& der,
+                                        std::span<const Key> keys,
+                                        std::uint64_t seed, Targets* out) {
+  for (std::size_t i = 0; i < keys.size(); ++i) out[i].total_positions = 0;
+  derive_chunk(
+      der, keys, seed,
+      [&](std::size_t i, unsigned wi, std::size_t w) {
+        out[i].group_word[wi] = w;
+      },
+      [&](std::size_t i, unsigned wi, unsigned p) { out[i].push(wi, p); });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    SeenWords seen;
+    for (unsigned wi = 0; wi < der.g(); ++wi) seen.add(out[i].group_word[wi]);
+    out[i].distinct_words = seen.count;
+  }
+}
 
 /// Hierarchy usage of the distinct words one insert touches: derived from
 /// the word values by capacity_ok, then advanced by
@@ -435,8 +591,8 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 
 /// The batch skeleton of the mutations. Each chunk of kBatchChunk keys
 /// runs in three phases:
-///   1. derive(key_i, slot) — hash the key into its targets: pure compute,
-///      no memory hint;
+///   1. derive(base, count) — hash keys [base, base + count) into slots
+///      0..count-1 (derive_targets): pure compute, no memory hint;
 ///   2. gather(slot) — demand-load the slot's words and return them
 ///      folded into one value, in a tight loop over the chunk. The loads
 ///      are independent, so the out-of-order core keeps many cache misses
@@ -453,7 +609,7 @@ void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
                     ResolveFn&& resolve) {
   for (std::size_t base = 0; base < n; base += kBatchChunk) {
     const std::size_t count = std::min(kBatchChunk, n - base);
-    for (std::size_t i = 0; i < count; ++i) derive(base + i, i);
+    derive(base, count);
     std::uint64_t loaded = 0;
     for (std::size_t i = 0; i < count; ++i) loaded += gather(i);
     keep_loads(loaded);
@@ -569,7 +725,7 @@ MPCBF_ENGINE_INLINE bool query_one(const Storage& store,
       }
     }
   }
-  if (!positive) positive = rescue(0);
+  if (!positive) positive = rescue(0, word[0]);
   const auto c = positive ? metrics::OpClass::kQueryPositive
                           : metrics::OpClass::kQueryNegative;
   stats.record(c, touched, stream.accounted_bits());
@@ -602,16 +758,17 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
     const bool timed = stats.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
 
-    for (std::size_t i = 0; i < count; ++i) {
-      hash::HashBitStream stream(keys[base + i], seed);
-      std::size_t* word = &group_words[i * g];
-      std::uint16_t* pos = &positions[i * per_key];
-      der.derive(
-          stream, [&](unsigned wi, std::size_t w) { word[wi] = w; },
-          [&](unsigned, unsigned p) {
-            *pos++ = static_cast<std::uint16_t>(p);
-          });
-    }
+    // Keys arrive in order and each in the canonical order, so the
+    // records fill front to back: key i's words at i * g, its positions
+    // at i * per_key.
+    std::size_t* next_word = group_words.data();
+    std::uint16_t* next_pos = positions.data();
+    derive_chunk(
+        der, keys.subspan(base, count), seed,
+        [&](std::size_t, unsigned, std::size_t w) { *next_word++ = w; },
+        [&](std::size_t, unsigned, unsigned p) {
+          *next_pos++ = static_cast<std::uint16_t>(p);
+        });
 
     std::uint64_t loaded = 0;
     for (std::size_t j = 0; j < count * g; ++j) {
@@ -642,7 +799,7 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
         any_fail |= fail;
       }
       bool positive = any_fail == 0;
-      if (!positive) positive = rescue(base + i);
+      if (!positive) positive = rescue(base + i, word[0]);
       out[base + i] = positive ? 1 : 0;
       const std::uint64_t hit = positive ? 1 : 0;
       positives += hit;
@@ -679,9 +836,10 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
 /// visited groups. tests/test_stats_parity.cpp checks both paths against
 /// a test-local reference walk.
 ///
-/// `rescue(i)` decides key i when the words answer negative (the stash
-/// probe). Tallies are published once per call, one atomic trio per op
-/// class that occurred. One sampled call in kLatencySampleEvery records
+/// `rescue(i, first_word)` decides key i, whose first group word is
+/// `first_word`, when the words answer negative (the stash probe).
+/// Tallies are published once per call, one atomic trio per op class
+/// that occurred. One sampled call in kLatencySampleEvery records
 /// its latency: a one-key call in the per-op histogram of the class it
 /// hit, a batch chunk its per-key average in the batch-query histogram.
 template <class Storage, class Key, class Rescue>

@@ -41,15 +41,8 @@ class Pcbf {
         g_(cfg.g),
         word_bits_(cfg.word_bits),
         seed_(cfg.seed),
-        short_circuit_(cfg.short_circuit) {
-    core::engine::validate_shape(cfg.k, cfg.g, "Pcbf");
-    if (num_words_ == 0) {
-      throw std::invalid_argument("Pcbf: memory smaller than one word");
-    }
-    if (counters_per_word_ > core::engine::kMaxPositionRange) {
-      throw std::invalid_argument("Pcbf: too many counters per word");
-    }
-  }
+        short_circuit_(cfg.short_circuit),
+        der_(validated_deriver(cfg)) {}
 
   Pcbf(std::size_t memory_bits, unsigned k, unsigned g = 1,
        std::uint64_t seed = hash::kDefaultSeed)
@@ -58,7 +51,7 @@ class Pcbf {
   void insert(std::string_view key) {
     core::engine::Targets t;
     hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
+    der_.derive_all(stream, t);
     for (unsigned i = 0; i < t.total_positions; ++i) {
       counters_.increment(counter_index(t.word_of(i), t.pos(i)));
     }
@@ -94,7 +87,7 @@ class Pcbf {
   bool erase(std::string_view key) {
     core::engine::Targets t;
     hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
+    der_.derive_all(stream, t);
     bool ok = true;
     for (unsigned i = 0; i < t.total_positions; ++i) {
       ok &= counters_.decrement(counter_index(t.word_of(i), t.pos(i)));
@@ -108,7 +101,7 @@ class Pcbf {
   [[nodiscard]] std::uint32_t count(std::string_view key) const {
     core::engine::Targets t;
     hash::HashBitStream stream(key, seed_);
-    deriver().derive_all(stream, t);
+    der_.derive_all(stream, t);
     std::uint32_t min_c = ~std::uint32_t{0};
     for (unsigned i = 0; i < t.total_positions; ++i) {
       min_c = std::min(min_c,
@@ -140,13 +133,23 @@ class Pcbf {
   }
 
  private:
-  /// Shared target derivation (core/word_engine.hpp): a PCBF "position"
-  /// is a counter slot within a word, so b1 = counters_per_word. Used on
-  /// the full-stream paths (insert/erase/count); contains() keeps the
-  /// lazy stream so short-circuiting saves its hash bits.
-  [[nodiscard]] core::engine::TargetDeriver deriver() const noexcept {
-    return core::engine::TargetDeriver(num_words_, k_, g_,
-                                       counters_per_word_);
+  /// Checks the shape, then builds the shared target derivation
+  /// (core/word_engine.hpp): a PCBF "position" is a counter slot within a
+  /// word, so b1 = counters_per_word. Used on the full-stream paths
+  /// (insert/erase/count); contains() keeps the lazy stream so
+  /// short-circuiting saves its hash bits.
+  static core::engine::TargetDeriver validated_deriver(const PcbfConfig& cfg) {
+    core::engine::validate_shape(cfg.k, cfg.g, "Pcbf");
+    const std::size_t num_words = cfg.memory_bits / cfg.word_bits;
+    const unsigned counters_per_word = cfg.word_bits / cfg.counter_bits;
+    if (num_words == 0) {
+      throw std::invalid_argument("Pcbf: memory smaller than one word");
+    }
+    if (counters_per_word > core::engine::kMaxPositionRange) {
+      throw std::invalid_argument("Pcbf: too many counters per word");
+    }
+    return core::engine::TargetDeriver(num_words, cfg.k, cfg.g,
+                                       counters_per_word);
   }
 
   [[nodiscard]] std::size_t counter_index(std::size_t word,
@@ -162,6 +165,7 @@ class Pcbf {
   unsigned word_bits_;
   std::uint64_t seed_;
   bool short_circuit_;
+  core::engine::TargetDeriver der_;
   std::size_t size_ = 0;
   mutable metrics::AccessStats stats_;
 };

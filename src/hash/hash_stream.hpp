@@ -67,9 +67,12 @@ class HashBitStream {
   /// non-power-of-two bounds, uses a multiply-shift over
   /// ceil_log2(bound)+12 raw bits: the relative bias is < 2^-12,
   /// invisible next to the sampling noise of any experiment here, while
-  /// keeping entropy consumption low enough that a whole operation's
-  /// indices fit in one 128-bit hash block (this is what keeps MPCBF's
-  /// software query cost at/below CBF's, Sec. IV-B).
+  /// keeping entropy consumption low enough that a typical operation's
+  /// indices fit in one 128-bit hash block, so it hashes the key once
+  /// (and a batch can derive eight keys from their first blocks,
+  /// core/word_engine.hpp derive_chunk). One hash does not make MPCBF's
+  /// query cheaper than CBF's in cache: fig08 measures MPCBF-1 above CBF
+  /// at 4 Mb; at DRAM size its single word fetch makes it cheaper.
   std::size_t next_index(std::size_t bound) noexcept {
     assert(bound > 0);
     return next_index(IndexBound(bound));

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/durable_mpcbf.hpp"
@@ -84,9 +85,10 @@ void expect_same_state(const Mpcbf<W>& scalar, const Mpcbf<W>& batch) {
 // were never inserted or are erased once too often, so underflows occur.
 template <unsigned W>
 void run_mpcbf_parity(MpcbfConfig cfg, std::size_t n_keys,
-                      std::uint64_t seed) {
-  const auto keys = generate_unique_strings(n_keys, 6, seed);
-  const auto probes = generate_unique_strings(n_keys, 8, seed + 1);
+                      std::uint64_t seed, std::size_t key_len = 6,
+                      std::size_t probe_len = 8) {
+  const auto keys = generate_unique_strings(n_keys, key_len, seed);
+  const auto probes = generate_unique_strings(n_keys, probe_len, seed + 1);
   Mpcbf<W> scalar_f(cfg);
   Mpcbf<W> batch_f(cfg);
 
@@ -209,6 +211,62 @@ TEST(MpcbfBatchParity, SweepW128GroupsAndShortCircuit) {
 }
 TEST(MpcbfBatchParity, SweepW256GroupsAndShortCircuit) {
   sweep_mpcbf_parity<256>();
+}
+
+// The batch derive hashes eight keys of one length at a time where the
+// shape has a draw schedule (and the CPU AVX-512), and falls back to the
+// scalar derive elsewhere. Both must leave the words byte-identical to
+// scalar loops: all-equal 17-byte keys (every group of eight eligible,
+// the insert and erase lists' counts not multiples of eight), mixed
+// 16/17/18-byte keys (no group eligible), and a shape whose draws need a
+// second hash block.
+TEST(MpcbfBatchParity, EqualLengthGroupsOfEight) {
+  for (const auto& [k, g] : {std::pair{3u, 1u}, std::pair{4u, 2u}}) {
+    for (const bool sc : {true, false}) {
+      MpcbfConfig cfg =
+          parity_config(4096, 64, k, g, 4, OverflowPolicy::kStash);
+      cfg.short_circuit = sc;
+      ASSERT_TRUE(mpcbf::core::engine::TargetDeriver(
+                      4096, k, g, Mpcbf<64>::layout_for(cfg).b1)
+                      .has_schedule());
+      run_mpcbf_parity<64>(cfg, 8 * 125 + 5, 617 + k, 17, 17);
+    }
+  }
+  run_mpcbf_parity<64>(parity_config(16, 64, 3, 1, 4, OverflowPolicy::kStash),
+                       301, 619, 17, 17);
+}
+TEST(MpcbfBatchParity, MixedLengthGroups) {
+  const auto keys = generate_unique_strings(900, 16, 621);
+  std::vector<std::string> mixed;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    mixed.push_back(keys[i] + std::string(i % 3, 'x'));
+  }
+  const auto cfg = parity_config(256, 64, 3, 1, 4, OverflowPolicy::kStash);
+  Mpcbf<64> scalar_f(cfg);
+  Mpcbf<64> batch_f(cfg);
+  std::vector<std::uint8_t> ok(mixed.size());
+  for (const auto& key : mixed) (void)scalar_f.insert(key);
+  batch_f.insert_batch(mixed, ok);
+  expect_same_state(scalar_f, batch_f);
+  std::vector<std::uint8_t> out(mixed.size());
+  batch_f.contains_batch(mixed, out);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    ASSERT_EQ(out[i], scalar_f.contains(mixed[i]) ? 1 : 0) << i;
+  }
+  for (std::size_t i = 0; i < mixed.size(); i += 2) (void)scalar_f.erase(mixed[i]);
+  std::vector<std::string> halves;
+  for (std::size_t i = 0; i < mixed.size(); i += 2) halves.push_back(mixed[i]);
+  std::vector<std::uint8_t> erased(halves.size());
+  batch_f.erase_batch(halves, erased);
+  expect_same_state(scalar_f, batch_f);
+}
+TEST(MpcbfBatchParity, ShapeWithoutSchedule) {
+  // 24 positions of 20 bits each: far past one 128-bit block.
+  const auto cfg = parity_config(64, 256, 24, 3, 4, OverflowPolicy::kStash);
+  ASSERT_FALSE(mpcbf::core::engine::TargetDeriver(
+                   64, 24, 3, Mpcbf<256>::layout_for(cfg).b1)
+                   .has_schedule());
+  run_mpcbf_parity<256>(cfg, 403, 623, 17, 17);
 }
 
 TEST(MpcbfBatchParity, StringViewOverloadsMatchStringOverloads) {

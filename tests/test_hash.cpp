@@ -4,6 +4,7 @@
 // filter depends on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -71,6 +72,38 @@ TEST(Murmur3_128, Avalanche) {
                       __builtin_popcountll(a.hi ^ b.hi);
   EXPECT_GT(flipped, 40);
   EXPECT_LT(flipped, 88);
+}
+
+// --- murmur3_128_x8 ----------------------------------------------------------
+
+// The eight-lane kernel against the scalar hash: every length 0..64 (no
+// block, one to four full blocks, every tail arm), random bytes and
+// seeds. Each key sits at the end of its own buffer, so a load past the
+// key's last byte would read another key's bytes or fault.
+TEST(Murmur3_128x8, MatchesScalarOnEveryLengthAndSeed) {
+  if (!murmur3_128_x8_available()) {
+    GTEST_SKIP() << "CPU lacks AVX-512 F/DQ/BW/VL; derivation runs scalar";
+  }
+  mpcbf::util::SplitMix64 rng(0x8E1);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (int round = 0; round < 4; ++round) {
+      const std::uint64_t seed = rng.next();
+      std::array<std::vector<char>, 8> buf;
+      std::array<const char*, 8> keys;
+      for (std::size_t i = 0; i < 8; ++i) {
+        buf[i].resize(len + 1);
+        for (auto& c : buf[i]) c = static_cast<char>(rng.next());
+        keys[i] = buf[i].data() + 1;
+      }
+      Hash128x8 out;
+      murmur3_128_x8(keys.data(), len, seed, out);
+      for (std::size_t i = 0; i < 8; ++i) {
+        const Hash128 want = murmur3_128(keys[i], len, seed);
+        ASSERT_EQ(out.lo[i], want.lo) << "len=" << len << " lane=" << i;
+        ASSERT_EQ(out.hi[i], want.hi) << "len=" << len << " lane=" << i;
+      }
+    }
+  }
 }
 
 // --- xxhash64 --------------------------------------------------------------

@@ -182,6 +182,49 @@ TEST(Mpcbf, StashPolicyNeverLosesElements) {
   EXPECT_EQ(f.stash_size(), 0u);
 }
 
+// A query probes the stash only when the stash summary holds the key's
+// first word (modulo its 4096 bits, so with 2^14 words several words
+// share a bit). Every stashed key must still read positive, through
+// scalar and batch queries, after a save/load (the summary is rebuilt)
+// and after a merge (the summaries are joined).
+TEST(Mpcbf, StashSummaryNeverHidesAStashedKey) {
+  MpcbfConfig cfg;
+  cfg.memory_bits = 64 << 14;
+  cfg.k = 3;
+  cfg.g = 1;
+  cfg.n_max = 1;
+  cfg.policy = OverflowPolicy::kStash;
+  Mpcbf<64> f(cfg);
+  const auto keys = generate_unique_strings(30000, 9, 41);
+  for (const auto& k : keys) ASSERT_TRUE(f.insert(k));
+  ASSERT_GT(f.stash_size(), 1000u);
+  const auto all_positive = [&](const Mpcbf<64>& filter) {
+    std::vector<std::uint8_t> out(keys.size());
+    filter.contains_batch(keys, out);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (out[i] != 1 || !filter.contains(keys[i]) ||
+          filter.count(keys[i]) == 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(all_positive(f));
+
+  std::stringstream ss;
+  f.save(ss);
+  const Mpcbf<64> loaded = Mpcbf<64>::load(ss);
+  EXPECT_TRUE(all_positive(loaded));
+
+  Mpcbf<64> merged(cfg);
+  ASSERT_TRUE(merged.merge(f));
+  EXPECT_TRUE(all_positive(merged));
+
+  for (const auto& k : keys) ASSERT_TRUE(f.erase(k));
+  EXPECT_EQ(f.stash_size(), 0u);
+  EXPECT_EQ(f.size(), 0u);
+}
+
 TEST(Mpcbf, ClearResetsEverything) {
   auto f = Mpcbf<64>::with_memory(1 << 16, 3, 2, 500);
   for (int i = 0; i < 100; ++i) {

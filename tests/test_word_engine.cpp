@@ -8,9 +8,12 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/mpcbf.hpp"
+#include "common/rng.hpp"
 #include "core/word_engine.hpp"
 #include "filters/pcbf.hpp"
 #include "hash/hash_stream.hpp"
@@ -131,6 +134,147 @@ TEST(WordEngine, DeriveAllMatchesManualStreamConsumption) {
   EXPECT_EQ(s1.accounted_bits(), s2.accounted_bits());
 }
 
+// --- draw schedule and derive_chunk -------------------------------------
+
+// One key's derivation as the (group, value) draws a deriver emits.
+using Draws = std::vector<std::pair<unsigned, std::size_t>>;
+
+Draws stream_draws(const engine::TargetDeriver& d, std::string_view key,
+                   std::uint64_t seed) {
+  Draws out;
+  mpcbf::hash::HashBitStream s(key, seed);
+  d.derive(
+      s, [&](unsigned wi, std::size_t w) { out.emplace_back(wi, w); },
+      [&](unsigned wi, unsigned p) { out.emplace_back(wi + 100, p); });
+  return out;
+}
+
+std::string random_key(mpcbf::util::SplitMix64& rng, std::size_t len) {
+  std::string key(len, '\0');
+  for (auto& c : key) c = static_cast<char>(rng.next());
+  return key;
+}
+
+TEST(WordEngine, ScheduleCoversTheBenchmarkShapes) {
+  // filter-dram: 1 GiB of words for 2^22 keys (b1 = 52: 27 + 18 + 18
+  // bits in the low lane, 18 in the high one); serve-read: 1 MiB for
+  // 2^17 keys.
+  for (const auto& [memory_bits, expected_n] :
+       {std::pair{std::size_t{1} << 33, std::size_t{1} << 22},
+        std::pair{std::size_t{1} << 23, std::size_t{1} << 17}}) {
+    MpcbfConfig cfg;
+    cfg.memory_bits = memory_bits;
+    cfg.k = 3;
+    cfg.g = 1;
+    cfg.expected_n = expected_n;
+    const auto layout = Mpcbf<64>::layout_for(cfg);
+    EXPECT_TRUE(engine::TargetDeriver(layout.num_words, 3, 1, layout.b1)
+                    .has_schedule())
+        << "b1=" << layout.b1;
+  }
+  EXPECT_TRUE(engine::TargetDeriver(std::size_t{1} << 27, 3, 1, 52)
+                  .has_schedule());
+  // Eight 25-bit positions need a second block.
+  EXPECT_FALSE(engine::TargetDeriver(1024, 8, 1, 8191).has_schedule());
+  // A 36-bit non-power-of-two word count draws 48 bits: the product
+  // needs 84.
+  EXPECT_FALSE(engine::TargetDeriver((std::size_t{1} << 35) + 1, 1, 1, 52)
+                   .has_schedule());
+}
+
+TEST(WordEngine, DeriveBlockMatchesTheStreamOnEveryScheduledShape) {
+  // A grid of word counts (power of two or not, bound 1 included), k,
+  // g and b1: wherever the deriver has a schedule, deriving from the
+  // key's first hash block gives the stream's draws. Shapes that need a
+  // second block or a product wider than 64 bits have none.
+  mpcbf::util::SplitMix64 rng(0xB10C);
+  unsigned scheduled = 0;
+  unsigned refused = 0;
+  for (const std::size_t l :
+       {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{1000},
+        std::size_t{1} << 20, (std::size_t{1} << 27) + 5,
+        std::size_t{1} << 36}) {
+    for (unsigned k = 1; k <= 8; ++k) {
+      for (unsigned g = 1; g <= std::min(k, 4u); ++g) {
+        for (const unsigned b1 : {2u, 7u, 8u, 40u, 52u, 100u, 8191u}) {
+          const engine::TargetDeriver d(l, k, g, b1);
+          if (!d.has_schedule()) {
+            ++refused;
+            continue;
+          }
+          ++scheduled;
+          for (int round = 0; round < 20; ++round) {
+            const std::uint64_t seed = rng.next();
+            const std::string key = random_key(rng, rng.next() % 65);
+            Draws got;
+            d.derive_block(
+                mpcbf::hash::murmur3_128(key, seed),
+                [&](unsigned wi, std::size_t w) { got.emplace_back(wi, w); },
+                [&](unsigned wi, unsigned p) { got.emplace_back(wi + 100, p); });
+            ASSERT_EQ(got, stream_draws(d, key, seed))
+                << "l=" << l << " k=" << k << " g=" << g << " b1=" << b1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(scheduled, 100u);
+  EXPECT_GT(refused, 10u);
+}
+
+TEST(WordEngine, DeriveChunkEmitsTheScalarDrawsInKeyOrder) {
+  // Groups of eight equal lengths (the x8 path where the CPU has it),
+  // mixed-length groups, and a tail that is not a multiple of eight, on
+  // a scheduled shape and on one that needs a second hash block. On a
+  // CPU without AVX-512 every key takes the scalar path, which must
+  // agree just the same.
+  mpcbf::util::SplitMix64 rng(0xC4C);
+  std::vector<std::string> keys;
+  for (std::size_t len = 0; len <= 64; ++len) {
+    for (int i = 0; i < 8; ++i) keys.push_back(random_key(rng, len));
+  }
+  for (int i = 0; i < 27; ++i) keys.push_back(random_key(rng, 16 + i % 3));
+  for (const auto& d : {engine::TargetDeriver(std::size_t{1} << 27, 3, 1, 52),
+                        engine::TargetDeriver(1000, 5, 2, 40),
+                        engine::TargetDeriver(1024, 8, 1, 8191)}) {
+    const std::uint64_t seed = rng.next();
+    std::vector<Draws> got(keys.size());
+    std::size_t last = 0;
+    engine::derive_chunk(
+        d, std::span<const std::string>(keys), seed,
+        [&](std::size_t i, unsigned wi, std::size_t w) {
+          ASSERT_GE(i, last);
+          last = i;
+          got[i].emplace_back(wi, w);
+        },
+        [&](std::size_t i, unsigned wi, unsigned p) {
+          ASSERT_EQ(i, last);
+          got[i].emplace_back(wi + 100, p);
+        });
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(got[i], stream_draws(d, keys[i], seed)) << "key " << i;
+    }
+    // derive_targets: the same draws, plus derive_all's word count.
+    std::vector<engine::Targets> t(keys.size());
+    engine::derive_targets(d, std::span<const std::string>(keys), seed,
+                           t.data());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      engine::Targets want;
+      mpcbf::hash::HashBitStream s(keys[i], seed);
+      d.derive_all(s, want);
+      ASSERT_EQ(t[i].total_positions, want.total_positions);
+      ASSERT_EQ(t[i].distinct_words, want.distinct_words);
+      for (unsigned wi = 0; wi < d.g(); ++wi) {
+        ASSERT_EQ(t[i].group_word[wi], want.group_word[wi]);
+      }
+      for (unsigned j = 0; j < want.total_positions; ++j) {
+        ASSERT_EQ(t[i].entry[j], want.entry[j]);
+      }
+      EXPECT_EQ(d.derive_bits(), s.accounted_bits());
+    }
+  }
+}
+
 // --- Targets ------------------------------------------------------------
 
 // Builds targets from (word, position) entries in derivation order; a
@@ -244,7 +388,7 @@ QueryRun run_query_batch(const engine::PlainWords<64>& store,
   engine::query_batch(store, der, short_circuit,
                       std::span<const std::string>(keys), kQuerySeed,
                       std::span<std::uint8_t>(r.out), r.stats,
-                      [&](std::size_t) {
+                      [&](std::size_t, std::size_t) {
                         ++r.rescued;
                         return rescue;
                       });
@@ -357,9 +501,9 @@ TEST(WordEngine, BatchPipelineDerivesThenGathersThenResolvesPerChunk) {
   };
   engine::batch_pipeline(
       n,
-      [&](std::size_t key_i, std::size_t slot) {
-        EXPECT_EQ(slot, key_i % engine::kBatchChunk);
-        event('d', key_i);
+      [&](std::size_t base, std::size_t count) {
+        EXPECT_EQ(base % engine::kBatchChunk, 0u);
+        for (std::size_t i = 0; i < count; ++i) event('d', base + i);
       },
       [&](std::size_t slot) {
         event('g', slot);
