@@ -1,16 +1,9 @@
-// Admin-plane overhead — what the observability PR costs the hot path
-// when nobody is looking. Built twice by CMake: `bench_admin` with
-// logging compiled in and `bench_admin_nolog` with MPCBF_DISABLE_LOGGING
-// (every MPCBF_LOG_* macro an inert statement in that TU). Both report:
+// Admin-plane overhead — what the observability layer costs the hot
+// path when nobody is looking, and what it costs when it is armed:
 //
 //   query+log-site        a filter query loop with a *disarmed* debug
 //                         log site inside (below the level gate: one
-//                         relaxed load + untaken branch per iteration in
-//                         the armed build, nothing at all in the twin).
-//                         Acceptance: the two builds agree within noise.
-//
-// The armed build additionally measures:
-//
+//                         relaxed load + untaken branch per iteration);
 //   admitted line         formatting + sinking one logfmt line into a
 //                         null sink (the steady-state cost of a line
 //                         that IS written);
@@ -19,8 +12,8 @@
 //   slow-ring snapshot    reading all 256 slots + Chrome JSON render,
 //                         i.e. one /tracez request's CPU.
 //
-// scripts/bench_compare.py gates the ns metrics of both binaries
-// against results/json/baseline/BENCH_admin{,_nolog}.json.
+// scripts/bench_compare.py gates the ns metrics against
+// results/json/baseline/BENCH_admin.json.
 //
 // Usage: bench_admin [--n 100000] [--queries 1000000] [--seed 7]
 #include "bench_common.hpp"
@@ -50,19 +43,12 @@ int main(int argc, char** argv) {
   const std::size_t num_queries = args.get_uint("queries", 1000000);
   const std::uint64_t seed = args.get_uint("seed", 7);
   args.reject_unknown({"n", "queries", "seed"});
-#ifdef MPCBF_DISABLE_LOGGING
-  const bool compiled_in = false;
-#else
-  const bool compiled_in = true;
-#endif
-  mpcbf::bench::JsonReport report(compiled_in ? "admin" : "admin_nolog");
+  mpcbf::bench::JsonReport report("admin");
   report.config("n", n);
   report.config("queries", num_queries);
   report.config("seed", seed);
-  report.config("logging_compiled_in", compiled_in);
 
-  std::cout << "=== Admin-plane overhead (logging "
-            << (compiled_in ? "compiled in" : "compiled out") << ") ===\n"
+  std::cout << "=== Admin-plane overhead ===\n"
             << "n=" << n << " queries=" << num_queries << " seed=" << seed
             << "\n\n";
 
@@ -84,8 +70,7 @@ int main(int argc, char** argv) {
   logger.set_level(log::Level::kWarn);  // debug sites below the gate
 
   // The acceptance loop: one query + one disarmed debug log site per
-  // iteration. In the nolog twin the macro vanishes and this IS the
-  // bare query loop.
+  // iteration.
   std::uint64_t sink = 0;
   const double query_log_site_ns = best_of(3, qs.queries.size(), [&] {
     for (const auto& q : qs.queries) {
@@ -97,18 +82,9 @@ int main(int argc, char** argv) {
   });
 
   util::Table table({"path", "ns/op"});
-  table.row()
-      .add(compiled_in ? "query + disarmed log site"
-                       : "query (log site compiled out)")
-      .addf(query_log_site_ns, 2);
+  table.row().add("query + disarmed log site").addf(query_log_site_ns, 2);
+  report.metric("query_log_disarmed_ns", query_log_site_ns, "ns");
 
-  if (compiled_in) {
-    report.metric("query_log_disarmed_ns", query_log_site_ns, "ns");
-  } else {
-    report.metric("query_log_compiled_out_ns", query_log_site_ns, "ns");
-  }
-
-#ifndef MPCBF_DISABLE_LOGGING
   // Armed costs, measured into a null sink so the numbers are the
   // logger's, not the filesystem's. The rate limiter is bypassed
   // (null site) for the admitted-line number and exercised for the
@@ -175,7 +151,6 @@ int main(int argc, char** argv) {
   report.metric("slow_ring_record_ns", record_ns, "ns");
   report.metric("tracez_render_ns", snapshot_ns, "ns");
   sink += json_bytes;
-#endif
 
   table.print(std::cout);
   std::cout << "(sink " << sink % 10 << ")\n";

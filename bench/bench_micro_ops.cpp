@@ -277,29 +277,31 @@ constexpr std::size_t kL2Memory = std::size_t{1} << 23;  // 1 MiB
 constexpr std::size_t kL2Preload = std::size_t{1} << 16;
 constexpr std::size_t kL2BatchLen = 64;
 
-void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
-  static const auto f = [] {
-    core::MpcbfConfig cfg;
-    cfg.memory_bits = kL2Memory;
-    cfg.k = 3;
-    cfg.g = 1;
-    cfg.expected_n = kL2Preload;
-    cfg.policy = core::OverflowPolicy::kStash;
-    auto filter = std::make_unique<core::Mpcbf<64>>(cfg);
-    for (std::size_t i = 0; i < kL2Preload; ++i) {
-      (void)filter->insert(batch_members()[i]);
-    }
-    return filter;
-  }();
-  // batch_mixed() alternates member i and miss i, so its first
-  // 2 * kL2Preload keys are half members of this filter, half misses.
-  const auto& keys = batch_mixed();
+/// The L2 filter preloaded with the first kL2Preload `members`.
+std::unique_ptr<core::Mpcbf<64>> l2_filter(
+    const std::vector<std::string>& members) {
+  core::MpcbfConfig cfg;
+  cfg.memory_bits = kL2Memory;
+  cfg.k = 3;
+  cfg.g = 1;
+  cfg.expected_n = kL2Preload;
+  cfg.policy = core::OverflowPolicy::kStash;
+  auto filter = std::make_unique<core::Mpcbf<64>>(cfg);
+  for (std::size_t i = 0; i < kL2Preload; ++i) (void)filter->insert(members[i]);
+  return filter;
+}
+
+/// Batch-64 query calls on `f` over `keys` (2 * kL2Preload keys
+/// alternating member and miss).
+void l2_query_batch_series(benchmark::State& state,
+                           const core::Mpcbf<64>& f,
+                           const std::vector<std::string>& keys) {
   constexpr std::size_t kPool = 2 * kL2Preload;
   std::size_t base = 0;
   std::vector<std::uint8_t> out(kL2BatchLen);
   for (auto _ : state) {
-    f->contains_batch(std::span<const std::string>(&keys[base], kL2BatchLen),
-                      std::span<std::uint8_t>(out));
+    f.contains_batch(std::span<const std::string>(&keys[base], kL2BatchLen),
+                     std::span<std::uint8_t>(out));
     benchmark::DoNotOptimize(out.data());
     base = (base + kL2BatchLen) % kPool;
   }
@@ -307,7 +309,34 @@ void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
                           static_cast<std::int64_t>(kL2BatchLen));
 }
 
+// batch_mixed() alternates member i and miss i, so its first
+// 2 * kL2Preload keys are half members of this filter, half misses. The
+// members are 6 bytes long and the misses 8, so no group of eight keys
+// shares a length and every call takes the scalar derive.
+void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
+  static const auto f = l2_filter(batch_members());
+  l2_query_batch_series(state, *f, batch_mixed());
+}
+
+// The same calls on 17-byte keys (the perfbench key shape), so every
+// group of eight takes the eight-key derive where the CPU has AVX-512.
+void BM_MPCBF1_QueryBatch_L2_Key17(benchmark::State& state) {
+  static const auto pool =
+      workload::generate_unique_strings(2 * kL2Preload, 17, 17);
+  static const auto f = l2_filter(pool);
+  static const auto keys = [] {
+    std::vector<std::string> v;
+    for (std::size_t i = 0; i < kL2Preload; ++i) {
+      v.push_back(pool[i]);
+      v.push_back(pool[kL2Preload + i]);
+    }
+    return v;
+  }();
+  l2_query_batch_series(state, *f, keys);
+}
+
 BENCHMARK(BM_MPCBF1_QueryBatch_L2);
+BENCHMARK(BM_MPCBF1_QueryBatch_L2_Key17);
 
 // --- chunk derive ----------------------------------------------------------
 //

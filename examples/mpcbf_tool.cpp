@@ -35,7 +35,10 @@
 //         [--elastic]                         chain-of-segments backend that
 //         [--route-bits N] [--grow-score S]   grows online (sizing flags
 //         [--probe-stride N]                  size one segment); with --dir
-//         [--max-segments N]                  the chain is WAL-journaled
+//         [--max-segments N]                  the chain is WAL-journaled,
+//                                             with --follow it mirrors an
+//                                             elastic primary's chain;
+//                                             --filter takes neither flag
 //         [--maintenance-ms MS]               drain/gauge cadence
 //         [--namespaces]                      multi-tenant registry: clients
 //         [--ns-root DIR]                     create/drop namespaces over
@@ -255,6 +258,12 @@ mpcbf::core::Mpcbf<64> load_any_filter(std::istream& is) {
   throw std::runtime_error("unrecognized magic");
 }
 
+mpcbf::core::Mpcbf<64> load_any_filter(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot open filter file: " + path);
+  return load_any_filter(is);
+}
+
 // Layout report for a saved filter (--filter) or a durable directory
 // (--dir, recovered through the WAL — which also populates the journal/
 // durability series). With --keys the key file is replayed as a query
@@ -268,9 +277,7 @@ int cmd_stats(const mpcbf::util::CliArgs& args) {
       return mpcbf::core::DurableMpcbf<64>::recover(dir);
     }
     const std::string path = args.get_string("filter", "filter.mpcbf");
-    std::ifstream is(path, std::ios::binary);
-    if (!is) throw std::runtime_error("cannot open filter file: " + path);
-    return load_any_filter(is);
+    return load_any_filter(path);
   }();
   std::cout << "words:          " << filter.num_words() << " x 64 bits\n"
             << "memory:         " << filter.memory_bits() / 8 / 1024
@@ -463,9 +470,7 @@ int cmd_health(const mpcbf::util::CliArgs& args) {
       return mpcbf::core::DurableMpcbf<64>::recover(dir);
     }
     const std::string path = args.get_string("filter", "filter.mpcbf");
-    std::ifstream is(path, std::ios::binary);
-    if (!is) throw std::runtime_error("cannot open filter file: " + path);
-    return load_any_filter(is);
+    return load_any_filter(path);
   }();
 
   mpcbf::metrics::HealthProber::Config cfg;
@@ -564,11 +569,7 @@ int cmd_trace(const mpcbf::util::CliArgs& args) {
     const std::string path = args.get_string("filter", "");
     auto filter = [&]() -> mpcbf::core::Mpcbf<64> {
       if (!path.empty()) {
-        std::ifstream is(path, std::ios::binary);
-        if (!is) {
-          throw std::runtime_error("cannot open filter file: " + path);
-        }
-        return load_any_filter(is);
+        return load_any_filter(path);
       }
       mpcbf::core::MpcbfConfig cfg;
       cfg.memory_bits = 1 << 20;
@@ -629,13 +630,29 @@ std::vector<mpcbf::net::Endpoint> parse_endpoints(
   return endpoints;
 }
 
-// Runs mpcbfd until SIGINT/SIGTERM. Backing modes:
-//   --dir D      durable: WAL-first mutations, final snapshot on shutdown
-//   --filter F   serve a pre-built snapshot (read-mostly deployments)
-//   (neither)    fresh in-memory filter from the sizing flags
-//   --dir D --follow H:P[,...]   durable follower: bootstraps from and
-//                tails the primary's journal; serves queries only (the
-//                HEALTH ready bit stays 0 until it has caught up)
+// A durable directory of filter kind F: its recorded layout when it
+// holds a loadable snapshot, otherwise a filter from the sizing flags
+// (plus whatever its journal replays).
+template <class F>
+std::shared_ptr<mpcbf::core::Durable<F>> open_durable(
+    const std::string& dir,
+    const typename mpcbf::core::Durable<F>::Config& cfg) {
+  try {
+    return mpcbf::core::Durable<F>::open_shared(dir);
+  } catch (const std::runtime_error&) {
+    return mpcbf::core::Durable<F>::open_shared(dir, cfg);
+  }
+}
+
+// Runs mpcbfd until SIGINT/SIGTERM. The backend is one stack:
+//   kind      flat MPCBF, or --elastic: a segment chain that grows online
+//   durable   --dir D: WAL-first mutations, final snapshot on shutdown;
+//             otherwise in memory, from the sizing flags or from
+//             --filter F (a pre-built flat snapshot file)
+//   follower  --follow H:P[,...] (needs --dir): bootstraps from and tails
+//             the primary's journal and serves queries only (the HEALTH
+//             ready bit stays 0 until it has caught up); an elastic
+//             follower takes its chain changes from the primary alone
 // --port 0 (the default) binds an ephemeral port; --port-file writes the
 // resolved port for scripted callers (the CI smoke test uses it).
 int cmd_serve(const mpcbf::util::CliArgs& args) {
@@ -695,121 +712,45 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
                  "durable directory)\n";
     return 2;
   }
-  if (elastic && !follow.empty()) {
-    std::cerr << "serve: --elastic cannot combine with --follow yet "
-                 "(the replication agent speaks flat durable dirs)\n";
-    return 2;
-  }
-  if (elastic && !filter_path.empty()) {
-    std::cerr << "serve: --elastic takes sizing flags or --dir, not "
-                 "--filter\n";
+  if (!filter_path.empty() && (!dir.empty() || !follow.empty() || elastic)) {
+    // A --filter file is a bare flat snapshot: no journal to follow or
+    // recover, no chain.
+    std::cerr << "serve: --filter serves a flat snapshot file in memory; "
+                 "it does not combine with --dir, --follow or --elastic\n";
     return 2;
   }
 
-  std::shared_ptr<mpcbf::core::DurableMpcbf<64>> durable;
-  std::shared_ptr<mpcbf::core::Mpcbf<64>> plain;
-  std::shared_ptr<mpcbf::core::DurableElasticMpcbf<64>> elastic_durable;
-  std::shared_ptr<mpcbf::core::ElasticMpcbf<64>> elastic_plain;
+  // One backend stack (net::host): the filter kind, then durable under
+  // --dir, then follower under --follow.
+  auto mu = std::make_shared<std::shared_mutex>();
+  mpcbf::net::Replicator::Options follow_opts;
+  if (!follow.empty()) follow_opts.primaries = parse_endpoints(follow);
+  const auto stack = [&](auto filter) {
+    return mpcbf::net::host(std::move(filter), mu,
+                            args.get_uint("probes", 512), "server",
+                            follow_opts);
+  };
+  using Flat = mpcbf::core::Mpcbf<64>;
+  using Chain = mpcbf::core::ElasticMpcbf<64>;
+  mpcbf::net::Hosted hosted =
+      !filter_path.empty()
+          ? stack(std::make_shared<Flat>(load_any_filter(filter_path)))
+      : elastic ? (dir.empty() ? stack(std::make_shared<Chain>(
+                                     elastic_config(args)))
+                               : stack(open_durable<Chain>(
+                                     dir, elastic_config(args))))
+      : dir.empty()
+          ? stack(std::make_shared<Flat>(durable_config(args)))
+          : stack(open_durable<Flat>(dir, durable_config(args)));
+  // A chain's background drain and gauge refresh, under the same lock
+  // the server's mutations take.
   std::unique_ptr<mpcbf::core::ElasticMaintainer> maintainer;
-  std::unique_ptr<mpcbf::net::Replicator> replicator;
-  mpcbf::net::FilterBackend backend;
-  std::function<void(std::string&)> status_extra;  // extra /statusz lines
-  if (elastic) {
-    // Chain backend: segments split online when the active segment's
-    // health crosses the grow score; a background maintainer drains
-    // cold segments and refreshes the mpcbf_elastic_* gauges under the
-    // same lock the server's mutations take.
-    auto mu = std::make_shared<std::shared_mutex>();
-    const auto interval =
-        std::chrono::milliseconds(args.get_uint("maintenance-ms", 1000));
-    auto& reg = mpcbf::metrics::Registry::global();
-    if (!dir.empty()) {
-      elastic_durable = mpcbf::core::DurableElasticMpcbf<64>::open_shared(
-          dir, elastic_config(args));
-      backend = mpcbf::net::make_backend(elastic_durable, mu,
-                                         args.get_uint("probes", 512));
-      maintainer = std::make_unique<mpcbf::core::ElasticMaintainer>(
-          [elastic_durable, mu, &reg] {
-            std::unique_lock lock(*mu);
-            (void)elastic_durable->compact_once();
-            elastic_durable->publish_metrics(reg);
-          },
-          interval);
-      status_extra = [elastic_durable, mu](std::string& out) {
-        std::shared_lock lock(*mu);
-        const auto& f = elastic_durable->filter();
-        out += "elastic_segments: " +
-               std::to_string(f.live_segments()) + "\n";
-        out += "elastic_grows: " + std::to_string(f.grows()) + "\n";
-        out += "elastic_retires: " + std::to_string(f.retires()) + "\n";
-        out += "journal_next_seq: " +
-               std::to_string(elastic_durable->next_seq()) + "\n";
-      };
-    } else {
-      elastic_plain = std::make_shared<mpcbf::core::ElasticMpcbf<64>>(
-          elastic_config(args));
-      backend = mpcbf::net::make_backend(elastic_plain, mu,
-                                         args.get_uint("probes", 512));
-      maintainer = std::make_unique<mpcbf::core::ElasticMaintainer>(
-          [elastic_plain, mu, &reg] {
-            std::unique_lock lock(*mu);
-            (void)elastic_plain->compact_once();
-            elastic_plain->publish_metrics(reg);
-          },
-          interval);
-      status_extra = [elastic_plain, mu](std::string& out) {
-        std::shared_lock lock(*mu);
-        out += "elastic_segments: " +
-               std::to_string(elastic_plain->live_segments()) + "\n";
-        out += "elastic_grows: " +
-               std::to_string(elastic_plain->grows()) + "\n";
-        out += "elastic_retires: " +
-               std::to_string(elastic_plain->retires()) + "\n";
-      };
-    }
-  } else if (!dir.empty()) {
-    durable = [&] {
-      try {
-        return mpcbf::core::DurableMpcbf<64>::open_shared(dir);
-      } catch (const std::runtime_error&) {
-        return mpcbf::core::DurableMpcbf<64>::open_shared(
-            dir, durable_config(args));
-      }
-    }();
-    auto mu = std::make_shared<std::shared_mutex>();
-    backend = mpcbf::net::make_backend(durable, mu,
-                                       args.get_uint("probes", 512));
-    status_extra = [durable, mu](std::string& out) {
-      std::shared_lock lock(*mu);
-      out += "journal_next_seq: " +
-             std::to_string(durable->next_seq()) + "\n";
-    };
-    if (!follow.empty()) {
-      mpcbf::net::Replicator::Options ropts;
-      ropts.primaries = parse_endpoints(follow);
-      replicator = std::make_unique<mpcbf::net::Replicator>(durable, mu,
-                                                            ropts);
-      // A follower is a read-only replica: mutations must go to the
-      // primary, or the sequence streams would fork.
-      backend.insert_batch = nullptr;
-      backend.erase_batch = nullptr;
-      mpcbf::net::Replicator* rp = replicator.get();
-      backend.ready = [rp] { return rp->caught_up(); };
-      backend.repl_status = [rp] { return rp->status(); };
-      replicator->start();
-    }
-  } else if (!filter_path.empty()) {
-    std::ifstream is(filter_path, std::ios::binary);
-    if (!is) {
-      std::cerr << "cannot open filter file: " << filter_path << "\n";
-      return 1;
-    }
-    plain = std::make_shared<mpcbf::core::Mpcbf<64>>(load_any_filter(is));
-    backend = mpcbf::net::make_backend(plain, args.get_uint("probes", 512));
-  } else {
-    plain = std::make_shared<mpcbf::core::Mpcbf<64>>(durable_config(args));
-    backend = mpcbf::net::make_backend(plain, args.get_uint("probes", 512));
+  if (hosted.maintain) {
+    maintainer = std::make_unique<mpcbf::core::ElasticMaintainer>(
+        hosted.maintain,
+        std::chrono::milliseconds(args.get_uint("maintenance-ms", 1000)));
   }
+  std::function<void(std::string&)> status_extra = hosted.status;
 
   // Multi-tenant registry: wire-created namespaces, each its own filter
   // backend.
@@ -821,19 +762,18 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
     // durable namespaces on an otherwise in-memory server).
     nopts.root_dir = args.get_string("ns-root", dir);
     registry = std::make_shared<mpcbf::net::NamespaceRegistry>(nopts);
-    auto base_extra = status_extra;
-    status_extra = [registry, base_extra](std::string& out) {
-      if (base_extra) base_extra(out);
+    status_extra = [registry, base = hosted.status](std::string& out) {
+      base(out);
       registry->status_lines(out);
     };
   }
 
   // The admin plane needs the backend's introspection hooks after the
-  // data plane takes ownership of `backend`; std::function copies are
+  // data plane takes ownership of the backend; std::function copies are
   // cheap and share the underlying state.
-  const auto health_fn = backend.health;
-  const auto ready_fn = backend.ready;
-  const auto repl_fn = backend.repl_status;
+  const auto health_fn = hosted.backend.health;
+  const auto ready_fn = hosted.backend.ready;
+  const auto repl_fn = hosted.backend.repl_status;
 
   mpcbf::net::Server::Options opts;
   opts.bind_address = args.get_string("bind", "127.0.0.1");
@@ -841,19 +781,13 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
   opts.workers = args.get_uint("workers", 2);
   opts.slow_request_threshold = std::chrono::microseconds(
       args.get_int("slow-request-threshold-us", -1));
-  mpcbf::net::Server server(std::move(backend), opts);
+  mpcbf::net::Server server(std::move(hosted.backend), opts);
   if (registry) server.set_namespace_registry(registry);
   server.start();
 
-  const char* backend_kind =
-      replicator        ? "follower"
-      : elastic_durable ? "elastic durable"
-      : elastic_plain   ? "elastic in-memory"
-      : durable         ? "durable"
-                        : "in-memory";
   std::cout << "mpcbfd listening on " << opts.bind_address << ":"
             << server.port() << " (" << opts.workers << " workers, "
-            << backend_kind << " backend";
+            << hosted.kind << " backend";
   if (registry) std::cout << ", namespaces enabled";
   std::cout << ")" << std::endl;
   const std::string port_file = args.get_string("port-file", "");
@@ -878,7 +812,7 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
       return sp->running() && (!ready_fn || ready_fn());
     };
     eps.repl_status = repl_fn;
-    eps.backend_kind = backend_kind;
+    eps.backend_kind = hosted.kind;
     eps.status_extra = status_extra;
     eps.slow_ring = &server.slow_ring();
     mpcbf::net::register_admin_endpoints(*admin, std::move(eps));
@@ -895,27 +829,12 @@ int cmd_serve(const mpcbf::util::CliArgs& args) {
 
   mpcbf::net::ShutdownSignal::wait(std::chrono::milliseconds(0));
   std::cout << "mpcbfd: shutdown signal received, draining" << std::endl;
-  if (replicator) replicator->stop();
+  if (hosted.replicator) hosted.replicator->stop();
   if (maintainer) maintainer->stop();
   server.stop();
   if (admin) admin->stop();
-
-  if (durable) {
-    // In-flight mutations are already journaled (WAL-first); the final
-    // snapshot just compacts recovery to one file read.
-    durable->snapshot();
-    std::cout << "final snapshot at seq " << durable->next_seq() - 1
-              << "\n";
-  }
-  if (elastic_durable) {
-    elastic_durable->snapshot();
-    elastic_durable->publish_metrics(mpcbf::metrics::Registry::global());
-    std::cout << "final snapshot at seq " << elastic_durable->next_seq() - 1
-              << " (" << elastic_durable->filter().live_segments()
-              << " segments)\n";
-  }
-  if (elastic_plain) {
-    elastic_plain->publish_metrics(mpcbf::metrics::Registry::global());
+  if (const std::string line = hosted.shutdown(); !line.empty()) {
+    std::cout << line << "\n";
   }
   std::cout << "served " << server.requests_served() << " requests on "
             << server.connections_accepted() << " connections\n";

@@ -49,21 +49,6 @@ for bench in build/bench/bench_*; do
   esac
 done
 
-# Admin-plane overhead summary: the logging compiled-out twin
-# (bench_admin_nolog) vs the disarmed/armed costs (bench_admin).
-{
-  echo "Admin-plane overhead (see bench/bench_admin.cpp)"
-  echo "================================================"
-  echo
-  echo "--- logging compiled out (MPCBF_DISABLE_LOGGING) ---"
-  cat results/bench_admin_nolog.txt
-  echo
-  echo "--- logging compiled in (disarmed site + armed costs) ---"
-  cat results/bench_admin.txt
-} > results/bench_admin_summary.tmp
-mv results/bench_admin_summary.tmp results/bench_admin.txt
-rm -f results/bench_admin_nolog.txt
-
 # Manifest: one entry per JSON report produced by this run.
 python3 - <<'EOF'
 import json, os, time

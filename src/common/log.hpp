@@ -16,10 +16,6 @@
 // Field values are POD views (no allocation at the call site beyond the
 // formatted line); `event` and field keys must be static-storage strings,
 // mirroring trace.hpp's Span::name contract.
-//
-// Compiling with MPCBF_DISABLE_LOGGING replaces every MPCBF_LOG_* macro
-// with an inert statement — zero logger references, zero codegen — the
-// same convention as MPCBF_DISABLE_ACCESS_STATS.
 #pragma once
 
 #include <atomic>
@@ -469,13 +465,8 @@ class Logger {
 //
 // `event` and field keys must be string literals (static storage). Each
 // expansion owns a static SiteState, so rate limiting is per source
-// location. Under MPCBF_DISABLE_LOGGING every macro is an inert
-// statement and its arguments are not evaluated.
-#ifdef MPCBF_DISABLE_LOGGING
-#define MPCBF_LOG_IMPL(level, ...) \
-  do {                             \
-  } while (false)
-#else
+// location. Below the level gate a site costs one relaxed load and an
+// untaken branch, and its arguments are not evaluated.
 #define MPCBF_LOG_IMPL(level, event, ...)                               \
   do {                                                                  \
     if (::mpcbf::log::level_enabled(::mpcbf::log::Level::level))        \
@@ -486,7 +477,6 @@ class Logger {
                                          &mpcbf_log_site_state);        \
     }                                                                   \
   } while (false)
-#endif
 
 #define MPCBF_LOG_DEBUG(...) MPCBF_LOG_IMPL(kDebug, __VA_ARGS__)
 #define MPCBF_LOG_INFO(...) MPCBF_LOG_IMPL(kInfo, __VA_ARGS__)

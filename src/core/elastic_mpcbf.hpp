@@ -43,6 +43,18 @@
 // chain that could reach the retired segment now reaches the absorber,
 // which holds a superset of its counters.
 //
+// Erasing (the dynamic Bloom filter rule). A segment may hold a key
+// only as a false positive while the real copy lives in another chain
+// segment; decrementing it would remove another key's counts and make
+// that key a false negative. So erase() decrements a segment only when
+// it is the one chain segment whose counters hold the key. When two or
+// more hold it, nothing is decremented and the erase is counted in
+// mpcbf_elastic_ambiguous_erases_total: the key stays behind as a
+// false-positive residue, never a live key as a false negative. The
+// rule reads only filter state, so a WAL replay or a follower makes
+// the same choice, and a drain keeps it (the absorber holds a superset
+// of the retired segment's counters).
+//
 // Thread-safety matches Mpcbf: const queries are safe concurrently,
 // mutations (insert/erase/grow/compact) need external synchronization.
 // ElasticMaintainer at the bottom runs compaction + gauge publishing in
@@ -179,19 +191,28 @@ class ElasticMpcbf {
     return false;
   }
 
-  /// Deletes one prior insert: probes the bucket's chain oldest-first
-  /// and decrements the first segment whose counters still hold the
-  /// key. Returns false (counting an underflow in the owner segment)
-  /// when no segment does.
+  /// Deletes one prior insert, decrementing a segment only when it is
+  /// the one segment in the bucket's chain whose counters hold the key.
+  /// When two or more hold it, one of them may hold it only as a false
+  /// positive, so the erase decrements none, counts an ambiguous erase
+  /// and returns true: the key stays a false-positive residue instead
+  /// of another key becoming a false negative. Returns false (counting
+  /// an underflow in the owner segment) when no segment holds the key.
   bool erase(std::string_view key) {
     MPCBF_TRACE_SPAN(span, kCore, "elastic.erase");
     const auto& chain = chains_[bucket_of(key)];
+    std::uint32_t holder = chain.back();
+    bool held = false;
     for (const std::uint32_t s : chain) {
-      if (segments_[s]->count(key) > 0) {
-        return segments_[s]->erase(key);
+      if (segments_[s]->count(key) == 0) continue;
+      if (held) {
+        ++ambiguous_erases_;
+        return true;
       }
+      holder = s;
+      held = true;
     }
-    return segments_[chain.back()]->erase(key);
+    return segments_[holder]->erase(key);
   }
 
   /// Multiplicity estimate summed over the bucket's chain (a key
@@ -247,6 +268,7 @@ class ElasticMpcbf {
     grows_ = 0;
     retires_ = 0;
     reclaimed_bytes_ = 0;
+    ambiguous_erases_ = 0;
   }
 
   // --- growth / drain control -------------------------------------------
@@ -518,6 +540,11 @@ class ElasticMpcbf {
   [[nodiscard]] std::uint64_t reclaimed_bytes() const noexcept {
     return reclaimed_bytes_;
   }
+  /// Erases that decremented nothing because two or more chain
+  /// segments held the key (process lifetime; not persisted).
+  [[nodiscard]] std::uint64_t ambiguous_erases() const noexcept {
+    return ambiguous_erases_;
+  }
 
   /// Saturation score of one segment under the growth prober (0-100);
   /// retired slots read 0.
@@ -556,6 +583,13 @@ class ElasticMpcbf {
         {{"filter", label}});
     if (reclaimed_bytes_ > reclaimed.value()) {
       reclaimed.inc(reclaimed_bytes_ - reclaimed.value());
+    }
+    auto& ambiguous = reg.counter(
+        "mpcbf_elastic_ambiguous_erases_total",
+        "Erases that decremented no segment because several held the key",
+        {{"filter", label}});
+    if (ambiguous_erases_ > ambiguous.value()) {
+      ambiguous.inc(ambiguous_erases_ - ambiguous.value());
     }
     reg.gauge("mpcbf_elastic_model_fpr",
               "Chain-level closed-form FPR bound", {{"filter", label}})
@@ -927,6 +961,7 @@ class ElasticMpcbf {
   std::uint64_t grows_ = 0;
   std::uint64_t retires_ = 0;
   std::uint64_t reclaimed_bytes_ = 0;  // process-lifetime, not persisted
+  std::uint64_t ambiguous_erases_ = 0;  // process-lifetime, not persisted
   bool auto_grow_ = true;
   std::optional<ElasticTopologyOp> pending_growth_;
   mutable std::unique_ptr<metrics::HealthProber> prober_;

@@ -44,18 +44,12 @@ inline void publish_build_info(Registry& reg = Registry::global()) {
 #else
   const char* stats = "on";
 #endif
-#ifdef MPCBF_DISABLE_LOGGING
-  const char* logging = "off";
-#else
-  const char* logging = "on";
-#endif
   reg.gauge("mpcbf_build_info",
             "Build identity; the value is always 1, the labels carry "
             "version, git sha and compiled-in instrumentation",
             {{"version", kBuildVersion},
              {"git_sha", build_git_sha()},
-             {"stats", stats},
-             {"logging", logging}})
+             {"stats", stats}})
       .set(1.0);
   reg.gauge("mpcbf_server_uptime_seconds",
             "Process uptime, refreshed at scrape time")

@@ -46,20 +46,18 @@ namespace {
 
 }  // namespace
 
-// One registered namespace. The backend (and the closures) keep the
-// concrete filter alive via shared_ptr, so an Entry released by drop()
-// while a request is in flight dies only after that request finishes.
+// One registered namespace. The backend (and the hosted closures) keep
+// the concrete filter alive via shared_ptr, so an Entry released by
+// drop() while a request is in flight dies only after that request
+// finishes.
 struct NamespaceRegistry::Entry {
   std::string name;
   NsConfigWire cfg{};
   NsKind kind = NsKind::kMemory;
   unsigned generations = 0;  ///< decay kinds only; 0 otherwise
   std::shared_ptr<FilterBackend> backend;
-  // Introspection closures bound to the concrete filter + its mutex.
-  std::function<std::uint64_t()> elements;
-  std::function<std::uint64_t()> memory_bits;
-  std::function<std::uint64_t()> ticks;    ///< null: kind has no decay
-  std::function<std::uint64_t()> do_tick;  ///< null: kind has no decay
+  /// host()'s introspection hooks (its backend moved into `backend`).
+  Hosted hosted;
   std::shared_ptr<std::atomic<std::uint64_t>> quota_rejections =
       std::make_shared<std::atomic<std::uint64_t>>(0);
   /// steady_clock nanos of the last decay tick (automatic or NSTICK);
@@ -151,92 +149,33 @@ std::string NamespaceRegistry::create(std::string_view name,
   entry->cfg = cfg;
   entry->kind = kind;
   entry->generations = generations;
-  auto mu = std::make_shared<std::shared_mutex>();
-  const std::string label = "ns-" + entry->name;
   const std::filesystem::path dir =
       std::filesystem::path(options_.root_dir) / ("ns-" + entry->name);
   try {
+    // The wire kind picks the filter type; host() builds the rest.
+    const auto stack = [&](auto filter) {
+      return host(std::move(filter), std::make_shared<std::shared_mutex>(),
+                  options_.health_fpr_probes, "ns-" + entry->name);
+    };
+    core::DecayConfig dc;
+    dc.generation = generation_config(cfg);
+    dc.generations = generations;
+    Hosted& h = entry->hosted;
     switch (kind) {
-      case NsKind::kMemory: {
-        auto f = std::make_shared<core::Mpcbf<64>>(generation_config(cfg));
-        entry->backend = std::make_shared<FilterBackend>(make_backend(
-            f, mu, options_.health_fpr_probes, label));
-        entry->elements = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->size());
-        };
-        entry->memory_bits = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->memory_bits());
-        };
+      case NsKind::kMemory:
+        h = stack(std::make_shared<core::Mpcbf<64>>(dc.generation));
         break;
-      }
-      case NsKind::kDurable: {
-        auto f = std::make_shared<core::DurableMpcbf<64>>(
-            dir, generation_config(cfg));
-        entry->backend = std::make_shared<FilterBackend>(make_backend(
-            f, mu, options_.health_fpr_probes, label));
-        entry->elements = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->size());
-        };
-        entry->memory_bits = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->filter().memory_bits());
-        };
+      case NsKind::kDurable:
+        h = stack(core::DurableMpcbf<64>::open_shared(dir, dc.generation));
         break;
-      }
-      case NsKind::kDecay: {
-        core::DecayConfig dc;
-        dc.generation = generation_config(cfg);
-        dc.generations = generations;
-        auto f = std::make_shared<core::DecayingMpcbf<64>>(dc);
-        entry->backend = std::make_shared<FilterBackend>(make_backend(
-            f, mu, options_.health_fpr_probes, label));
-        entry->elements = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->size());
-        };
-        entry->memory_bits = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->memory_bits());
-        };
-        entry->ticks = [f, mu] {
-          std::shared_lock l(*mu);
-          return f->ticks();
-        };
-        entry->do_tick = [f, mu] {
-          std::unique_lock l(*mu);
-          return f->decay_tick();
-        };
+      case NsKind::kDecay:
+        h = stack(std::make_shared<core::DecayingMpcbf<64>>(dc));
         break;
-      }
-      case NsKind::kDurableDecay: {
-        core::DecayConfig dc;
-        dc.generation = generation_config(cfg);
-        dc.generations = generations;
-        auto f = core::DurableDecayingMpcbf<64>::open_shared(dir, dc);
-        entry->backend = std::make_shared<FilterBackend>(make_backend(
-            f, mu, options_.health_fpr_probes, label));
-        entry->elements = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->size());
-        };
-        entry->memory_bits = [f, mu] {
-          std::shared_lock l(*mu);
-          return static_cast<std::uint64_t>(f->filter().memory_bits());
-        };
-        entry->ticks = [f, mu] {
-          std::shared_lock l(*mu);
-          return f->ticks();
-        };
-        entry->do_tick = [f, mu] {
-          std::unique_lock l(*mu);
-          return f->decay_tick();
-        };
+      case NsKind::kDurableDecay:
+        h = stack(core::DurableDecayingMpcbf<64>::open_shared(dir, dc));
         break;
-      }
     }
+    entry->backend = std::make_shared<FilterBackend>(std::move(h.backend));
   } catch (const std::exception& e) {
     code = ErrorCode::kInternal;
     return std::string("namespace backend construction failed: ") +
@@ -246,7 +185,7 @@ std::string NamespaceRegistry::create(std::string_view name,
     // Quota gate: the server consults this before insert_batch, so a
     // breach is an all-or-nothing wire rejection.
     entry->backend->admit =
-        [elements = entry->elements, max = cfg.max_keys,
+        [elements = entry->hosted.elements, max = cfg.max_keys,
          rej = entry->quota_rejections](
             std::size_t incoming) -> const char* {
       if (elements() + incoming > max) {
@@ -313,12 +252,12 @@ std::string NamespaceRegistry::tick(std::string_view name,
     code = ErrorCode::kUnknownNamespace;
     return "unknown namespace";
   }
-  if (!entry->do_tick) {
+  if (!entry->hosted.do_tick) {
     code = ErrorCode::kUnsupported;
     return "namespace kind has no decay window";
   }
   try {
-    ticks = entry->do_tick();
+    ticks = entry->hosted.do_tick();
   } catch (const std::exception& e) {
     code = ErrorCode::kInternal;
     return std::string("decay tick failed: ") + e.what();
@@ -339,11 +278,11 @@ std::vector<NsRow> NamespaceRegistry::list() const {
     row.info.kind = static_cast<std::uint8_t>(e->kind);
     row.info.decay_generations =
         static_cast<std::uint8_t>(e->generations);
-    row.info.elements = e->elements();
-    row.info.memory_bits = e->memory_bits();
+    row.info.elements = e->hosted.elements();
+    row.info.memory_bits = e->hosted.memory_bits();
     row.info.max_keys = e->cfg.max_keys;
     row.info.max_memory_bytes = e->cfg.max_memory_bytes;
-    row.info.decay_ticks = e->ticks ? e->ticks() : 0;
+    row.info.decay_ticks = e->hosted.ticks ? e->hosted.ticks() : 0;
     row.info.quota_rejections =
         e->quota_rejections->load(std::memory_order_relaxed);
     rows.push_back(std::move(row));
@@ -396,15 +335,15 @@ void NamespaceRegistry::publish_metrics() {
   for (const auto& e : entries) {
     reg.gauge("mpcbf_ns_elements", "Elements resident per namespace",
               {{"ns", e->name}})
-        .set(static_cast<double>(e->elements()));
+        .set(static_cast<double>(e->hosted.elements()));
     reg.gauge("mpcbf_ns_memory_bits",
               "Configured filter bits per namespace", {{"ns", e->name}})
-        .set(static_cast<double>(e->memory_bits()));
+        .set(static_cast<double>(e->hosted.memory_bits()));
     auto& ticks = reg.counter("mpcbf_ns_decay_ticks_total",
                               "Decay window rotations per namespace",
                               {{"ns", e->name}});
     const double tick_total =
-        static_cast<double>(e->ticks ? e->ticks() : 0);
+        static_cast<double>(e->hosted.ticks ? e->hosted.ticks() : 0);
     if (tick_total > ticks.value()) ticks.inc(tick_total - ticks.value());
     auto& rej = reg.counter(
         "mpcbf_ns_quota_rejections_total",
@@ -425,7 +364,7 @@ std::size_t NamespaceRegistry::tick_elapsed() {
   std::size_t ticked = 0;
   const std::int64_t now = steady_now_ns();
   for (const auto& e : entries) {
-    if (!e->do_tick || e->cfg.tick_interval_ms == 0) continue;
+    if (!e->hosted.do_tick || e->cfg.tick_interval_ms == 0) continue;
     const std::int64_t interval_ns =
         std::int64_t{e->cfg.tick_interval_ms} * 1'000'000;
     if (now - e->last_tick_ns.load(std::memory_order_relaxed) <
@@ -433,7 +372,7 @@ std::size_t NamespaceRegistry::tick_elapsed() {
       continue;
     }
     try {
-      const std::uint64_t tick = e->do_tick();
+      const std::uint64_t tick = e->hosted.do_tick();
       e->last_tick_ns.store(steady_now_ns(), std::memory_order_relaxed);
       ++ticked;
       MPCBF_LOG_INFO("ns.auto_tick", log::str("ns", e->name),

@@ -8,48 +8,8 @@
 
 namespace mpcbf::net {
 
-namespace {
-
-/// The classic follower sink: one durable filter behind the serving
-/// backend's shared_mutex.
-class DurableSink final : public ReplicationSink {
- public:
-  DurableSink(std::shared_ptr<core::DurableMpcbf<64>> local,
-              std::shared_ptr<std::shared_mutex> mu)
-      : local_(std::move(local)), mu_(std::move(mu)) {}
-
-  std::uint64_t next_seq() override {
-    std::shared_lock lock(*mu_);
-    return local_->next_seq();
-  }
-
-  bool apply(std::uint64_t seq, io::JournalOp op,
-             std::string_view key) override {
-    std::unique_lock lock(*mu_);
-    return local_->apply_replicated(seq, op, key);
-  }
-
-  void install_snapshot(const std::string& image) override {
-    std::unique_lock lock(*mu_);
-    local_->install_snapshot(image);
-  }
-
- private:
-  std::shared_ptr<core::DurableMpcbf<64>> local_;
-  std::shared_ptr<std::shared_mutex> mu_;
-};
-
-}  // namespace
-
-std::shared_ptr<ReplicationSink> make_replication_sink(
-    std::shared_ptr<core::DurableMpcbf<64>> local,
-    std::shared_ptr<std::shared_mutex> mu) {
-  return std::make_shared<DurableSink>(std::move(local), std::move(mu));
-}
-
-Replicator::Replicator(std::shared_ptr<ReplicationSink> sink, Options options)
-    : sink_(std::move(sink)), options_(std::move(options)) {
-  if (!sink_) throw NetError("Replicator: null sink");
+Replicator::Replicator(Local local, Options options)
+    : local_(std::move(local)), options_(std::move(options)) {
   if (options_.primaries.empty()) {
     throw NetError("Replicator: no primary endpoints");
   }
@@ -60,14 +20,8 @@ Replicator::Replicator(std::shared_ptr<ReplicationSink> sink, Options options)
   }
   // The local journal's position is the resume point: a restarted
   // follower continues from whatever its own WAL made durable.
-  acked_seq_.store(sink_->next_seq() - 1, std::memory_order_release);
+  acked_seq_.store(local_.next_seq() - 1, std::memory_order_release);
 }
-
-Replicator::Replicator(std::shared_ptr<core::DurableMpcbf<64>> local,
-                       std::shared_ptr<std::shared_mutex> mu,
-                       Options options)
-    : Replicator(make_replication_sink(std::move(local), std::move(mu)),
-                 std::move(options)) {}
 
 Replicator::~Replicator() { stop(); }
 
@@ -152,8 +106,8 @@ void Replicator::bootstrap(Client& client) {
       throw NetError("snap fetch returned no bytes before the image end");
     }
   }
-  sink_->install_snapshot(image);
-  acked_seq_.store(sink_->next_seq() - 1, std::memory_order_release);
+  local_.install_snapshot(image);
+  acked_seq_.store(local_.next_seq() - 1, std::memory_order_release);
   bootstraps_.fetch_add(1, std::memory_order_relaxed);
   MPCBF_LOG_INFO("repl.bootstrap_done", log::u64("watermark", watermark),
                  log::u64("image_bytes", image.size()));
@@ -169,7 +123,7 @@ std::size_t Replicator::poll_once() {
   }
   ReplicateRequest req;
   req.follower_id = options_.follower_id;
-  req.from_seq = sink_->next_seq();
+  req.from_seq = local_.next_seq();
   req.max_records = options_.max_records;
   req.max_bytes = options_.max_bytes;
   std::vector<io::JournalRecord> records;
@@ -197,16 +151,16 @@ std::size_t Replicator::poll_once() {
     return 0;
   }
   for (const auto& rec : records) {
-    if (!sink_->apply(rec.seq, rec.op, rec.key)) {
+    if (!local_.apply(rec.seq, rec.op, rec.key)) {
       // A gap means stream continuity is lost (e.g. the local journal
       // was repaired behind our back); re-sync from a snapshot.
       force_bootstrap_ = true;
       MPCBF_LOG_WARN("repl.stream_gap", log::u64("record_seq", rec.seq),
-                     log::u64("expected_seq", sink_->next_seq()));
+                     log::u64("expected_seq", local_.next_seq()));
       throw NetError("replicate stream gap; forcing bootstrap");
     }
   }
-  acked_seq_.store(sink_->next_seq() - 1, std::memory_order_release);
+  acked_seq_.store(local_.next_seq() - 1, std::memory_order_release);
   const std::uint64_t acked = acked_seq_.load(std::memory_order_relaxed);
   const std::uint64_t lag = info.next_seq - 1 - acked;
   lag_.store(lag, std::memory_order_release);

@@ -26,11 +26,22 @@
 // re-bootstrap; a torn local journal tail is repaired on reopen just
 // like on a primary, after which tailing resumes from the repaired
 // watermark.
+//
+// Any core::Durable<F> can follow: flat, decaying and elastic
+// directories alike. An elastic follower applies the primary's
+// kSegmentAdd/kSegmentRetire records at their sequence positions and
+// runs no drain pass (net::host gives a follower no maintenance step).
+// The one record it may journal itself is a split that the last
+// applied insert made due, on reopen after a crash between the two;
+// growth is a pure function of the record stream, so that record is
+// the one the primary journaled behind the same insert, and the two
+// streams never fork.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -42,41 +53,6 @@
 #include "net/client.hpp"
 
 namespace mpcbf::net {
-
-/// Where a follower's replicated records land. The tailing loop only
-/// needs three operations — the resume point, gap-checked apply, and
-/// snapshot install — which every core::Durable<F> provides (next_seq,
-/// apply_replicated, install_snapshot). The standard follower wraps a
-/// DurableMpcbf + shared_mutex pair (make_replication_sink). No sink
-/// serves an elastic follower yet: its maintainer and growth drain
-/// journal records of their own, which would fork the primary's
-/// sequence stream.
-///
-/// Thread contract: the Replicator calls every method from its one
-/// tailing thread; implementations own whatever exclusion they need
-/// against their serving side (the default sink takes the backend's
-/// shared_mutex internally).
-class ReplicationSink {
- public:
-  virtual ~ReplicationSink() = default;
-  /// Next sequence number the local store expects. Doubles as the ack
-  /// watermark: polling from N acknowledges everything below N.
-  [[nodiscard]] virtual std::uint64_t next_seq() = 0;
-  /// Applies one replicated record (journal first, then memory).
-  /// Returns false on a sequence gap — the caller must re-bootstrap.
-  virtual bool apply(std::uint64_t seq, io::JournalOp op,
-                     std::string_view key) = 0;
-  /// Installs a full snapshot image fetched from the primary, rewinding
-  /// the local journal to the image's watermark.
-  virtual void install_snapshot(const std::string& image) = 0;
-};
-
-/// The standard sink: one durable filter guarded by the same
-/// shared_mutex the serving backend uses (make_backend's explicit-mutex
-/// overload), so replica apply and request serving exclude each other.
-[[nodiscard]] std::shared_ptr<ReplicationSink> make_replication_sink(
-    std::shared_ptr<core::DurableMpcbf<64>> local,
-    std::shared_ptr<std::shared_mutex> mu);
 
 class Replicator {
  public:
@@ -99,13 +75,30 @@ class Replicator {
     std::uint64_t follower_id = 0;
   };
 
-  /// Tails `options.primaries` into `sink`.
-  Replicator(std::shared_ptr<ReplicationSink> sink, Options options);
-
-  /// Convenience overload for the standard single-filter follower:
-  /// equivalent to Replicator(make_replication_sink(local, mu), options).
-  Replicator(std::shared_ptr<core::DurableMpcbf<64>> local,
-             std::shared_ptr<std::shared_mutex> mu, Options options);
+  /// Tails `options.primaries` into `local`, any durable filter kind,
+  /// through its own next_seq / apply_replicated / install_snapshot.
+  /// Each runs under `mu`, the mutex the local serving backend takes
+  /// (make_backend's explicit-mutex overload), so replica apply and
+  /// request serving exclude each other. Called only from the one
+  /// tailing thread (or poll_once's caller).
+  template <class F>
+  Replicator(std::shared_ptr<core::Durable<F>> local,
+             std::shared_ptr<std::shared_mutex> mu, Options options)
+      : Replicator(
+            Local{[local, mu] {
+                    std::shared_lock lock(*mu);
+                    return local->next_seq();
+                  },
+                  [local, mu](std::uint64_t seq, io::JournalOp op,
+                              std::string_view key) {
+                    std::unique_lock lock(*mu);
+                    return local->apply_replicated(seq, op, key);
+                  },
+                  [local, mu](const std::string& image) {
+                    std::unique_lock lock(*mu);
+                    (void)local->install_snapshot(image);
+                  }},
+            std::move(options)) {}
   ~Replicator();
 
   Replicator(const Replicator&) = delete;
@@ -152,6 +145,19 @@ class Replicator {
   [[nodiscard]] ReplStatusReply status() const;
 
  private:
+  /// What the tailing loop needs from the local store. `next_seq` is
+  /// the resume point and doubles as the ack watermark (polling from N
+  /// acknowledges everything below N); `apply` is false on a sequence
+  /// gap, which forces a re-bootstrap; `install_snapshot` rewinds the
+  /// local journal to the image's watermark.
+  struct Local {
+    std::function<std::uint64_t()> next_seq;
+    std::function<bool(std::uint64_t, io::JournalOp, std::string_view)>
+        apply;
+    std::function<void(const std::string&)> install_snapshot;
+  };
+
+  Replicator(Local local, Options options);
   void run();
   void bootstrap(Client& client);
   Client& ensure_client();
@@ -160,7 +166,7 @@ class Replicator {
   /// stopping.
   bool interruptible_sleep(std::chrono::milliseconds d);
 
-  std::shared_ptr<ReplicationSink> sink_;
+  Local local_;
   Options options_;
 
   std::optional<Client> client_;

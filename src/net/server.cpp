@@ -289,23 +289,27 @@ void Server::worker_loop(Worker& w) {
 void Server::service_connection(Worker& w, Connection& c, bool readable,
                                 bool broken) {
   try {
-    if (readable || broken) {
+    // A full buffer is served before reading on: it may hold a maximal
+    // frame followed by pipelined bytes. Only a buffer still full once
+    // its complete frames are answered holds no complete frame at the
+    // cap, which one frame can never legitimately need.
+    for (bool more = readable || broken; more;) {
       const ReadStatus st =
           read_available(c.sock.fd(), c.rbuf,
                          std::span<char>(w.read_chunk.get(), kReadChunk),
                          kMaxReadBuffer);
-      if (st == ReadStatus::kFull) {
-        // One frame can never legitimately need this much buffer.
-        metrics_->proto_errors.inc();
-        c.dead = true;
-        return;
-      }
       if (st == ReadStatus::kEof) {  // serve what we have, then close
         if (drain_frames(c)) (void)flush_writes(c);
         c.dead = true;
         return;
       }
       if (!drain_frames(c)) {
+        c.dead = true;
+        return;
+      }
+      more = st == ReadStatus::kFull;
+      if (more && c.rbuf.size() + kReadChunk > kMaxReadBuffer) {
+        metrics_->proto_errors.inc();
         c.dead = true;
         return;
       }

@@ -33,6 +33,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -44,6 +45,7 @@
 #include "metrics/registry.hpp"
 #include "net/event_loop.hpp"
 #include "net/protocol.hpp"
+#include "net/replication.hpp"
 #include "net/socket.hpp"
 #include "trace/trace.hpp"
 
@@ -100,21 +102,24 @@ struct FilterBackend {
 
 namespace detail {
 
+/// The filter whose layout a hosted object exposes: a Durable<F>'s
+/// in-memory filter, everything else itself.
+template <typename F>
+[[nodiscard]] const auto& inner(const F& f) {
+  if constexpr (requires { f.filter(); }) {
+    return f.filter();
+  } else {
+    return f;
+  }
+}
+
 /// Layout/usage stats probed off a concrete filter (members are probed,
 /// not required — the publish_filter idiom).
 template <typename F>
 [[nodiscard]] StatsReply probe_stats(const F& f) {
   StatsReply s;
   s.elements = f.size();
-  // A Durable<F> exposes layout through its in-memory filter; probe
-  // the inner filter when one exists, the wrapped object otherwise.
-  const auto& t = [&]() -> const auto& {
-    if constexpr (requires { f.filter(); }) {
-      return f.filter();
-    } else {
-      return f;
-    }
-  }();
+  const auto& t = inner(f);
   if constexpr (requires { t.memory_bits(); }) {
     s.memory_bits = t.memory_bits();
   }
@@ -143,16 +148,7 @@ template <typename F>
 template <typename F>
 [[nodiscard]] HealthReply probe_health(metrics::HealthProber& prober,
                                        const F& f) {
-  const auto& probe_target = [&]() -> const auto& {
-    // A Durable<F> is probed through its in-memory filter; everything
-    // else is probed directly.
-    if constexpr (requires { f.filter(); }) {
-      return f.filter();
-    } else {
-      return f;
-    }
-  }();
-  const metrics::HealthSample s = prober.probe(probe_target);
+  const metrics::HealthSample s = prober.probe(inner(f));
   HealthReply r;
   r.severity = static_cast<std::uint8_t>(s.severity);
   r.saturation_score = s.saturation_score;
@@ -392,6 +388,132 @@ template <typename F>
                       health_fpr_probes);
 }
 
+/// A filter as mpcbfd hosts it: the FilterBackend plus what its owner
+/// runs around it. host() fills each member from what the filter type
+/// offers, so one call serves every kind.
+struct Hosted {
+  FilterBackend backend;
+  /// "in-memory", "durable" or "follower"; "elastic " first for a chain.
+  std::string kind;
+  std::function<std::uint64_t()> elements;
+  std::function<std::uint64_t()> memory_bits;
+  /// Decay window ordinal and one (journaled) rotation; null without a
+  /// decay window.
+  std::function<std::uint64_t()> ticks;
+  std::function<std::uint64_t()> do_tick;
+  /// Appends the filter's /statusz lines.
+  std::function<void(std::string&)> status;
+  /// One drain pass plus a gauge refresh, for a core::ElasticMaintainer.
+  /// Null without compact_once, and on a follower, whose chain changes
+  /// only by the primary's records.
+  std::function<void()> maintain;
+  /// Run once after serving stops: the final snapshot when durable,
+  /// then the filter's gauges. Returns the line to print, or "".
+  std::function<std::string()> shutdown;
+  /// A follower's tailing agent, already started; null otherwise.
+  std::shared_ptr<Replicator> replicator;
+};
+
+/// Builds the Hosted stack for `f` in three layers: the kind (what F
+/// offers: decay window, chain, layout), durable or not (snapshot and
+/// journal watermark), and follower or not. A non-empty
+/// `follow.primaries` makes a read-only follower of a durable `f`: no
+/// mutation hooks, no maintenance step, and a started Replicator that
+/// applies the primary's records under `mu`. Every hook takes `mu` as
+/// make_backend's do.
+template <typename F>
+[[nodiscard]] Hosted host(std::shared_ptr<F> f,
+                          std::shared_ptr<std::shared_mutex> mu,
+                          std::size_t health_fpr_probes = 512,
+                          std::string filter_label = "server",
+                          Replicator::Options follow = {}) {
+  constexpr bool kElastic =
+      requires { detail::inner(*f).live_segments(); };
+  constexpr bool kDurable = requires { f->snapshot(); f->next_seq(); };
+  Hosted h;
+  h.backend = make_backend(f, mu, health_fpr_probes, std::move(filter_label));
+  h.kind = std::string(kElastic ? "elastic " : "") +
+           (kDurable ? "durable" : "in-memory");
+  h.elements = [f, mu] {
+    std::shared_lock lock(*mu);
+    return static_cast<std::uint64_t>(f->size());
+  };
+  h.memory_bits = [f, mu] {
+    std::shared_lock lock(*mu);
+    return static_cast<std::uint64_t>(detail::inner(*f).memory_bits());
+  };
+  if constexpr (requires { f->decay_tick(); }) {
+    h.ticks = [f, mu] {
+      std::shared_lock lock(*mu);
+      return f->ticks();
+    };
+    h.do_tick = [f, mu] {
+      std::unique_lock lock(*mu);
+      return f->decay_tick();
+    };
+  }
+  h.status = [f, mu](std::string& out) {
+    std::shared_lock lock(*mu);
+    if constexpr (kElastic) {
+      const auto& chain = detail::inner(*f);
+      out += "elastic_segments: " + std::to_string(chain.live_segments()) +
+             "\n";
+      out += "elastic_grows: " + std::to_string(chain.grows()) + "\n";
+      out += "elastic_retires: " + std::to_string(chain.retires()) + "\n";
+    }
+    if constexpr (kDurable) {
+      out += "journal_next_seq: " + std::to_string(f->next_seq()) + "\n";
+    }
+  };
+  if constexpr (requires { f->compact_once(); }) {
+    h.maintain = [f, mu] {
+      std::unique_lock lock(*mu);
+      (void)f->compact_once();
+      f->publish_metrics(metrics::Registry::global());
+    };
+  }
+  h.shutdown = [f, mu] {
+    std::unique_lock lock(*mu);
+    std::string line;
+    if constexpr (kDurable) {
+      // In-flight mutations are already journaled (WAL-first); the
+      // final snapshot just compacts recovery to one file read.
+      f->snapshot();
+      line = "final snapshot at seq " + std::to_string(f->next_seq() - 1);
+      if constexpr (kElastic) {
+        line += " (" + std::to_string(f->filter().live_segments()) +
+                " segments)";
+      }
+    }
+    if constexpr (requires {
+                    f->publish_metrics(metrics::Registry::global());
+                  }) {
+      f->publish_metrics(metrics::Registry::global());
+    }
+    return line;
+  };
+  if (follow.primaries.empty()) return h;
+  if constexpr (requires {
+                  f->apply_replicated(std::uint64_t{0}, io::JournalOp{},
+                                      std::string_view{});
+                }) {
+    // A follower is a read-only replica: mutations must go to the
+    // primary, or the sequence streams would fork.
+    h.backend.insert_batch = nullptr;
+    h.backend.erase_batch = nullptr;
+    h.maintain = nullptr;
+    h.kind = kElastic ? "elastic follower" : "follower";
+    auto repl = std::make_shared<Replicator>(f, mu, std::move(follow));
+    h.backend.ready = [repl] { return repl->caught_up(); };
+    h.backend.repl_status = [repl] { return repl->status(); };
+    repl->start();
+    h.replicator = std::move(repl);
+    return h;
+  } else {
+    throw std::invalid_argument("host: a follower needs a durable filter");
+  }
+}
+
 class Server {
  public:
   /// Bytes one read(2) asks for. Large enough that a 64-key batch of
@@ -399,9 +521,10 @@ class Server {
   /// connection does not pin memory.
   static constexpr std::size_t kReadChunk = 64 * 1024;
   /// A read buffer may hold at most one maximal frame plus one read
-  /// chunk of the next; a peer that streams more without ever
-  /// completing a frame is hostile or broken and is closed as a
-  /// protocol error.
+  /// chunk of the next. When it fills, its complete frames are answered
+  /// before the next read; a peer whose buffer is still full after that
+  /// has streamed this much without completing a frame, is hostile or
+  /// broken, and is closed as a protocol error.
   static constexpr std::size_t kMaxReadBuffer =
       kHeaderSize + kMaxPayload + kReadChunk;
 

@@ -315,7 +315,8 @@ TEST_F(DurableMpcbfTest, GroupCommitFlushEvery) {
 template <class D>
 void expect_golden_round_trip(const std::string& file,
                               const std::vector<std::string>& present,
-                              std::size_t size) {
+                              std::size_t size,
+                              const std::vector<std::string>& absent = {}) {
   std::ifstream in(std::string(MPCBF_TEST_DATA_DIR) + "/" + file,
                    std::ios::binary);
   ASSERT_TRUE(in) << file;
@@ -342,6 +343,7 @@ void expect_golden_round_trip(const std::string& file,
   auto d = D::open_existing(dir, opt);
   EXPECT_EQ(d.size(), size);
   for (const auto& k : present) EXPECT_TRUE(d.contains(k)) << k;
+  for (const auto& k : absent) EXPECT_FALSE(d.contains(k)) << k;
   const auto [again, again_watermark] = d.serialize_snapshot();
   EXPECT_EQ(again_watermark, watermark);
   EXPECT_TRUE(again == image) << file << " re-serialises differently";
@@ -369,13 +371,63 @@ TEST(DurableGolden, DecayingSnapshotRoundTripsByteForByte) {
       "durable_decay_golden.snap", present, 280);
 }
 
+// The elastic fixture predates the erase rule in ElasticMpcbf::erase:
+// it was written by erasing from the oldest chain segment that held the
+// key, so these five live keys lost their counts to erases of other
+// keys and read absent in it.
+const std::vector<int> kElasticGoldenLost = {19, 32, 95, 247, 284};
+
+std::string elastic_golden_key(int i) {
+  return std::string("golden-elastic-").append(std::to_string(i));
+}
+
 TEST(DurableGolden, ElasticSnapshotRoundTripsByteForByte) {
-  // No membership pins here: an erase probes the chain oldest-first and
-  // may decrement a segment where the erased key is only a false
-  // positive, so a few live keys of this heavily loaded chain read
-  // absent in the fixture itself. The element count is exact.
+  std::vector<std::string> present;
+  std::vector<std::string> absent;
+  for (int i = 0; i < 700; ++i) {
+    if (i % 7 == 0) continue;  // erased
+    const bool lost = std::find(kElasticGoldenLost.begin(),
+                                kElasticGoldenLost.end(),
+                                i) != kElasticGoldenLost.end();
+    (lost ? absent : present).push_back(elastic_golden_key(i));
+  }
   expect_golden_round_trip<mpcbf::core::DurableElasticMpcbf<64>>(
-      "durable_elastic_golden.snap", {}, 600);
+      "durable_elastic_golden.snap", present, 600, absent);
+}
+
+TEST(DurableGolden, ElasticReplayKeepsEveryLiveKey) {
+  // The fixture's stream replayed under the erase rule: the same
+  // topology, and every live key present. The two erases that cost the
+  // fixture its five keys are declined instead, so their keys stay as a
+  // false-positive residue in the element count.
+  std::ifstream in(std::string(MPCBF_TEST_DATA_DIR) +
+                       "/durable_elastic_golden.snap",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  std::istringstream payload(mpcbf::io::read_frame(in));
+  mpcbf::io::expect_magic(
+      payload, mpcbf::core::DurableElasticMpcbf<64>::kSnapshotMagic);
+  (void)mpcbf::io::read_pod<std::uint64_t>(payload);
+  const auto golden = mpcbf::core::ElasticMpcbf<64>::load_payload(payload);
+
+  const fs::path dir = fs::temp_directory_path() / "mpcbf_golden_replay";
+  fs::remove_all(dir);
+  mpcbf::core::DurableElasticMpcbf<64>::Options opt;
+  opt.fsync = false;
+  {
+    mpcbf::core::DurableElasticMpcbf<64> d(dir, golden.config(), opt);
+    for (int i = 0; i < 700; ++i) d.insert(elastic_golden_key(i));
+    for (int i = 0; i < 700; i += 7) d.erase(elastic_golden_key(i));
+    EXPECT_EQ(d.filter().topology_bytes(), golden.topology_bytes());
+    const std::uint64_t declined = d.filter().ambiguous_erases();
+    EXPECT_EQ(declined, 2u);
+    EXPECT_EQ(d.size(), 600 + declined);
+    for (int i = 1; i < 700; ++i) {
+      if (i % 7 == 0) continue;  // erased
+      EXPECT_TRUE(d.contains(elastic_golden_key(i))) << i;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

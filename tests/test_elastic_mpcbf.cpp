@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <shared_mutex>
 #include <sstream>
 #include <string>
@@ -159,6 +160,56 @@ TEST(ElasticMpcbf, EraseFindsKeysInOlderSegments) {
   for (const auto& k : old_keys) EXPECT_TRUE(f.erase(k));
   EXPECT_EQ(f.underflow_events(), 0u);
   EXPECT_TRUE(f.validate());
+}
+
+// The erase rule (decrement only the one chain segment that holds the
+// key): over random insert / re-insert / erase streams that split the
+// chain and drain it, no live key ever reads absent. Erasing from the
+// oldest chain segment that holds the key, which may hold it only as a
+// false positive, loses live keys on these streams.
+TEST(ElasticMpcbf, RandomChurnNeverLosesALiveKey) {
+  std::uint64_t retires = 0;
+  std::uint64_t ambiguous = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ElasticConfig cfg = small_cfg(3);
+    cfg.segment.memory_bits = 1 << 12;
+    cfg.segment.expected_n = 200;
+    ElasticMpcbf<64> f(cfg);
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> live;  // a multiset: re-inserts repeat keys
+    std::uint64_t fresh = 0;
+    const auto check = [&] {
+      for (const auto& k : live) ASSERT_TRUE(f.contains(k)) << k;
+    };
+    for (int op = 0; op < 1500; ++op) {
+      const auto r = rng() % 100;
+      if (r < 55 || live.empty()) {
+        live.push_back("churn-" + std::to_string(seed) + "-" +
+                       std::to_string(fresh++));
+        f.insert(live.back());
+      } else if (r < 65) {
+        live.push_back(live[rng() % live.size()]);
+        f.insert(live.back());
+      } else if (r < 97) {
+        const std::size_t i = rng() % live.size();
+        EXPECT_TRUE(f.erase(live[i])) << live[i];
+        live[i] = std::move(live.back());
+        live.pop_back();
+      } else {
+        (void)f.compact_once();
+      }
+      if (op % 25 == 0) check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(f.validate());
+    retires += f.retires();
+    ambiguous += f.ambiguous_erases();
+  }
+  EXPECT_GT(retires, 0u) << "the streams must drain segments too";
+  EXPECT_GT(ambiguous, 0u) << "the streams must erase ambiguous keys";
 }
 
 TEST(ElasticMpcbf, DrainMergesOwnerlessSegment) {

@@ -1,9 +1,7 @@
 // Logger tests: level gating, logfmt/JSON formatting (quoting, escapes,
 // hex ids), per-site rate limiting with the carried suppressed count,
 // concurrent writers (lines never interleave), and the canonical hex16
-// rendering shared with /tracez. The same source compiles a second time
-// as test_log_disabled with MPCBF_DISABLE_LOGGING, proving every macro
-// expands to an inert statement whose arguments are not evaluated.
+// rendering shared with /tracez.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -127,8 +125,6 @@ TEST(Log, AppendJsonStringEscapesEveryControlByte) {
   EXPECT_EQ(decoded, raw);
   EXPECT_EQ(literal, "\"q\\\"b\\\\n\\nr\\rt\\tc\\u0001end\"");
 }
-
-#ifndef MPCBF_DISABLE_LOGGING
 
 TEST(Log, LevelGate) {
   LogCapture cap;
@@ -255,34 +251,5 @@ TEST(Log, WrittenCounterAdvances) {
   MPCBF_LOG_WARN("counter.tick");
   EXPECT_EQ(logger.lines_written(), before + 1);
 }
-
-#else  // MPCBF_DISABLE_LOGGING
-
-TEST(LogDisabled, MacrosAreInertAndDoNotEvaluateArguments) {
-  // The twin build: macros must compile against the same call shapes
-  // the armed build uses, produce no lines, and skip argument
-  // evaluation entirely.
-  auto& logger = log::Logger::global();
-  logger.set_level(log::Level::kDebug);
-  const auto written_before = logger.lines_written();
-  int evaluations = 0;
-  // Never called in this build: the disabled macros drop their
-  // arguments unevaluated, which is what the test checks.
-  [[maybe_unused]] auto touch = [&evaluations]() -> std::uint64_t {
-    ++evaluations;
-    return 1;
-  };
-  MPCBF_LOG_DEBUG("disabled.event", log::u64("v", touch()));
-  MPCBF_LOG_INFO("disabled.event", log::u64("v", touch()));
-  MPCBF_LOG_WARN("disabled.event", log::u64("v", touch()));
-  MPCBF_LOG_ERROR("disabled.event", log::u64("v", touch()));
-  EXPECT_EQ(evaluations, 0);
-  EXPECT_EQ(logger.lines_written(), written_before);
-  // The macro must be a real statement: legal in an unbraced if.
-  if (evaluations == 0) MPCBF_LOG_WARN("disabled.unbraced");
-  EXPECT_EQ(logger.lines_written(), written_before);
-}
-
-#endif  // MPCBF_DISABLE_LOGGING
 
 }  // namespace

@@ -593,6 +593,56 @@ TEST(Net, ReadBufferCapTripsOneBytePastTheLimit) {
             ReadStatus::kEof);
 }
 
+TEST(Net, MaximalFrameWithPipelinedTailGetsBothReplies) {
+  // One QUERY frame whose payload is exactly kMaxPayload, then a small
+  // frame, in one write: the read buffer reaches its cap holding a
+  // complete maximal frame plus the tail. Both are answered, in order.
+  MemoryServer srv;
+  Socket s = connect_tcp("127.0.0.1", srv.server->port(),
+                         std::chrono::milliseconds(5000));
+  // 4095 keys of 4092 bytes and one of 4088, each behind a 4-byte
+  // length, after the 4-byte count: 2^24 bytes.
+  std::vector<std::string> big(4096);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = std::to_string(i);
+    big[i].resize(i + 1 < big.size() ? 4092 : 4088, 'k');
+  }
+  std::string payload;
+  append_key_batch<std::string>(payload, big);
+  ASSERT_EQ(payload.size(), kMaxPayload);
+  std::string small;
+  append_key_batch<std::string>(small, make_keys(3, 7));
+  std::string wire;
+  append_frame(wire, Opcode::kQuery, 0, 1, payload);
+  append_frame(wire, Opcode::kQuery, 0, 2, small);
+  write_all(s.fd(), wire.data(), wire.size());
+
+  std::string rx;
+  std::vector<std::uint32_t> counts;
+  while (counts.size() < 2) {
+    const DecodeResult r = decode_frame(rx);
+    if (r.status == DecodeStatus::kFrame) {
+      EXPECT_EQ(r.frame.header.request_id, counts.size() + 1);
+      EXPECT_EQ(r.frame.header.opcode,
+                static_cast<std::uint8_t>(Opcode::kQuery));
+      std::uint32_t count = 0;
+      ASSERT_GE(r.frame.payload.size(), sizeof count);
+      std::memcpy(&count, r.frame.payload.data(), sizeof count);
+      counts.push_back(count);
+      rx.erase(0, r.consumed);
+      continue;
+    }
+    ASSERT_EQ(r.status, DecodeStatus::kNeedMore);
+    char chunk[4096];
+    const auto n = read_some(s.fd(), chunk, sizeof chunk);
+    ASSERT_GT(n, 0) << "connection closed after " << counts.size()
+                    << " replies";
+    rx.append(chunk, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(counts[0], big.size());
+  EXPECT_EQ(counts[1], 3u);
+}
+
 // --- lifecycle ----------------------------------------------------------
 
 TEST(Net, StopDrainsBufferedRequestsAndIsIdempotent) {

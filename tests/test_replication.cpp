@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/durable_mpcbf.hpp"
+#include "core/elastic_mpcbf.hpp"
 #include "core/mpcbf.hpp"
 #include "metrics/registry.hpp"
 #include "net/client.hpp"
@@ -43,10 +44,23 @@ core::MpcbfConfig small_config() {
   return cfg;
 }
 
+/// Segments small enough that a chaos schedule's inserts split the
+/// chain several times and leave segments that own no bucket.
+core::ElasticConfig small_elastic_config() {
+  core::ElasticConfig cfg;
+  cfg.segment.memory_bits = 1 << 13;
+  cfg.segment.expected_n = 300;
+  cfg.segment.policy = core::OverflowPolicy::kStash;
+  cfg.route_bits = 3;
+  cfg.probe_stride = 16;
+  return cfg;
+}
+
 /// Durable options tuned for tests: still WAL-first, but without
 /// per-record fsync (the chaos schedules would crawl otherwise).
-core::DurableMpcbf<64>::Options fast_durable() {
-  core::DurableMpcbf<64>::Options o;
+template <class D = core::DurableMpcbf<64>>
+typename D::Options fast_durable() {
+  typename D::Options o;
   o.fsync = false;
   return o;
 }
@@ -732,6 +746,64 @@ TEST(Replication, ReadyBitVetoedByBackendUntilCaughtUp) {
   server.stop();
 }
 
+// --- the backend stack (net::host) -----------------------------------------
+
+TEST(Host, LayersFollowTheFilterType) {
+  auto mu = std::make_shared<std::shared_mutex>();
+  // Flat, in memory: the served hooks only.
+  const Hosted flat =
+      host(std::make_shared<core::Mpcbf<64>>(small_config()), mu);
+  EXPECT_EQ(flat.kind, "in-memory");
+  EXPECT_TRUE(flat.backend.insert_batch && flat.backend.erase_batch);
+  EXPECT_FALSE(flat.maintain || flat.ticks || flat.replicator);
+  EXPECT_FALSE(flat.backend.snapshot);
+  EXPECT_EQ(flat.shutdown(), "");
+  std::string status;
+  flat.status(status);
+  EXPECT_EQ(status, "");
+  // A follower needs a journal to apply records to.
+  Replicator::Options follow;
+  follow.primaries = {{"127.0.0.1", 1}};
+  EXPECT_THROW(
+      (void)host(std::make_shared<core::Mpcbf<64>>(small_config()), mu,
+                 512, "server", follow),
+      std::invalid_argument);
+
+  // Elastic, durable: a drain pass, the chain's status lines and a
+  // final snapshot.
+  const fs::path dir = fresh_dir("host_elastic_durable");
+  using Chain = core::DurableElasticMpcbf<64>;
+  auto chain = Chain::open_shared(dir, small_elastic_config(),
+                                  fast_durable<Chain>());
+  const Hosted durable = host(chain, mu);
+  EXPECT_EQ(durable.kind, "elastic durable");
+  EXPECT_TRUE(durable.maintain && durable.backend.snapshot &&
+              durable.backend.replicate);
+  for (const auto& k : make_keys(2000, 5)) chain->insert(k);
+  durable.maintain();
+  status.clear();
+  durable.status(status);
+  EXPECT_NE(status.find("elastic_segments: "), std::string::npos);
+  EXPECT_NE(status.find("journal_next_seq: "), std::string::npos);
+  const std::string line = durable.shutdown();
+  EXPECT_EQ(line.rfind("final snapshot at seq ", 0), 0u) << line;
+  EXPECT_NE(line.find(" segments)"), std::string::npos) << line;
+  EXPECT_FALSE(Chain::snapshot_files(dir).empty());
+
+  // The same durable chain as a follower: read-only, no drain pass, a
+  // started replicator that the ready bit waits on.
+  follow.connect_deadline = std::chrono::milliseconds(50);
+  follow.max_backoff = std::chrono::milliseconds(50);
+  const Hosted follower = host(chain, mu, 512, "server", follow);
+  EXPECT_EQ(follower.kind, "elastic follower");
+  EXPECT_FALSE(follower.backend.insert_batch || follower.backend.erase_batch);
+  EXPECT_FALSE(follower.maintain);
+  ASSERT_TRUE(follower.replicator);
+  EXPECT_FALSE(follower.backend.ready());
+  follower.replicator->stop();
+  fs::remove_all(dir);
+}
+
 // --- chaos harness --------------------------------------------------------
 
 TEST(ReplicationChaos, ProxyPassthroughConverges) {
@@ -765,15 +837,19 @@ TEST(ReplicationChaos, ProxyPassthroughConverges) {
 /// the primary while the replication stream crosses a FaultProxy that
 /// misbehaves; both nodes may be killed and restarted. After the
 /// schedule heals, the follower must converge to verdict parity and a
-/// byte-identical snapshot.
-void run_chaos_schedule(std::uint64_t seed) {
+/// byte-identical snapshot. `churn` also erases every fourth key of
+/// each batch and runs the primary's drain pass after it (the elastic
+/// kind journals each pass as a kSegmentRetire record).
+template <class D>
+void run_chaos_schedule(std::uint64_t seed, const typename D::Config& cfg,
+                        std::size_t keys_per_step, bool churn,
+                        std::uint64_t* retires = nullptr) {
   std::mt19937_64 rng(seed);
-  const std::string tag = std::to_string(seed);
+  const std::string tag = std::to_string(seed) + (churn ? "_churn" : "");
   const fs::path pdir = fresh_dir("chaos_primary_" + tag);
   const fs::path fdir = fresh_dir("chaos_follower_" + tag);
 
-  auto pdur = core::DurableMpcbf<64>::open_shared(pdir, small_config(),
-                                                  fast_durable());
+  auto pdur = D::open_shared(pdir, cfg, fast_durable<D>());
   auto pmu = std::make_shared<std::shared_mutex>();
   Server::Options sopts;
   sopts.workers = 1;
@@ -786,8 +862,7 @@ void run_chaos_schedule(std::uint64_t seed) {
   FaultProxy proxy(popts);
   proxy.start();
 
-  auto fdur = core::DurableMpcbf<64>::open_shared(fdir, small_config(),
-                                                  fast_durable());
+  auto fdur = D::open_shared(fdir, cfg, fast_durable<D>());
   auto fmu = std::make_shared<std::shared_mutex>();
   auto repl = std::make_unique<Replicator>(fdur, fmu,
                                            fast_repl(proxy.port()));
@@ -796,6 +871,10 @@ void run_chaos_schedule(std::uint64_t seed) {
   std::vector<std::string> inserted;
   const auto insert_batch = [&](std::size_t n) {
     const auto keys = make_keys(n, seed * 1000 + inserted.size());
+    std::vector<std::string> gone;
+    for (std::size_t i = 0; churn && i < keys.size(); i += 4) {
+      gone.push_back(keys[i]);
+    }
     for (int attempt = 0; attempt < 50; ++attempt) {
       try {
         Client::Options copts;
@@ -804,16 +883,23 @@ void run_chaos_schedule(std::uint64_t seed) {
         copts.io_timeout = std::chrono::milliseconds(2000);
         Client c(copts);
         (void)c.insert(keys);
+        if (!gone.empty()) (void)c.erase(gone);
         break;
       } catch (const NetError&) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
     inserted.insert(inserted.end(), keys.begin(), keys.end());
+    if constexpr (requires { pdur->compact_once(); }) {
+      if (churn) {
+        std::unique_lock lock(*pmu);
+        (void)pdur->compact_once();
+      }
+    }
   };
 
   for (int step = 0; step < 10; ++step) {
-    insert_batch(10);
+    insert_batch(keys_per_step);
     switch (rng() % 8) {
       case 0:  // clean step
         break;
@@ -844,8 +930,7 @@ void run_chaos_schedule(std::uint64_t seed) {
         pserver->stop();
         pserver.reset();
         pdur.reset();
-        pdur = core::DurableMpcbf<64>::open_shared(pdir, small_config(),
-                                                   fast_durable());
+        pdur = D::open_shared(pdir, cfg, fast_durable<D>());
         pmu = std::make_shared<std::shared_mutex>();
         pserver =
             std::make_unique<Server>(make_backend(pdur, pmu), sopts);
@@ -857,8 +942,7 @@ void run_chaos_schedule(std::uint64_t seed) {
       case 7: {  // kill and restart the follower
         repl.reset();
         fdur.reset();
-        fdur = core::DurableMpcbf<64>::open_shared(fdir, small_config(),
-                                                   fast_durable());
+        fdur = D::open_shared(fdir, cfg, fast_durable<D>());
         fmu = std::make_shared<std::shared_mutex>();
         repl = std::make_unique<Replicator>(fdur, fmu,
                                             fast_repl(proxy.port()));
@@ -908,11 +992,18 @@ void run_chaos_schedule(std::uint64_t seed) {
         << "schedule " << seed << " diverged on held-out " << k;
   }
 
+  if constexpr (requires { pdur->filter().grows(); }) {
+    EXPECT_GT(pdur->filter().grows(), 0u) << "the chain must split";
+    EXPECT_EQ(fdur->filter().topology_bytes(),
+              pdur->filter().topology_bytes());
+    if (retires != nullptr) *retires += pdur->filter().retires();
+  }
+
   // Byte-identical snapshots at the shared watermark.
   pdur->snapshot();
   fdur->snapshot();
-  const auto pfiles = core::DurableMpcbf<64>::snapshot_files(pdir);
-  const auto ffiles = core::DurableMpcbf<64>::snapshot_files(fdir);
+  const auto pfiles = D::snapshot_files(pdir);
+  const auto ffiles = D::snapshot_files(fdir);
   ASSERT_FALSE(pfiles.empty());
   ASSERT_FALSE(ffiles.empty());
   ASSERT_EQ(pfiles.front().filename(), ffiles.front().filename());
@@ -930,9 +1021,25 @@ void run_chaos_schedule(std::uint64_t seed) {
 TEST(ReplicationChaos, TwentyRandomizedSchedulesConverge) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("schedule " + std::to_string(seed));
-    run_chaos_schedule(seed);
+    run_chaos_schedule<core::DurableMpcbf<64>>(seed, small_config(), 10,
+                                               false);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(ReplicationChaos, ElasticFollowerSchedulesConverge) {
+  // An elastic follower under the same faults, with erases and drain
+  // passes on the primary: it applies the primary's kSegmentAdd and
+  // kSegmentRetire records and journals none of its own, so the chains
+  // and the snapshot bytes match at the end.
+  std::uint64_t retires = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("schedule " + std::to_string(seed));
+    run_chaos_schedule<core::DurableElasticMpcbf<64>>(
+        seed, small_elastic_config(), 150, true, &retires);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(retires, 0u) << "some schedule must drain a segment";
 }
 
 }  // namespace
