@@ -318,13 +318,24 @@ void BM_MPCBF1_QueryBatch_L2(benchmark::State& state) {
   l2_query_batch_series(state, *f, batch_mixed());
 }
 
-// The same calls on 17-byte keys (the perfbench key shape), so every
-// group of eight takes the eight-key derive where the CPU has AVX-512.
-void BM_MPCBF1_QueryBatch_L2_Key17(benchmark::State& state) {
+// 17-byte members and misses (the perfbench key shape) and the L2
+// filter preloaded with the members.
+const std::vector<std::string>& key17_pool() {
   static const auto pool =
       workload::generate_unique_strings(2 * kL2Preload, 17, 17);
-  static const auto f = l2_filter(pool);
+  return pool;
+}
+
+const core::Mpcbf<64>& key17_filter() {
+  static const auto f = l2_filter(key17_pool());
+  return *f;
+}
+
+// The same calls on 17-byte keys, so every group of eight takes the
+// eight-key derive and resolve where the CPU has AVX-512.
+void BM_MPCBF1_QueryBatch_L2_Key17(benchmark::State& state) {
   static const auto keys = [] {
+    const auto& pool = key17_pool();
     std::vector<std::string> v;
     for (std::size_t i = 0; i < kL2Preload; ++i) {
       v.push_back(pool[i]);
@@ -332,7 +343,7 @@ void BM_MPCBF1_QueryBatch_L2_Key17(benchmark::State& state) {
     }
     return v;
   }();
-  l2_query_batch_series(state, *f, keys);
+  l2_query_batch_series(state, key17_filter(), keys);
 }
 
 BENCHMARK(BM_MPCBF1_QueryBatch_L2);
@@ -341,15 +352,14 @@ BENCHMARK(BM_MPCBF1_QueryBatch_L2_Key17);
 // --- chunk derive ----------------------------------------------------------
 //
 // The derive stage of a batch call alone: 64 keys of 17 bytes (the
-// perfbench key shape) into query records on the filter-dram layout
-// (2^27 words, k = 3, g = 1, b1 = 52). Each iteration takes the next 64
-// keys of a 512-key pool, so consecutive calls derive different keys
-// while the key bytes stay cache-resident, as the 64 keys a served
-// batch has just decoded are. x8 is
-// engine::derive_chunk: eight keys per hash::murmur3_128_x8 call and the
-// deriver's draw schedule where the CPU has AVX-512, else the scalar
-// path. Scalar is the HashBitStream derive per key. Values are ns per
-// call of 64 keys.
+// perfbench key shape) into a draw-major record on the filter-dram
+// layout (2^27 words, k = 3, g = 1, b1 = 52). Each iteration takes the
+// next 64 keys of a 512-key pool, so consecutive calls derive different
+// keys while the key bytes stay cache-resident, as the 64 keys a served
+// batch has just decoded are. x8 is engine::derive_chunk: eight keys
+// per hash::murmur3_128_x8 call and one TargetDeriver::draw_x8 call
+// where the CPU has AVX-512, else the scalar path. Scalar is the
+// HashBitStream derive per key. Values are ns per call of 64 keys.
 constexpr std::size_t kDeriveBatch = 64;
 constexpr std::size_t kDerivePool = 512;
 
@@ -364,13 +374,11 @@ void derive_series(benchmark::State& state, DeriveFn&& derive) {
   const auto& keys = derive_keys();
   std::array<std::size_t, kDeriveBatch> words{};
   std::array<std::uint16_t, 3 * kDeriveBatch> positions{};
+  const core::engine::DrawBlock rec{words.data(), positions.data(),
+                                    kDeriveBatch};
   std::size_t base = 0;
   for (auto _ : state) {
-    std::size_t* w = words.data();
-    std::uint16_t* p = positions.data();
-    derive(der, std::span<const std::string>(&keys[base], kDeriveBatch),
-           [&](std::size_t w_i) { *w++ = w_i; },
-           [&](unsigned pos) { *p++ = static_cast<std::uint16_t>(pos); });
+    derive(der, std::span<const std::string>(&keys[base], kDeriveBatch), rec);
     benchmark::DoNotOptimize(words.data());
     benchmark::DoNotOptimize(positions.data());
     benchmark::ClobberMemory();
@@ -381,29 +389,111 @@ void derive_series(benchmark::State& state, DeriveFn&& derive) {
 }
 
 void BM_DeriveChunk_x8(benchmark::State& state) {
-  derive_series(state, [](const auto& der, auto keys, auto on_word,
-                          auto on_pos) {
-    core::engine::derive_chunk(
-        der, keys, hash::kDefaultSeed,
-        [&](std::size_t, unsigned, std::size_t w) { on_word(w); },
-        [&](std::size_t, unsigned, unsigned p) { on_pos(p); });
+  derive_series(state, [](const auto& der, auto keys, const auto& rec) {
+    core::engine::derive_chunk(der, keys, hash::kDefaultSeed, rec);
   });
 }
 
 void BM_DeriveChunk_Scalar(benchmark::State& state) {
-  derive_series(state, [](const auto& der, auto keys, auto on_word,
-                          auto on_pos) {
-    for (const auto& key : keys) {
-      hash::HashBitStream stream(key, hash::kDefaultSeed);
+  derive_series(state, [](const auto& der, auto keys, const auto& rec) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      hash::HashBitStream stream(keys[i], hash::kDefaultSeed);
+      std::uint16_t* pos = rec.pos + i;
       der.derive(
-          stream, [&](unsigned, std::size_t w) { on_word(w); },
-          [&](unsigned, unsigned p) { on_pos(p); });
+          stream,
+          [&](unsigned wi, std::size_t w) {
+            rec.word[wi * rec.stride + i] = w;
+          },
+          [&](unsigned, unsigned p) {
+            *pos = static_cast<std::uint16_t>(p);
+            pos += rec.stride;
+          });
     }
   });
 }
 
 BENCHMARK(BM_DeriveChunk_x8);
 BENCHMARK(BM_DeriveChunk_Scalar);
+
+// --- chunk resolve ---------------------------------------------------------
+//
+// The resolve stage of a batch call alone: 64 derived 17-byte keys (half
+// members, half misses) against the words of the L2 filter above, which
+// fit in L2 like the words a gather has just loaded. The records of a
+// 512-key pool are derived once; each iteration resolves the next 64
+// with the engine's resolve function and no stash rescue. x8 is
+// engine::resolve_x8, eight keys per step in AVX-512 lanes (on a CPU
+// without AVX-512 it runs resolve_scalar, as query_batch would); Scalar
+// is engine::resolve_scalar, one key at a time. Both replay the lazy
+// walk's accounting. Values are ns per call of 64 keys.
+template <class ResolveFn>
+void resolve_series(benchmark::State& state, ResolveFn&& resolve) {
+  const auto& f = key17_filter();
+  static const auto store = [&] {
+    auto s = std::make_unique<core::engine::PlainWords<64>>();
+    s->init(f.num_words());
+    for (std::size_t w = 0; w < f.num_words(); ++w) s->words()[w] = f.word(w);
+    return s;
+  }();
+  const core::engine::TargetDeriver der(f.num_words(), f.k(), f.g(), f.b1());
+  constexpr std::size_t kChunks = kDerivePool / kDeriveBatch;
+  std::vector<std::size_t> words(kChunks * kDeriveBatch);
+  std::vector<std::uint16_t> positions(kChunks * 3 * kDeriveBatch);
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < kDerivePool / 2; ++i) {
+    keys.push_back(key17_pool()[i]);
+    keys.push_back(key17_pool()[kL2Preload + i]);
+  }
+  std::array<core::engine::DrawBlock, kChunks> recs;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    recs[c] = {&words[c * kDeriveBatch], &positions[c * 3 * kDeriveBatch],
+               kDeriveBatch};
+    core::engine::derive_chunk(
+        der,
+        std::span<const std::string>(&keys[c * kDeriveBatch], kDeriveBatch),
+        f.seed(), recs[c]);
+  }
+  std::array<std::uint8_t, kDeriveBatch> out{};
+  core::engine::QueryTally tally;
+  std::size_t c = 0;
+  for (auto _ : state) {
+    resolve(*store, der, recs[c], out.data(), tally);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    c = (c + 1) % kChunks;
+  }
+  benchmark::DoNotOptimize(tally);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDeriveBatch));
+}
+
+constexpr auto kNoRescue = [](std::size_t, std::size_t) { return false; };
+
+void BM_ResolveChunk_x8(benchmark::State& state) {
+  resolve_series(state, [](const auto& store, const auto& der,
+                           const auto& rec, std::uint8_t* out, auto& tally) {
+#if MPCBF_ENGINE_HAVE_X8
+    if (der.x8()) {
+      core::engine::resolve_x8(store, der, true, rec, kDeriveBatch, out,
+                               tally, kNoRescue);
+      return;
+    }
+#endif
+    core::engine::resolve_scalar(store, der, true, rec, kDeriveBatch, out,
+                                 tally, kNoRescue);
+  });
+}
+
+void BM_ResolveChunk_Scalar(benchmark::State& state) {
+  resolve_series(state, [](const auto& store, const auto& der,
+                           const auto& rec, std::uint8_t* out, auto& tally) {
+    core::engine::resolve_scalar(store, der, true, rec, kDeriveBatch, out,
+                                 tally, kNoRescue);
+  });
+}
+
+BENCHMARK(BM_ResolveChunk_x8);
+BENCHMARK(BM_ResolveChunk_Scalar);
 
 // --- HCBF word primitives -----------------------------------------------
 

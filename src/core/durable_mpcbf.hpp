@@ -259,12 +259,11 @@ class Durable {
     requires requires(F& f) { f.compaction_candidate(); }
   {
     auto step = filter_.compaction_candidate();
-    if (!step) return step;
-    const std::uint64_t retires = filter_.retires();
+    // Journal only a drain that applies: a pass whose merge would
+    // overflow appends nothing, so an idle primary's journal (and every
+    // follower) stays still.
+    if (!step || !filter_.retire_fits(*step)) return decltype(step){};
     journal_apply(io::JournalOp::kSegmentRetire, Kind::retire_key(*step));
-    // A merge that would overflow leaves the journaled record a no-op,
-    // and replay finds it one too.
-    if (filter_.retires() == retires) step.reset();
     return step;
   }
 

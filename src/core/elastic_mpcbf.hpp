@@ -344,17 +344,20 @@ class ElasticMpcbf {
     return std::nullopt;
   }
 
+  /// True iff `step` is a valid drain step whose merge fits: what
+  /// retire_into would apply, checked without changing anything.
+  [[nodiscard]] bool retire_fits(const ElasticTopologyOp& step) const {
+    return valid_drain(step.segment, step.into) &&
+           segments_[step.into]->merge_fits(*segments_[step.segment]);
+  }
+
   /// Merges segment `retired` into `into` (counter-wise, all-or-nothing
   /// via Mpcbf::merge), rewrites every chain to reference the absorber,
-  /// and frees the husk. Returns false — with no state change — when
-  /// the merge would overflow a word or the arguments are not a valid
-  /// drain step.
+  /// and frees the husk. Returns false — with no state change but the
+  /// absorber's overflow count — when the merge would overflow a word,
+  /// and false with none when the arguments are not a valid drain step.
   bool retire_into(std::uint32_t retired, std::uint32_t into) {
-    if (retired >= segments_.size() || into >= segments_.size() ||
-        retired == into || !segments_[retired] || !segments_[into] ||
-        owns_buckets(retired)) {
-      return false;
-    }
+    if (!valid_drain(retired, into)) return false;
     if (!segments_[into]->merge(*segments_[retired])) return false;
     for (auto& chain : chains_) {
       bool has_into = false;
@@ -390,10 +393,12 @@ class ElasticMpcbf {
     return true;
   }
 
-  /// One background drain pass: apply the compaction candidate, if any.
+  /// One background drain pass: apply the compaction candidate, if any
+  /// and if its merge fits. A pass whose merge would overflow changes
+  /// nothing, as the journaled pass of Durable<F> records nothing.
   std::optional<ElasticTopologyOp> compact_once() {
     const auto step = compaction_candidate();
-    if (!step) return std::nullopt;
+    if (!step || !retire_fits(*step)) return std::nullopt;
     if (!retire_into(step->segment, step->into)) return std::nullopt;
     return step;
   }
@@ -806,6 +811,14 @@ class ElasticMpcbf {
       if (chain.back() == seg) return true;
     }
     return false;
+  }
+
+  /// Both segments live and distinct, and `retired` owns no bucket.
+  [[nodiscard]] bool valid_drain(std::uint32_t retired,
+                                 std::uint32_t into) const {
+    return retired < segments_.size() && into < segments_.size() &&
+           retired != into && segments_[retired] && segments_[into] &&
+           !owns_buckets(retired);
   }
 
   /// The scorer behind growth decisions: saturation components only

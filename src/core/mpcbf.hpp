@@ -87,10 +87,10 @@ struct MpcbfLayout {
 
 /// A one-sided summary of a stash: one bit per first-word index modulo
 /// kBits, set for every stashed key. A clear bit proves the key is not
-/// stashed, so a negative query skips the stash's hash-table probe
-/// unless a stashed key shares its bit. Bits are never cleared one at a
-/// time (keys share them); the summary is cleared when the stash
-/// empties and rebuilt from the stash on load.
+/// stashed, so a negative query and an erase skip the stash's
+/// hash-table probe unless a stashed key shares its bit. Bits are never
+/// cleared one at a time (keys share them); the summary is cleared when
+/// the stash empties and rebuilt from the stash on load.
 class StashSummary {
  public:
   static constexpr std::size_t kBits = 4096;
@@ -206,13 +206,11 @@ class Mpcbf {
     MPCBF_TRACE_SPAN(span, kCore, "mpcbf.erase");
     const bool timed = stats_.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-    bool ok = erase_stashed(key, stats_);
-    if (!ok) {
-      engine::Targets t;
-      hash::HashBitStream stream(key, seed_);
-      der_.derive_all(stream, t);
-      ok = erase_derived(t, stream.accounted_bits(), stats_);
-    }
+    engine::Targets t;
+    hash::HashBitStream stream(key, seed_);
+    der_.derive_all(stream, t);
+    const bool ok = erase_stashed(key, t.group_word[0], stats_) ||
+                    erase_derived(t, stream.accounted_bits(), stats_);
     sample_latency(metrics::OpClass::kDelete, timed, t0);
     return ok;
   }
@@ -354,11 +352,15 @@ class Mpcbf {
   /// Membership for a batch of keys through the engine's derive → gather
   /// → resolve pipeline (engine::query_batch): a chunk of keys is hashed
   /// first, then its words are demand-loaded in one tight loop so their
-  /// cache misses overlap, then each key is resolved with one fail mask
-  /// per loaded word. On a DRAM-resident filter this costs about half
-  /// the ns/key of a prefetch issued between hashes, which the core did
-  /// not overlap (docs/architecture.md has the measurements). `out[i]`
-  /// is set to the verdict for `keys[i]`; sizes must match.
+  /// cache misses overlap, then the keys are resolved, eight per step in
+  /// vector lanes where the CPU has AVX-512, with one fail mask per
+  /// position. On a DRAM-resident filter this costs about half the
+  /// ns/key of a prefetch issued between hashes, which the core did not
+  /// overlap; a __builtin_prefetch per derived word on top of the gather
+  /// made perfbench's filter-dram call latency worse, re-measured after
+  /// the eight-key derive, so there is none (docs/architecture.md has
+  /// both measurements). `out[i]` is set to the verdict for `keys[i]`;
+  /// sizes must match.
   ///
   /// Accounting: the resolve charges what the paper's lazy bit-by-bit
   /// walk would (short_circuit_ honoured, duplicate words deduplicated,
@@ -421,6 +423,21 @@ class Mpcbf {
     return layout() == other.layout();
   }
 
+  /// True iff merge(other) would succeed: the layouts match and no word
+  /// would overflow its hierarchy capacity. Changes nothing, so a caller
+  /// can decide whether to record a merge before making it. O(l).
+  [[nodiscard]] bool merge_fits(const Mpcbf& other) const noexcept {
+    if (!compatible(other)) return false;
+    const unsigned b1 = der_.b1();
+    for (std::size_t w = 0; w < store_.size(); ++w) {
+      if (store_.hierarchy_bits(w, b1) + other.store_.hierarchy_bits(w, b1) >
+          W - b1) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   /// Folds `other`'s contents into this filter (counter-wise addition —
   /// the multiset-union of the represented sets, so deletes of either
   /// side's elements remain valid afterwards). All-or-nothing: returns
@@ -428,14 +445,11 @@ class Mpcbf {
   /// would overflow.
   bool merge(const Mpcbf& other) {
     if (!compatible(other)) return false;
-    const unsigned b1 = der_.b1();
-    for (std::size_t w = 0; w < store_.size(); ++w) {
-      if (store_.hierarchy_bits(w, b1) + other.store_.hierarchy_bits(w, b1) >
-          W - b1) {
-        ++overflow_events_;
-        return false;
-      }
+    if (!merge_fits(other)) {
+      ++overflow_events_;
+      return false;
     }
+    const unsigned b1 = der_.b1();
     for (std::size_t w = 0; w < store_.size(); ++w) {
       if (other.store_.hierarchy_bits(w, b1) == 0) continue;
       unsigned used = store_.hierarchy_bits(w, b1);
@@ -734,11 +748,14 @@ class Mpcbf {
     return true;
   }
 
-  /// The erase of a stashed copy, which scalar erase() tries before
-  /// deriving anything. Returns false when `key` holds no stashed copy.
+  /// The erase of a stashed copy, which erase() tries before the words.
+  /// The stash is probed (a string hash and a map lookup) only when its
+  /// summary may hold the key's first word `first_word`. Returns false
+  /// when `key` holds no stashed copy.
   template <class Tally>
-  bool erase_stashed(std::string_view key, Tally& tally) {
-    if (stash_.empty()) return false;
+  bool erase_stashed(std::string_view key, std::size_t first_word,
+                     Tally& tally) {
+    if (!stash_summary_.may_hold(first_word)) return false;
     auto it = stash_.find(key);
     if (it == stash_.end() || it->second == 0) return false;
     if (--it->second == 0) stash_.erase(it);
@@ -839,7 +856,8 @@ class Mpcbf {
     mutate_batch(metrics::OpClass::kDelete, keys,
                  [&](std::size_t key_i, const engine::Targets& t,
                      std::uint64_t derive_bits, engine::OpTally& tally) {
-                   ok[key_i] = erase_stashed(keys[key_i], tally) ||
+                   ok[key_i] = erase_stashed(keys[key_i],
+                                             t.group_word[0], tally) ||
                                erase_derived(t, derive_bits, tally);
                  });
   }

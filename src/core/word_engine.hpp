@@ -10,9 +10,10 @@
 //     the paper's consumed-bit accounting riding along in the stream.
 //     Where a whole derivation fits in the first 128-bit hash block it
 //     also holds a draw schedule that derives from that block alone.
-//   * derive_chunk — the derive stage of every batch: eight keys of one
-//     length per hash::murmur3_128_x8 call (AVX-512, chosen at run time)
-//     through the schedule, the stream elsewhere; bit-identical either
+//   * derive_chunk — the derive stage of every batch, into a draw-major
+//     DrawBlock: eight keys of one length per hash::murmur3_128_x8 call
+//     and the schedule applied to all eight lanes at once (AVX-512,
+//     chosen at run time), the stream elsewhere; bit-identical either
 //     way.
 //   * LevelWalk<W> — the hierarchical increment/decrement/min-counter
 //     walk applied across a target set, storage-policy agnostic.
@@ -25,10 +26,12 @@
 //     with plain demand loads in one tight loop so the out-of-order core
 //     overlaps the cache misses, then resolve each key in key order.
 //   * query_batch — the one query path, scalar and batch: a batch runs
-//     the same three phases on a compact per-key record, one hash, one
-//     fetch per group word and one fail mask per word, with the paper's
-//     lazy bit-by-bit accounting reproduced exactly; a one-key call runs
-//     that lazy walk itself (tests/test_stats_parity.cpp).
+//     the same three phases on a draw-major chunk record, one hash, one
+//     fetch per group word and one fail mask per position, eight keys
+//     per resolve step where the CPU has AVX-512 (resolve_x8, else
+//     resolve_scalar), with the paper's lazy bit-by-bit accounting
+//     reproduced exactly; a one-key call runs that lazy walk itself
+//     (tests/test_stats_parity.cpp).
 //   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
@@ -56,7 +59,28 @@
 #include "metrics/timer.hpp"
 #include "model/fpr_model.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+/// The eight-lane kernels (TargetDeriver::draw_x8, resolve_x8) exist.
+/// They are compiled for AVX-512 on their own and run only where
+/// TargetDeriver::x8() says the CPU has it; the rest of the engine is
+/// not compiled for AVX-512.
+#define MPCBF_ENGINE_HAVE_X8 1
+#define MPCBF_ENGINE_X8 \
+  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
+#else
+#define MPCBF_ENGINE_HAVE_X8 0
+#endif
+
 namespace mpcbf::core::engine {
+
+#if MPCBF_ENGINE_HAVE_X8
+// The eight-lane kernels' shifts, masks and conversions go through their
+// zero-masking forms under this all-lanes mask: the same instructions,
+// and GCC 12's unmasked forms start from an undefined vector that
+// -Wmaybe-uninitialized reports inside a target-attributed function.
+inline constexpr __mmask8 kAllLanes = 0xFF;
+#endif
 
 // Hot-path force-inline: the engine decomposes what used to be one big
 // member function per operation into small policy pieces; without the
@@ -147,6 +171,18 @@ struct Targets {
 };
 static_assert(sizeof(Targets) <= 640, "a batch chunk's targets must fit L1d");
 
+/// A run of keys' draws, draw-major: the word of hash group wi of key i
+/// at word[wi * stride + i], and its d-th position (counted over all
+/// groups in the canonical order) at pos[d * stride + i]. The same draw
+/// of eight consecutive keys is contiguous, so an eight-key derive
+/// stores each draw as one vector and an eight-key resolve loads it as
+/// one.
+struct DrawBlock {
+  std::size_t* word;
+  std::uint16_t* pos;
+  std::size_t stride;
+};
+
 /// Turns a HashBitStream into the Targets word/position set. Holds the
 /// layout scalars and the constants derived from them (index bounds,
 /// positions per group), computed once per deriver: Mpcbf holds one for
@@ -205,32 +241,39 @@ class TargetDeriver {
     t.distinct_words = seen.count;
   }
 
-  /// derive() from the key's first 128-bit hash block `h` alone, through
-  /// the draw schedule: the same indices in the same order. Valid only
-  /// where has_schedule().
-  template <class OnWord, class OnPos>
-  MPCBF_ENGINE_INLINE void derive_block(hash::Hash128 h, OnWord&& on_word,
-                                        OnPos&& on_pos) const {
-    // Locals, so the callbacks' stores cannot force reloads of them.
-    const hash::IndexBound word_bound = word_bound_;
-    const hash::IndexBound pos_bound = pos_bound_;
-    const unsigned g = g_;
-    const unsigned kw = kw_;
-    const unsigned kw_last = kw_last_;
+#if MPCBF_ENGINE_HAVE_X8
+  /// derive() of eight keys from their first 128-bit hash blocks (key j's
+  /// is {h.lo[j], h.hi[j]}) through the draw schedule, all eight lanes at
+  /// once: per draw a shift, a mask and, for a bound that is not a power
+  /// of two, a multiply-shift. Key j's draws land in lane j of `out`'s
+  /// rows: the same indices in the same order as the stream's. Valid only
+  /// where x8().
+  MPCBF_ENGINE_X8 void draw_x8(const hash::Hash128x8& h,
+                               const DrawBlock& out) const noexcept {
+    const __m512i lane[2] = {_mm512_loadu_si512(h.lo.data()),
+                             _mm512_loadu_si512(h.hi.data())};
     const std::uint8_t* at = schedule_.data();
-    for (unsigned wi = 0; wi < g; ++wi) {
-      on_word(wi, draw(h, *at++, word_bound));
-      for (unsigned i = wi + 1 < g ? kw : kw_last; i > 0; --i) {
-        on_pos(wi, static_cast<unsigned>(draw(h, *at++, pos_bound)));
+    std::uint16_t* pos = out.pos;
+    for (unsigned wi = 0; wi < g_; ++wi) {
+      _mm512_storeu_si512(out.word + wi * out.stride,
+                          draw8(lane, *at++, word_bound_));
+      for (unsigned i = positions_in(wi); i > 0; --i, pos += out.stride) {
+        // Positions are below kMaxPositionRange: 16 bits hold them.
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i*>(pos),
+            _mm512_maskz_cvtepi64_epi16(kAllLanes,
+                                        draw8(lane, *at++, pos_bound_)));
       }
     }
   }
+#endif
 
   /// True when every draw of a derivation comes from the first hash block
-  /// and every multiply-shift fits in 64 bits (derive_block applies).
+  /// and every multiply-shift fits in 64 bits (the schedule applies).
   [[nodiscard]] bool has_schedule() const noexcept { return scheduled_; }
-  /// has_schedule() on a CPU that runs hash::murmur3_128_x8: derive_chunk
-  /// hashes eight keys of one length at a time.
+  /// has_schedule() on a CPU that runs hash::murmur3_128_x8 (AVX-512 F,
+  /// DQ, BW and VL): derive_chunk hashes and draws eight keys of one
+  /// length at a time, and query_batch resolves eight keys per step.
   [[nodiscard]] bool x8() const noexcept { return x8_; }
 
   /// Paper-metric bits one full derivation accounts: ceil_log2(l) per
@@ -264,16 +307,25 @@ class TargetDeriver {
   [[nodiscard]] unsigned pos_bits() const noexcept { return pos_bound_.log2; }
 
  private:
-  /// Draws one index whose raw bits start at bit `at` of the block (lane
-  /// at / 64): next_index's arithmetic without the stream.
-  static MPCBF_ENGINE_INLINE std::size_t draw(
-      hash::Hash128 h, unsigned at, const hash::IndexBound& b) noexcept {
-    const std::uint64_t lane = at < 64 ? h.lo : h.hi;
-    const std::uint64_t v =
-        (lane >> (at & 63)) & ((std::uint64_t{1} << b.width) - 1);
-    return b.pow2 ? static_cast<std::size_t>(v)
-                  : static_cast<std::size_t>((v * b.bound) >> b.width);
+#if MPCBF_ENGINE_HAVE_X8
+  /// One draw whose raw bits start at bit `at` of each lane's block
+  /// (half at / 64): next_index's arithmetic on eight blocks. The
+  /// schedule guarantees the product fits 64 bits.
+  static MPCBF_ENGINE_X8 MPCBF_ENGINE_INLINE __m512i
+  draw8(const __m512i (&lane)[2], unsigned at, const hash::IndexBound& b) {
+    const std::uint64_t mask =
+        b.width >= 64 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << b.width) - 1;
+    __m512i v = _mm512_maskz_srlv_epi64(kAllLanes, lane[at >> 6],
+                                        _mm512_set1_epi64(at & 63));
+    v = _mm512_maskz_and_epi64(kAllLanes, v,
+                               _mm512_set1_epi64(static_cast<long long>(mask)));
+    if (b.pow2) return v;
+    v = _mm512_mullo_epi64(v,
+                           _mm512_set1_epi64(static_cast<long long>(b.bound)));
+    return _mm512_maskz_srlv_epi64(kAllLanes, v, _mm512_set1_epi64(b.width));
   }
+#endif
 
   /// Replays HashBitStream's lane bookkeeping once over the canonical
   /// order, recording where each draw's raw bits start. Returns false
@@ -320,26 +372,31 @@ class TargetDeriver {
   std::array<std::uint8_t, 128> schedule_{};
 };
 
-/// Derives keys[0..n) in order, each in the canonical order, exactly as
-/// der.derive over a HashBitStream per key would: the one derive stage of
-/// query_batch and of the batch mutations. on_word(i, wi, w) and
-/// on_pos(i, wi, pos) receive key i's draws. Where der.x8(), each aligned
-/// group of eight keys of one length is hashed in one
-/// hash::murmur3_128_x8 call and derived through the deriver's schedule;
-/// a group of mixed lengths, the last n % 8 keys and every key on other
-/// shapes or CPUs go through HashBitStream.
-template <class Key, class OnWord, class OnPos>
+/// Derives keys[0..n) into `out` (key i in lane i), each in the
+/// canonical order, exactly as der.derive over a HashBitStream per key
+/// would: the one derive stage of query_batch and of the batch
+/// mutations. Where der.x8(), each aligned group of eight keys of one
+/// length is hashed in one hash::murmur3_128_x8 call and drawn in one
+/// TargetDeriver::draw_x8 call; a group of mixed lengths, the last n % 8
+/// keys and every key on other shapes or CPUs go through HashBitStream.
+template <class Key>
 MPCBF_ENGINE_INLINE void derive_chunk(const TargetDeriver& der,
                                       std::span<const Key> keys,
-                                      std::uint64_t seed, OnWord&& on_word,
-                                      OnPos&& on_pos) {
+                                      std::uint64_t seed,
+                                      const DrawBlock& out) {
   const auto scalar = [&](std::size_t i) {
     hash::HashBitStream stream(keys[i], seed);
+    std::uint16_t* pos = out.pos + i;
     der.derive(
-        stream, [&](unsigned wi, std::size_t w) { on_word(i, wi, w); },
-        [&](unsigned wi, unsigned p) { on_pos(i, wi, p); });
+        stream,
+        [&](unsigned wi, std::size_t w) { out.word[wi * out.stride + i] = w; },
+        [&](unsigned, unsigned p) {
+          *pos = static_cast<std::uint16_t>(p);
+          pos += out.stride;
+        });
   };
   std::size_t i = 0;
+#if MPCBF_ENGINE_HAVE_X8
   if (der.x8()) {
     for (; i + 8 <= keys.size(); i += 8) {
       const std::size_t len = keys[i].size();
@@ -355,34 +412,41 @@ MPCBF_ENGINE_INLINE void derive_chunk(const TargetDeriver& der,
       }
       hash::Hash128x8 h;
       hash::murmur3_128_x8(data.data(), len, seed, h);
-      for (std::size_t j = 0; j < 8; ++j) {
-        der.derive_block(
-            {h.lo[j], h.hi[j]},
-            [&](unsigned wi, std::size_t w) { on_word(i + j, wi, w); },
-            [&](unsigned wi, unsigned p) { on_pos(i + j, wi, p); });
-      }
+      der.draw_x8(h, {out.word + i, out.pos + i, out.stride});
     }
   }
+#endif
   for (; i < keys.size(); ++i) scalar(i);
 }
 
 /// derive_chunk into one Targets per key (out[i] for keys[i]), with
-/// derive_all's distinct-word count.
+/// derive_all's distinct-word count: each group of eight keys is derived
+/// into an eight-lane block, then transposed key by key.
 template <class Key>
 MPCBF_ENGINE_INLINE void derive_targets(const TargetDeriver& der,
                                         std::span<const Key> keys,
                                         std::uint64_t seed, Targets* out) {
-  for (std::size_t i = 0; i < keys.size(); ++i) out[i].total_positions = 0;
-  derive_chunk(
-      der, keys, seed,
-      [&](std::size_t i, unsigned wi, std::size_t w) {
-        out[i].group_word[wi] = w;
-      },
-      [&](std::size_t i, unsigned wi, unsigned p) { out[i].push(wi, p); });
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    SeenWords seen;
-    for (unsigned wi = 0; wi < der.g(); ++wi) seen.add(out[i].group_word[wi]);
-    out[i].distinct_words = seen.count;
+  constexpr std::size_t kLanes = 8;
+  std::array<std::size_t, kMaxG * kLanes> words;
+  std::array<std::uint16_t, kMaxPositions * kLanes> positions;
+  const DrawBlock block{words.data(), positions.data(), kLanes};
+  for (std::size_t base = 0; base < keys.size(); base += kLanes) {
+    const std::size_t n = std::min(kLanes, keys.size() - base);
+    derive_chunk(der, keys.subspan(base, n), seed, block);
+    for (std::size_t j = 0; j < n; ++j) {
+      Targets& t = out[base + j];
+      t.total_positions = 0;
+      SeenWords seen;
+      const std::uint16_t* pos = &positions[j];
+      for (unsigned wi = 0; wi < der.g(); ++wi) {
+        t.group_word[wi] = words[wi * kLanes + j];
+        seen.add(t.group_word[wi]);
+        for (unsigned d = der.positions_in(wi); d > 0; --d, pos += kLanes) {
+          t.push(wi, *pos);
+        }
+      }
+      t.distinct_words = seen.count;
+    }
   }
 }
 
@@ -466,6 +530,15 @@ class PlainWords {
     static_assert(sizeof(Word) <= 64, "gather covers at most two lines");
     const Word& word = words_[w];
     return word.limb(0) + word.limb(Word::kLimbs - 1);
+  }
+
+  /// The word array as 64-bit limbs: limb j of word w at
+  /// limbs()[w * Word::kLimbs + j], the base the eight-lane resolve
+  /// gathers from.
+  [[nodiscard]] const std::uint64_t* limbs() const noexcept {
+    static_assert(sizeof(Word) == Word::kLimbs * sizeof(std::uint64_t),
+                  "a word is exactly its limbs");
+    return reinterpret_cast<const std::uint64_t*>(words_.data());
   }
 
   /// Increments the counter at (w, pos); `used` is the word's current
@@ -663,20 +736,21 @@ struct OpTally {
   return 1;
 }
 
-/// Bit j set iff position `pos[j]` of `w` reads 0, for j < n (n <= 32).
-/// A one-limb word is loaded once and tested with shifts.
+/// Bit j set iff position `pos[j * stride]` of `w` reads 0, for j < n
+/// (n <= 32). A one-limb word is loaded once and tested with shifts.
 template <class Word>
 [[nodiscard]] MPCBF_ENGINE_INLINE std::uint32_t fail_mask(
-    const Word& w, const std::uint16_t* pos, unsigned n) noexcept {
+    const Word& w, const std::uint16_t* pos, unsigned n,
+    std::size_t stride) noexcept {
   std::uint32_t fail = 0;
   if constexpr (Word::kLimbs == 1) {
     const std::uint64_t zeros = ~w.limb(0);
     for (unsigned j = 0; j < n; ++j) {
-      fail |= static_cast<std::uint32_t>((zeros >> pos[j]) & 1) << j;
+      fail |= static_cast<std::uint32_t>((zeros >> pos[j * stride]) & 1) << j;
     }
   } else {
     for (unsigned j = 0; j < n; ++j) {
-      fail |= std::uint32_t{!w.test(pos[j])} << j;
+      fail |= std::uint32_t{!w.test(pos[j * stride])} << j;
     }
   }
   return fail;
@@ -733,97 +807,245 @@ MPCBF_ENGINE_INLINE bool query_one(const Storage& store,
   return positive;
 }
 
+/// A query batch's tallies, summed over its chunks and published once
+/// per call: the keys, the positives, and the words and bits of all
+/// keys and of the positive ones.
+struct QueryTally {
+  std::uint64_t keys = 0;
+  std::uint64_t positives = 0;
+  std::uint64_t positive_words = 0;
+  std::uint64_t positive_bits = 0;
+  std::uint64_t all_words = 0;
+  std::uint64_t all_bits = 0;
+
+  void publish(metrics::AccessStats& stats) const noexcept {
+    stats.record_n(metrics::OpClass::kQueryPositive, positives,
+                   positive_words, positive_bits);
+    stats.record_n(metrics::OpClass::kQueryNegative, keys - positives,
+                   all_words - positive_words, all_bits - positive_bits);
+  }
+};
+
+/// Resolves keys [0, count) of a derived, gathered chunk record `rec`
+/// one key at a time: per group, one loaded word and a fail mask whose
+/// bit j is set when the group's j-th position reads 0. out[i] is the
+/// verdict of key i; `rescue(i, first_word)` decides a key the words
+/// reject. The accounting replays the lazy walk without branching on
+/// verdicts (which mispredict on mixed keys): see query_batch.
+template <class Storage, class Rescue>
+MPCBF_ENGINE_INLINE void resolve_scalar(const Storage& store,
+                                        const TargetDeriver& der,
+                                        bool short_circuit,
+                                        const DrawBlock& rec,
+                                        std::size_t count, std::uint8_t* out,
+                                        QueryTally& tally, Rescue&& rescue) {
+  const unsigned g = der.g();
+  const unsigned word_bits = der.word_bits();
+  const unsigned pos_bits = der.pos_bits();
+  for (std::size_t i = 0; i < count; ++i) {
+    std::array<std::size_t, kMaxG> word;
+    for (unsigned wi = 0; wi < g; ++wi) {
+      word[wi] = rec.word[wi * rec.stride + i];
+    }
+    const std::uint16_t* pos = rec.pos + i;
+    std::uint32_t any_fail = 0;
+    // All ones while the lazy walk would still be running: under
+    // short_circuit it stops after the first failing group.
+    unsigned walking = ~0u;
+    unsigned touched = 0;
+    unsigned bits = 0;
+    for (unsigned wi = 0; wi < g; ++wi) {
+      const unsigned kw = der.positions_in(wi);
+      const std::uint32_t fail =
+          fail_mask(store.word(word[wi]), pos, kw, rec.stride);
+      pos += kw * rec.stride;
+      const unsigned consumed =
+          short_circuit && fail != 0
+              ? static_cast<unsigned>(std::countr_zero(fail)) + 1
+              : kw;
+      touched += first_visit(word.data(), wi) & walking;
+      bits += (word_bits + consumed * pos_bits) & walking;
+      if (short_circuit) walking &= fail == 0 ? ~0u : 0u;
+      any_fail |= fail;
+    }
+    bool positive = any_fail == 0;
+    if (!positive) positive = rescue(i, word[0]);
+    out[i] = positive ? 1 : 0;
+    const std::uint64_t hit = positive ? 1 : 0;
+    tally.positives += hit;
+    tally.positive_words += touched * hit;
+    tally.positive_bits += bits * hit;
+    tally.all_words += touched;
+    tally.all_bits += bits;
+  }
+  tally.keys += count;
+}
+
+#if MPCBF_ENGINE_HAVE_X8
+/// Sum of a vector's eight 64-bit lanes.
+MPCBF_ENGINE_X8 MPCBF_ENGINE_INLINE std::uint64_t lane_sum(__m512i v) {
+  alignas(64) std::array<std::uint64_t, 8> lanes;
+  _mm512_store_si512(lanes.data(), v);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t x : lanes) sum += x;
+  return sum;
+}
+
+/// resolve_scalar eight keys per step, each key in a vector lane (AVX-512;
+/// call only where der.x8()). Per group of eight keys and hash group:
+/// one load of the eight group words, one gather of the words' limbs and
+/// per position a variable shift whose low bits give the position's fail
+/// mask (bit j for key j). The lazy walk's accounting rides along in
+/// lane masks: `walking` (keys still being walked) ends at a key's first
+/// failing group under short_circuit, `alive` at its first failing
+/// position, so a first failure at position j costs j + 1 positions;
+/// colliding group words are deduplicated with lane compares. Verdict
+/// bytes come from the final mask; `rescue` runs only for failed lanes.
+/// The last count % 8 keys run under a lane mask.
+template <class Storage, class Rescue>
+MPCBF_ENGINE_X8 void resolve_x8(const Storage& store, const TargetDeriver& der,
+                                bool short_circuit, const DrawBlock& rec,
+                                std::size_t count, std::uint8_t* out,
+                                QueryTally& tally, Rescue&& rescue) {
+  constexpr unsigned kLimbs = Storage::Word::kLimbs;
+  const std::uint64_t* limbs = store.limbs();
+  const unsigned g = der.g();
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i word_bits = _mm512_set1_epi64(der.word_bits());
+  const __m512i pos_bits = _mm512_set1_epi64(der.pos_bits());
+  __m512i all_words = zero;
+  __m512i all_bits = zero;
+  __m512i positive_words = zero;
+  __m512i positive_bits = zero;
+  for (std::size_t i = 0; i < count; i += 8) {
+    const auto valid = static_cast<__mmask8>(
+        count - i >= 8 ? kAllLanes : (1u << (count - i)) - 1);
+    __m512i group[kMaxG];
+    auto walking = valid;
+    unsigned any_fail = 0;
+    __m512i touched = zero;
+    __m512i bits = zero;
+    const std::uint16_t* pos = rec.pos + i;
+    for (unsigned wi = 0; wi < g; ++wi) {
+      const __m512i w_idx =
+          _mm512_maskz_loadu_epi64(valid, rec.word + wi * rec.stride + i);
+      group[wi] = w_idx;
+      auto first = walking;
+      for (unsigned j = 0; j < wi; ++j) {
+        first = _mm512_mask_cmpneq_epi64_mask(first, group[j], w_idx);
+      }
+      touched = _mm512_mask_add_epi64(touched, first, touched, one);
+      bits = _mm512_mask_add_epi64(bits, walking, bits, word_bits);
+      __m512i w = zero;
+      if constexpr (kLimbs == 1) {
+        w = _mm512_mask_i64gather_epi64(zero, valid, w_idx, limbs, 8);
+      }
+      auto alive = walking;
+      unsigned group_fail = 0;
+      for (unsigned d = der.positions_in(wi); d > 0; --d, pos += rec.stride) {
+        __m512i p = _mm512_maskz_cvtepu16_epi64(
+            valid, _mm_maskz_loadu_epi16(valid, pos));
+        if constexpr (kLimbs > 1) {
+          const __m512i limb = _mm512_add_epi64(
+              _mm512_mullo_epi64(w_idx, _mm512_set1_epi64(kLimbs)),
+              _mm512_maskz_srli_epi64(kAllLanes, p, 6));
+          w = _mm512_mask_i64gather_epi64(zero, valid, limb, limbs, 8);
+          p = _mm512_maskz_and_epi64(kAllLanes, p, _mm512_set1_epi64(63));
+        }
+        const __mmask8 fail = _mm512_mask_testn_epi64_mask(
+            valid, _mm512_maskz_srlv_epi64(kAllLanes, w, p), one);
+        bits = _mm512_mask_add_epi64(bits, alive, bits, pos_bits);
+        if (short_circuit) alive = static_cast<__mmask8>(alive & ~fail);
+        group_fail |= fail;
+      }
+      any_fail |= group_fail;
+      if (short_circuit) walking = static_cast<__mmask8>(walking & ~group_fail);
+    }
+    auto positive = static_cast<__mmask8>(valid & ~any_fail);
+    for (unsigned failed = valid & any_fail; failed != 0;
+         failed &= failed - 1) {
+      const auto lane = static_cast<unsigned>(std::countr_zero(failed));
+      if (rescue(i + lane, rec.word[i + lane])) {
+        positive = static_cast<__mmask8>(positive | 1u << lane);
+      }
+    }
+    _mm_mask_storeu_epi8(out + i, valid, _mm_maskz_set1_epi8(positive, 1));
+    tally.positives += static_cast<unsigned>(std::popcount(positive));
+    all_words = _mm512_add_epi64(all_words, touched);
+    all_bits = _mm512_add_epi64(all_bits, bits);
+    positive_words = _mm512_mask_add_epi64(positive_words, positive,
+                                           positive_words, touched);
+    positive_bits =
+        _mm512_mask_add_epi64(positive_bits, positive, positive_bits, bits);
+  }
+  tally.keys += count;
+  tally.all_words += lane_sum(all_words);
+  tally.all_bits += lane_sum(all_bits);
+  tally.positive_words += lane_sum(positive_words);
+  tally.positive_bits += lane_sum(positive_bits);
+}
+#endif
+
 /// query_batch over more than one key: derive → gather → resolve, one
-/// chunk of up to kQueryChunk keys at a time.
+/// chunk of up to kQueryChunk keys at a time, into one draw-major record
+/// whose stride is the chunk size.
 template <class Storage, class Key, class Rescue>
 void query_chunks(const Storage& store, const TargetDeriver& der,
                   bool short_circuit, std::span<const Key> keys,
                   std::uint64_t seed, std::span<std::uint8_t> out,
                   metrics::AccessStats& stats, Rescue& rescue) {
   const unsigned g = der.g();
-  const unsigned per_key = der.total_positions();
-  const unsigned word_bits = der.word_bits();
-  const unsigned pos_bits = der.pos_bits();
-  const std::size_t chunk = std::min(
-      {kQueryChunk, kQueryWordSlots / g, kQueryPositionSlots / per_key});
+  const std::size_t chunk =
+      std::min({kQueryChunk, kQueryWordSlots / g,
+                kQueryPositionSlots / der.total_positions()});
   std::array<std::size_t, kQueryWordSlots> group_words;
   std::array<std::uint16_t, kQueryPositionSlots> positions;
-  std::uint64_t positives = 0;
-  std::uint64_t positive_words = 0;
-  std::uint64_t positive_bits = 0;
-  std::uint64_t all_words = 0;
-  std::uint64_t all_bits = 0;
+  const DrawBlock rec{group_words.data(), positions.data(), chunk};
+  QueryTally tally;
   for (std::size_t base = 0; base < keys.size(); base += chunk) {
     const std::size_t count = std::min(chunk, keys.size() - base);
     const bool timed = stats.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
 
-    // Keys arrive in order and each in the canonical order, so the
-    // records fill front to back: key i's words at i * g, its positions
-    // at i * per_key.
-    std::size_t* next_word = group_words.data();
-    std::uint16_t* next_pos = positions.data();
-    derive_chunk(
-        der, keys.subspan(base, count), seed,
-        [&](std::size_t, unsigned, std::size_t w) { *next_word++ = w; },
-        [&](std::size_t, unsigned, unsigned p) {
-          *next_pos++ = static_cast<std::uint16_t>(p);
-        });
+    derive_chunk(der, keys.subspan(base, count), seed, rec);
 
     std::uint64_t loaded = 0;
-    for (std::size_t j = 0; j < count * g; ++j) {
-      loaded += store.gather(group_words[j]);
+    for (unsigned wi = 0; wi < g; ++wi) {
+      const std::size_t* row = rec.word + wi * chunk;
+      for (std::size_t i = 0; i < count; ++i) loaded += store.gather(row[i]);
     }
     keep_loads(loaded);
 
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t* word = &group_words[i * g];
-      const std::uint16_t* pos = &positions[i * per_key];
-      std::uint32_t any_fail = 0;
-      // All ones while the lazy walk would still be running: under
-      // short_circuit it stops after the first failing group.
-      unsigned walking = ~0u;
-      unsigned touched = 0;
-      unsigned bits = 0;
-      for (unsigned wi = 0; wi < g; ++wi) {
-        const unsigned kw = der.positions_in(wi);
-        const std::uint32_t fail = fail_mask(store.word(word[wi]), pos, kw);
-        pos += kw;
-        const unsigned consumed =
-            short_circuit && fail != 0
-                ? static_cast<unsigned>(std::countr_zero(fail)) + 1
-                : kw;
-        touched += first_visit(word, wi) & walking;
-        bits += (word_bits + consumed * pos_bits) & walking;
-        if (short_circuit) walking &= fail == 0 ? ~0u : 0u;
-        any_fail |= fail;
-      }
-      bool positive = any_fail == 0;
-      if (!positive) positive = rescue(base + i, word[0]);
-      out[base + i] = positive ? 1 : 0;
-      const std::uint64_t hit = positive ? 1 : 0;
-      positives += hit;
-      positive_words += touched * hit;
-      positive_bits += bits * hit;
-      all_words += touched;
-      all_bits += bits;
+    const auto chunk_rescue = [&](std::size_t i, std::size_t first_word) {
+      return rescue(base + i, first_word);
+    };
+#if MPCBF_ENGINE_HAVE_X8
+    if (der.x8()) {
+      resolve_x8(store, der, short_circuit, rec, count, out.data() + base,
+                 tally, chunk_rescue);
+    } else
+#endif
+    {
+      resolve_scalar(store, der, short_circuit, rec, count, out.data() + base,
+                     tally, chunk_rescue);
     }
 
     if (timed) stats.record_batch_latency((metrics::now_ns() - t0) / count);
   }
-  stats.record_n(metrics::OpClass::kQueryPositive, positives, positive_words,
-                 positive_bits);
-  stats.record_n(metrics::OpClass::kQueryNegative, keys.size() - positives,
-                 all_words - positive_words, all_bits - positive_bits);
+  tally.publish(stats);
 }
 
 /// The one query path, batch and scalar, over plain storage. Per chunk:
-///   1. derive each key into a compact record — its g group words and
-///      its positions, in derivation order;
+///   1. derive the keys into a draw-major record (derive_chunk): row wi
+///      holds every key's group-wi word, row d every key's d-th
+///      position;
 ///   2. gather the chunk's group words (see batch_pipeline);
-///   3. resolve each key: per group, one loaded word and a fail mask
-///      whose bit i is set when the group's i-th position reads 0. The
-///      verdict is that no group fails.
+///   3. resolve: per key and group, one loaded word and a fail mask
+///      whose bit j is set when the group's j-th position reads 0; the
+///      verdict is that no group fails. Where der.x8(), eight keys per
+///      step in vector lanes (resolve_x8), else one at a time
+///      (resolve_scalar); both give the same verdicts and tallies.
 /// A one-key call runs the lazy walk these phases replay (query_one);
 /// the dispatch is inlined, so it never enters the batch body, whose
 /// 4 KiB of record buffers cost a one-key call about 10 ns.

@@ -269,6 +269,159 @@ TEST(MpcbfBatchParity, ShapeWithoutSchedule) {
   run_mpcbf_parity<256>(cfg, 403, 623, 17, 17);
 }
 
+// --- eight keys per step, every shape and batch size ----------------------
+
+// Batch sizes of the sliced runs below: every tail length of an
+// eight-key step (2-17) and one short of, past and well past a 64-key
+// query chunk.
+const std::vector<std::size_t> kSliceSizes = {2,  3,  4,  5,  6,  7,  8,
+                                              9,  10, 11, 12, 13, 14, 15,
+                                              16, 17, 63, 65, 129};
+
+// Calls op(first, count) over [0, n) in consecutive slices whose sizes
+// cycle through kSliceSizes.
+template <class Op>
+void for_each_slice(std::size_t n, Op&& op) {
+  std::size_t next = 0;
+  for (std::size_t at = 0; at < n;) {
+    const std::size_t count = std::min(kSliceSizes[next], n - at);
+    op(at, count);
+    at += count;
+    next = (next + 1) % kSliceSizes.size();
+  }
+}
+
+// The smallest n_max that leaves the shape a draw schedule (so a CPU
+// with AVX-512 hashes, draws and resolves eight keys per step); 0 if
+// none does.
+template <unsigned W>
+unsigned scheduled_n_max(std::size_t words, unsigned k, unsigned g) {
+  for (const unsigned n_max : {4u, 6u, 8u, 12u, 16u, 24u, 32u, 48u, 64u}) {
+    MpcbfConfig cfg = parity_config(words, W, k, g, n_max,
+                                    OverflowPolicy::kStash);
+    const unsigned per_word = (k + g - 1) / g;
+    if (per_word * n_max + 2 > W) break;
+    if (mpcbf::core::engine::TargetDeriver(
+            words, k, g, Mpcbf<W>::layout_for(cfg).b1)
+            .has_schedule()) {
+      return n_max;
+    }
+  }
+  return 0;
+}
+
+// run_mpcbf_parity, with every batch call cut into kSliceSizes slices,
+// through the `Key` overloads (std::string or std::string_view), on
+// keys of one length (`mixed` false: 17 bytes, so every group of eight
+// takes the eight-key derive) or of 16-18 bytes in turn.
+template <unsigned W, class Key>
+void run_sliced_parity(const MpcbfConfig& cfg, std::size_t n_keys,
+                       std::uint64_t seed, bool mixed) {
+  const auto lengthen = [&](std::vector<std::string> v) {
+    if (mixed) {
+      for (std::size_t i = 0; i < v.size(); ++i) v[i].append(i % 3, 'x');
+    }
+    return v;
+  };
+  const auto keys =
+      lengthen(generate_unique_strings(n_keys, mixed ? 16 : 17, seed));
+  const auto probes =
+      lengthen(generate_unique_strings(n_keys, mixed ? 16 : 17, seed + 1));
+  Mpcbf<W> scalar_f(cfg);
+  Mpcbf<W> batch_f(cfg);
+
+  // Runs one phase: a scalar loop on scalar_f, sliced batch calls on
+  // batch_f, then compares results and full state.
+  const auto phase = [&](const std::vector<std::string>& list, auto scalar_op,
+                         auto batch_op) {
+    const std::vector<Key> typed(list.begin(), list.end());
+    std::vector<std::uint8_t> want(list.size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      want[i] = scalar_op(list[i]) ? 1 : 0;
+    }
+    std::vector<std::uint8_t> got(list.size(), 0xFF);
+    for_each_slice(list.size(), [&](std::size_t at, std::size_t count) {
+      batch_op(std::span<const Key>(typed.data() + at, count),
+               std::span<std::uint8_t>(got.data() + at, count));
+    });
+    ASSERT_EQ(want, got);
+    expect_same_state(scalar_f, batch_f);
+  };
+
+  std::vector<std::string> inserts;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    inserts.push_back(keys[i]);
+    if (i % 5 == 0) inserts.push_back(keys[i]);
+  }
+  phase(
+      inserts, [&](const std::string& k) { return scalar_f.insert(k); },
+      [&](auto ks, auto ok) { batch_f.insert_batch(ks, ok); });
+  if (::testing::Test::HasFatalFailure()) return;
+  phase(
+      mixed_workload(keys, probes),
+      [&](const std::string& k) { return scalar_f.contains(k); },
+      [&](auto ks, auto out) { batch_f.contains_batch(ks, out); });
+  if (::testing::Test::HasFatalFailure()) return;
+  std::vector<std::string> erases;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    erases.push_back(keys[i]);
+    if (i % 7 == 0) erases.push_back(keys[i]);
+    if (i % 3 == 0) erases.push_back(probes[i]);
+  }
+  phase(
+      erases, [&](const std::string& k) { return scalar_f.erase(k); },
+      [&](auto ks, auto ok) { batch_f.erase_batch(ks, ok); });
+  EXPECT_TRUE(batch_f.validate());
+}
+
+// One width: g = 1..4 (k = 3; 5 = 3 + 2; 7 = 3 + 3 + 1; 6 = 2 + 2 + 2 +
+// 0, whose last group draws a word and no position), short circuit on
+// and off, the stash-heavy 16-word filter and a roomy 1024-word one,
+// keys of one length and of mixed lengths, both key types. Every shape
+// has a draw schedule, so on an AVX-512 CPU each batch runs the
+// eight-key derive and resolve; elsewhere the same calls check the
+// scalar fallback.
+template <unsigned W>
+void sweep_eight_lane_parity() {
+  std::uint64_t seed = 900 + W;
+  std::size_t stashed = 0;
+  for (const auto& [g, k] : {std::pair{1u, 3u}, std::pair{2u, 5u},
+                             std::pair{3u, 7u}, std::pair{4u, 6u}}) {
+    for (const std::size_t words : {std::size_t{16}, std::size_t{1024}}) {
+      const unsigned n_max = scheduled_n_max<W>(words, k, g);
+      ASSERT_NE(n_max, 0u) << "W=" << W << " g=" << g;
+      for (const bool sc : {true, false}) {
+        for (const bool mixed : {false, true}) {
+          MpcbfConfig cfg =
+              parity_config(words, W, k, g, n_max, OverflowPolicy::kStash);
+          cfg.short_circuit = sc;
+          SCOPED_TRACE("W=" + std::to_string(W) + " g=" + std::to_string(g) +
+                       " words=" + std::to_string(words) +
+                       " n_max=" + std::to_string(n_max) +
+                       " sc=" + std::to_string(sc) +
+                       " mixed=" + std::to_string(mixed));
+          const std::size_t n_keys = words == 16 ? 300 : 600;
+          run_sliced_parity<W, std::string>(cfg, n_keys, seed, mixed);
+          run_sliced_parity<W, std::string_view>(cfg, n_keys, seed + 1,
+                                                 mixed);
+          if (::testing::Test::HasFatalFailure()) return;
+          Mpcbf<W> probe(cfg);
+          for (const auto& key : generate_unique_strings(n_keys, 17, seed)) {
+            (void)probe.insert(key);
+          }
+          stashed += probe.stash_size();
+          seed += 2;
+        }
+      }
+    }
+  }
+  EXPECT_GT(stashed, 0u) << "the 16-word filters must overflow into the stash";
+}
+
+TEST(MpcbfBatchParity, EightLaneSweepW64) { sweep_eight_lane_parity<64>(); }
+TEST(MpcbfBatchParity, EightLaneSweepW128) { sweep_eight_lane_parity<128>(); }
+TEST(MpcbfBatchParity, EightLaneSweepW256) { sweep_eight_lane_parity<256>(); }
+
 TEST(MpcbfBatchParity, StringViewOverloadsMatchStringOverloads) {
   const auto keys = generate_unique_strings(200, 6, 615);
   const std::vector<std::string_view> views(keys.begin(), keys.end());

@@ -404,6 +404,36 @@ TEST(DurableElasticMpcbf, SnapshotThenMoreWritesThenRecover) {
   for (const auto& k : second) EXPECT_TRUE(recovered.contains(k));
 }
 
+TEST(DurableElasticMpcbf, DrainThatCannotMergeJournalsNothing) {
+  // Two buckets and at most three segments: segment 0 saturates, gives
+  // both buckets away and goes cold, then the two live segments fill up
+  // too, so merging segment 0 into either would overflow a word. An idle
+  // primary's drain passes must then append no record: next_seq and the
+  // topology stay put, and the chain still recovers as it was.
+  TempDir tmp("nodrain");
+  auto cfg = small_cfg(1);
+  cfg.max_segments = 3;
+  std::string topo_before;
+  {
+    DurableElasticMpcbf<64> d(tmp.path(), cfg);
+    for (const auto& k : keys(3000)) d.insert(k);
+    const auto step = d.filter().compaction_candidate();
+    ASSERT_TRUE(step.has_value()) << "want a cold segment";
+    ASSERT_FALSE(d.filter().retire_fits(*step))
+        << "want a merge that overflows";
+    const std::uint64_t seq = d.next_seq();
+    topo_before = d.filter().topology_bytes();
+    for (int pass = 0; pass < 5; ++pass) {
+      EXPECT_FALSE(d.compact_once().has_value());
+      EXPECT_EQ(d.next_seq(), seq) << "pass " << pass;
+    }
+    EXPECT_EQ(d.filter().topology_bytes(), topo_before);
+    EXPECT_EQ(d.filter().retires(), 0u);
+  }
+  const auto recovered = DurableElasticMpcbf<64>::recover(tmp.path(), &cfg);
+  EXPECT_EQ(recovered.topology_bytes(), topo_before);
+}
+
 TEST(DurableElasticMpcbf, ReopenRejectsMismatchedSegmentShape) {
   TempDir tmp("reshape");
   {

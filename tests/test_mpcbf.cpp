@@ -220,9 +220,20 @@ TEST(Mpcbf, StashSummaryNeverHidesAStashedKey) {
   ASSERT_TRUE(merged.merge(f));
   EXPECT_TRUE(all_positive(merged));
 
+  // Erase consults the summary too, and still takes a stashed copy
+  // before the words: scalar erases and one erase_batch each empty the
+  // stash and the words with no underflow.
+  const auto erased_all = [&](const Mpcbf<64>& filter) {
+    return filter.stash_size() == 0 && filter.size() == 0 &&
+           filter.total_hierarchy_bits() == 0 &&
+           filter.underflow_events() == 0;
+  };
   for (const auto& k : keys) ASSERT_TRUE(f.erase(k));
-  EXPECT_EQ(f.stash_size(), 0u);
-  EXPECT_EQ(f.size(), 0u);
+  EXPECT_TRUE(erased_all(f));
+  std::vector<std::uint8_t> ok(keys.size());
+  merged.erase_batch(keys, ok);
+  EXPECT_EQ(ok, std::vector<std::uint8_t>(keys.size(), 1));
+  EXPECT_TRUE(erased_all(merged));
 }
 
 TEST(Mpcbf, ClearResetsEverything) {

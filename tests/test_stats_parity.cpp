@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/mpcbf.hpp"
@@ -220,6 +221,110 @@ TEST(StatsParity, SweepWidthsGroupsAndShortCircuit) {
   sweep_width<256>(cov);
   EXPECT_GT(cov.colliding_groups, 0u);
   EXPECT_GT(cov.duplicate_positions, 0u);
+  EXPECT_GT(cov.positives, 0u);
+  EXPECT_GT(cov.negatives, 0u);
+  EXPECT_GT(cov.stashed_cases, 0u);
+}
+
+// The eight-lane resolve against the reference walk: queries cut into
+// batches of every tail length of an eight-key step (2-17) and of one
+// short of, past and well past a 64-key chunk, through both key types,
+// on keys of one length (17 bytes: every group of eight takes the
+// eight-key derive) and of mixed lengths. Verdicts and per-class
+// accounting must match the reference summed over the same queries.
+template <unsigned W, class Key>
+void check_slices_against_reference(const MpcbfConfig& cfg,
+                                    const std::vector<std::string>& keys,
+                                    const std::vector<std::string>& queries,
+                                    Coverage& cov) {
+  static const std::vector<std::size_t> kSizes = {
+      2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 63, 65, 129};
+  Mpcbf<W> f(cfg);
+  for (const auto& k : keys) (void)f.insert(k);
+  AccessStats ref_stats;
+  std::vector<std::uint8_t> ref_out(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ref_out[i] = reference_contains(f, cfg.short_circuit, queries[i],
+                                    ref_stats);
+  }
+  f.reset_stats();
+  const std::vector<Key> typed(queries.begin(), queries.end());
+  std::vector<std::uint8_t> out(queries.size(), 0xFF);
+  std::size_t next = 0;
+  for (std::size_t at = 0; at < typed.size();) {
+    const std::size_t n = std::min(kSizes[next], typed.size() - at);
+    f.contains_batch(std::span<const Key>(typed.data() + at, n),
+                     std::span<std::uint8_t>(out.data() + at, n));
+    at += n;
+    next = (next + 1) % kSizes.size();
+  }
+  EXPECT_EQ(ref_out, out);
+  expect_same_accounting(ref_stats, f.stats());
+  for (const auto v : ref_out) ++(v != 0 ? cov.positives : cov.negatives);
+  if (f.stash_size() > 0) ++cov.stashed_cases;
+}
+
+TEST(StatsParity, EightLaneBatchSizesMatchTheReference) {
+  // g = 1..4 (k = 3; 3 + 2; 3 + 3 + 1; 2 + 2 + 2 + 0) on every width,
+  // short circuit on and off, a crowded 8-word filter (group words
+  // collide, keys overflow into the stash and are rescued) with about
+  // 16 level-1 bits per word so that positions repeat and every shape
+  // keeps its draw schedule. The coverage counts check that the sweep
+  // really rescued stashed keys and saw both verdicts.
+  std::uint64_t seed = 1300;
+  Coverage cov;
+  const auto run = [&](auto width) {
+    constexpr unsigned W = decltype(width)::value;
+    for (const auto& [g, k] : {std::pair{1u, 3u}, std::pair{2u, 5u},
+                               std::pair{3u, 7u}, std::pair{4u, 6u}}) {
+      for (const bool sc : {true, false}) {
+        for (const bool mixed : {false, true}) {
+          MpcbfConfig cfg;
+          cfg.memory_bits = 8 * W;
+          cfg.k = k;
+          cfg.g = g;
+          cfg.policy = OverflowPolicy::kStash;
+          cfg.short_circuit = sc;
+          // The largest n_max (so at most 16 level-1 bits) that keeps a
+          // draw schedule.
+          const unsigned per_word = (k + g - 1) / g;
+          for (cfg.n_max = (W - 16 + per_word - 1) / per_word;
+               cfg.n_max > 0; --cfg.n_max) {
+            if (mpcbf::core::engine::TargetDeriver(
+                    8, k, g, Mpcbf<W>::layout_for(cfg).b1)
+                    .has_schedule()) {
+              break;
+            }
+          }
+          SCOPED_TRACE("W=" + std::to_string(W) + " g=" + std::to_string(g) +
+                       " n_max=" + std::to_string(cfg.n_max) +
+                       " sc=" + std::to_string(sc) +
+                       " mixed=" + std::to_string(mixed));
+          ASSERT_GT(cfg.n_max, 0u);
+          auto keys = generate_unique_strings(150, mixed ? 16 : 17, seed);
+          auto probes =
+              generate_unique_strings(150, mixed ? 16 : 17, seed + 1);
+          std::vector<std::string> queries;
+          for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (mixed) {
+              keys[i].append(i % 3, 'x');
+              probes[i].append((i + 1) % 3, 'y');
+            }
+            queries.push_back(keys[i]);
+            queries.push_back(probes[i]);
+          }
+          check_slices_against_reference<W, std::string>(cfg, keys, queries,
+                                                         cov);
+          check_slices_against_reference<W, std::string_view>(cfg, keys,
+                                                              queries, cov);
+          seed += 2;
+        }
+      }
+    }
+  };
+  run(std::integral_constant<unsigned, 64>{});
+  run(std::integral_constant<unsigned, 128>{});
+  run(std::integral_constant<unsigned, 256>{});
   EXPECT_GT(cov.positives, 0u);
   EXPECT_GT(cov.negatives, 0u);
   EXPECT_GT(cov.stashed_cases, 0u);

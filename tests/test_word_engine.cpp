@@ -182,14 +182,41 @@ TEST(WordEngine, ScheduleCoversTheBenchmarkShapes) {
                    .has_schedule());
 }
 
-TEST(WordEngine, DeriveBlockMatchesTheStreamOnEveryScheduledShape) {
+// Key `lane`'s draws out of a draw-major block, as stream_draws lists
+// them.
+Draws block_draws(const engine::TargetDeriver& d, const engine::DrawBlock& b,
+                  std::size_t lane) {
+  Draws out;
+  const std::uint16_t* pos = b.pos + lane;
+  for (unsigned wi = 0; wi < d.g(); ++wi) {
+    out.emplace_back(wi, b.word[wi * b.stride + lane]);
+    for (unsigned i = d.positions_in(wi); i > 0; --i, pos += b.stride) {
+      out.emplace_back(wi + 100, *pos);
+    }
+  }
+  return out;
+}
+
+// A draw-major block with room for `keys` keys of any shape.
+struct BlockBuffers {
+  explicit BlockBuffers(std::size_t keys)
+      : word(keys * engine::kMaxG), pos(keys * engine::kMaxPositions),
+        block{word.data(), pos.data(), keys} {}
+  std::vector<std::size_t> word;
+  std::vector<std::uint16_t> pos;
+  engine::DrawBlock block;
+};
+
+TEST(WordEngine, ScheduledDrawsMatchTheStreamOnEveryShape) {
   // A grid of word counts (power of two or not, bound 1 included), k,
-  // g and b1: wherever the deriver has a schedule, deriving from the
-  // key's first hash block gives the stream's draws. Shapes that need a
+  // g and b1: wherever the deriver has a schedule, eight keys of one
+  // length drawn from their first hash blocks (eight lanes at once where
+  // the CPU has AVX-512) give the stream's draws. Shapes that need a
   // second block or a product wider than 64 bits have none.
   mpcbf::util::SplitMix64 rng(0xB10C);
   unsigned scheduled = 0;
   unsigned refused = 0;
+  BlockBuffers buffers(8);
   for (const std::size_t l :
        {std::size_t{1}, std::size_t{3}, std::size_t{16}, std::size_t{1000},
         std::size_t{1} << 20, (std::size_t{1} << 27) + 5,
@@ -203,16 +230,18 @@ TEST(WordEngine, DeriveBlockMatchesTheStreamOnEveryScheduledShape) {
             continue;
           }
           ++scheduled;
-          for (int round = 0; round < 20; ++round) {
+          for (int round = 0; round < 3; ++round) {
             const std::uint64_t seed = rng.next();
-            const std::string key = random_key(rng, rng.next() % 65);
-            Draws got;
-            d.derive_block(
-                mpcbf::hash::murmur3_128(key, seed),
-                [&](unsigned wi, std::size_t w) { got.emplace_back(wi, w); },
-                [&](unsigned wi, unsigned p) { got.emplace_back(wi + 100, p); });
-            ASSERT_EQ(got, stream_draws(d, key, seed))
-                << "l=" << l << " k=" << k << " g=" << g << " b1=" << b1;
+            const std::size_t len = rng.next() % 65;
+            std::vector<std::string> keys;
+            for (int j = 0; j < 8; ++j) keys.push_back(random_key(rng, len));
+            engine::derive_chunk(d, std::span<const std::string>(keys), seed,
+                                 buffers.block);
+            for (std::size_t j = 0; j < keys.size(); ++j) {
+              ASSERT_EQ(block_draws(d, buffers.block, j),
+                        stream_draws(d, keys[j], seed))
+                  << "l=" << l << " k=" << k << " g=" << g << " b1=" << b1;
+            }
           }
         }
       }
@@ -222,7 +251,7 @@ TEST(WordEngine, DeriveBlockMatchesTheStreamOnEveryScheduledShape) {
   EXPECT_GT(refused, 10u);
 }
 
-TEST(WordEngine, DeriveChunkEmitsTheScalarDrawsInKeyOrder) {
+TEST(WordEngine, DeriveChunkEmitsTheScalarDraws) {
   // Groups of eight equal lengths (the x8 path where the CPU has it),
   // mixed-length groups, and a tail that is not a multiple of eight, on
   // a scheduled shape and on one that needs a second hash block. On a
@@ -234,25 +263,17 @@ TEST(WordEngine, DeriveChunkEmitsTheScalarDrawsInKeyOrder) {
     for (int i = 0; i < 8; ++i) keys.push_back(random_key(rng, len));
   }
   for (int i = 0; i < 27; ++i) keys.push_back(random_key(rng, 16 + i % 3));
+  BlockBuffers buffers(keys.size());
   for (const auto& d : {engine::TargetDeriver(std::size_t{1} << 27, 3, 1, 52),
                         engine::TargetDeriver(1000, 5, 2, 40),
                         engine::TargetDeriver(1024, 8, 1, 8191)}) {
     const std::uint64_t seed = rng.next();
-    std::vector<Draws> got(keys.size());
-    std::size_t last = 0;
-    engine::derive_chunk(
-        d, std::span<const std::string>(keys), seed,
-        [&](std::size_t i, unsigned wi, std::size_t w) {
-          ASSERT_GE(i, last);
-          last = i;
-          got[i].emplace_back(wi, w);
-        },
-        [&](std::size_t i, unsigned wi, unsigned p) {
-          ASSERT_EQ(i, last);
-          got[i].emplace_back(wi + 100, p);
-        });
+    engine::derive_chunk(d, std::span<const std::string>(keys), seed,
+                         buffers.block);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(got[i], stream_draws(d, keys[i], seed)) << "key " << i;
+      ASSERT_EQ(block_draws(d, buffers.block, i),
+                stream_draws(d, keys[i], seed))
+          << "key " << i;
     }
     // derive_targets: the same draws, plus derive_all's word count.
     std::vector<engine::Targets> t(keys.size());
@@ -546,6 +567,95 @@ TEST(WordEngine, GatherReadsEveryLimbBoundaryOfTheWord) {
   narrow.init(2);
   narrow.words()[1].set_limb(0, 0x40);
   EXPECT_NE(narrow.gather(1), 0u);
+}
+
+// --- eight-lane resolve -------------------------------------------------
+
+// Resolves `count` keys' records with resolve_scalar and resolve_x8 on
+// the same words and checks that verdicts and tallies agree, a rescue
+// deciding every third rejected key.
+template <unsigned W>
+void expect_resolves_agree(const engine::PlainWords<W>& store,
+                           const engine::TargetDeriver& d, bool sc,
+                           const engine::DrawBlock& rec, std::size_t count,
+                           std::size_t& rejected) {
+#if MPCBF_ENGINE_HAVE_X8
+  const auto rescue = [](std::size_t i, std::size_t first_word) {
+    return (i + first_word) % 3 == 0;
+  };
+  std::vector<std::uint8_t> scalar_out(count + 1, 0xAA);
+  std::vector<std::uint8_t> x8_out(count + 1, 0xAA);
+  engine::QueryTally scalar_tally;
+  engine::QueryTally x8_tally;
+  engine::resolve_scalar(store, d, sc, rec, count, scalar_out.data(),
+                         scalar_tally, rescue);
+  engine::resolve_x8(store, d, sc, rec, count, x8_out.data(), x8_tally,
+                     rescue);
+  ASSERT_EQ(scalar_out, x8_out);  // includes the untouched byte past count
+  EXPECT_EQ(scalar_tally.keys, x8_tally.keys);
+  EXPECT_EQ(scalar_tally.positives, x8_tally.positives);
+  EXPECT_EQ(scalar_tally.positive_words, x8_tally.positive_words);
+  EXPECT_EQ(scalar_tally.positive_bits, x8_tally.positive_bits);
+  EXPECT_EQ(scalar_tally.all_words, x8_tally.all_words);
+  EXPECT_EQ(scalar_tally.all_bits, x8_tally.all_bits);
+  rejected += count - scalar_tally.positives;
+#else
+  (void)store, (void)d, (void)sc, (void)rec, (void)count, (void)rejected;
+#endif
+}
+
+template <unsigned W>
+void resolve_sweep(mpcbf::util::SplitMix64& rng, std::size_t& rejected) {
+  // 16 words, so group words collide; three quarters of the bits set,
+  // so keys fail at every position and pass as well.
+  engine::PlainWords<W> store;
+  store.init(16);
+  for (auto& w : store.words()) {
+    for (unsigned j = 0; j < w.kLimbs; ++j) {
+      w.set_limb(j, rng.next() | rng.next());
+    }
+  }
+  const unsigned b1 = W - 8;
+  for (const auto& [k, g] : {std::pair{3u, 1u}, std::pair{5u, 2u},
+                             std::pair{7u, 3u}, std::pair{6u, 4u},
+                             std::pair{4u, 3u}}) {
+    const engine::TargetDeriver d(store.size(), k, g, b1);
+    for (const std::size_t count :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
+          std::size_t{9}, std::size_t{15}, std::size_t{17}, std::size_t{25},
+          std::size_t{63}, std::size_t{64}}) {
+      std::vector<std::string> keys;
+      for (std::size_t i = 0; i < count; ++i) {
+        keys.push_back(random_key(rng, 17));
+      }
+      BlockBuffers buffers(count);
+      engine::derive_chunk(d, std::span<const std::string>(keys), rng.next(),
+                           buffers.block);
+      for (const bool sc : {true, false}) {
+        SCOPED_TRACE("W=" + std::to_string(W) + " k=" + std::to_string(k) +
+                     " g=" + std::to_string(g) +
+                     " count=" + std::to_string(count) +
+                     " sc=" + std::to_string(sc));
+        expect_resolves_agree(store, d, sc, buffers.block, count, rejected);
+      }
+    }
+  }
+}
+
+TEST(WordEngine, EightLaneResolveMatchesTheScalarResolve) {
+  // Verdicts, the bytes past the last key, and every tally, for word
+  // widths of one, two and four limbs, g = 1..4 (k = 7 split 3 + 3 + 1,
+  // k = 4 split 2 + 2 + 0), short circuit on and off, and chunk sizes
+  // with and without a tail of count % 8 keys.
+  if (!mpcbf::hash::murmur3_128_x8_available()) {
+    GTEST_SKIP() << "this CPU has no AVX-512; the batch runs resolve_scalar";
+  }
+  mpcbf::util::SplitMix64 rng(0x8A7E);
+  std::size_t rejected = 0;
+  resolve_sweep<64>(rng, rejected);
+  resolve_sweep<128>(rng, rejected);
+  resolve_sweep<256>(rng, rejected);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- default seed constant ----------------------------------------------
