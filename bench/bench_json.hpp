@@ -11,9 +11,9 @@
 // cells emitted as JSON numbers). Environment metadata — git sha, peak
 // RSS, wall-clock — is captured automatically at write() time.
 //
-// Output directory: $MPCBF_JSON_DIR when set, else results/json
-// (relative to the working directory; scripts/run_all.sh runs harnesses
-// from the repo root).
+// Output directory: $MPCBF_JSON_DIR when set, else the directory of the
+// running executable, so a bench run from a checkout never rewrites its
+// committed results/json/. scripts/run_all.sh and CI set the variable.
 #pragma once
 
 #include <sys/resource.h>
@@ -155,15 +155,18 @@ class JsonReport {
     tables_.emplace_back(table_name, std::move(json));
   }
 
-  /// Writes results/json/BENCH_<name>.json (or $MPCBF_JSON_DIR); creates
-  /// the directory, returns false (and warns on stderr) on I/O failure —
-  /// a bench must not abort because telemetry could not be written.
+  /// Writes BENCH_<name>.json into $MPCBF_JSON_DIR, else beside the
+  /// executable; creates the directory, returns false (and warns on
+  /// stderr) on I/O failure — a bench must not abort because telemetry
+  /// could not be written.
   bool write() const {
     namespace fs = std::filesystem;
-    const char* env_dir = std::getenv("MPCBF_JSON_DIR");
-    const fs::path dir = env_dir != nullptr ? fs::path(env_dir)
-                                            : fs::path("results/json");
     std::error_code ec;
+    const char* env_dir = std::getenv("MPCBF_JSON_DIR");
+    const fs::path dir =
+        env_dir != nullptr
+            ? fs::path(env_dir)
+            : fs::read_symlink("/proc/self/exe", ec).parent_path();
     fs::create_directories(dir, ec);
     const fs::path path = dir / ("BENCH_" + name_ + ".json");
     std::ofstream out(path);

@@ -10,10 +10,12 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/hcbf.hpp"
@@ -265,6 +267,118 @@ void BM_MPCBF1_InsertBatch_DRAM(benchmark::State& state) {
 
 BENCHMARK(BM_MPCBF1_QueryBatch_DRAM);
 BENCHMARK(BM_MPCBF1_InsertBatch_DRAM);
+
+// --- DRAM-resident calls of the perfbench shape ---------------------------
+//
+// 64-key calls on the same 512 MiB filter, as perfbench's filter-dram
+// churn makes them. Keys are built kBatchLen at a time (timing paused)
+// and spent 64 per timed call, so consecutive calls touch cold words
+// while one call's keys stay cache-resident, as a decoded batch's are.
+// Values are ns per call of 64 keys.
+constexpr std::size_t kDramCallLen = 64;
+
+/// `tag` and `i` as 17 bytes: the tag, then i in 16 zero-padded digits.
+void dram_key17(char tag, std::uint64_t i, std::string& out) {
+  char buf[18];
+  std::snprintf(buf, sizeof buf, "%c%016llu", tag,
+                static_cast<unsigned long long>(i));
+  out.assign(buf, 17);
+}
+
+/// dram_filter() plus kDramPreload / 2 members of 17 bytes (tag 'k'),
+/// added on first use.
+core::Mpcbf<64>& dram_key17_filter() {
+  static core::Mpcbf<64>& f = []() -> core::Mpcbf<64>& {
+    auto& filter = dram_filter();
+    std::vector<std::string> keys(kBatchLen);
+    std::vector<std::uint8_t> ok(kBatchLen);
+    for (std::uint64_t i = 0; i < kDramPreload / 2; i += kBatchLen) {
+      for (std::size_t j = 0; j < kBatchLen; ++j) {
+        dram_key17('k', i + j, keys[j]);
+      }
+      filter.insert_batch(keys, ok);
+    }
+    return filter;
+  }();
+  return f;
+}
+
+/// One timed `call` on the next kDramCallLen keys per iteration;
+/// `refill(keys)` rebuilds all kBatchLen keys, timing paused, once they
+/// are spent. Returns the keys and how many of them were spent.
+template <class Refill, class Call>
+std::pair<std::vector<std::string>, std::size_t> dram_call_series(
+    benchmark::State& state, Refill&& refill, Call&& call) {
+  std::vector<std::string> keys(kBatchLen);
+  std::size_t at = kBatchLen;
+  bool spent = false;
+  for (auto _ : state) {
+    if (at == kBatchLen) {
+      state.PauseTiming();
+      refill(keys, spent);
+      at = 0;
+      spent = true;
+      state.ResumeTiming();
+    }
+    call(std::span<const std::string>(&keys[at], kDramCallLen));
+    at += kDramCallLen;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDramCallLen));
+  return {std::move(keys), at};
+}
+
+// 17-byte members and fresh 17-byte misses, alternating, so every group
+// of eight keys takes the eight-key derive, and the query path prefetches
+// each group's words as soon as they are drawn.
+void BM_MPCBF1_QueryBatch_DRAM_Key17(benchmark::State& state) {
+  const auto& f = dram_key17_filter();
+  static std::uint64_t next = 0;
+  std::vector<std::uint8_t> out(kDramCallLen);
+  dram_call_series(
+      state,
+      [](std::vector<std::string>& keys, bool) {
+        for (std::size_t j = 0; j < keys.size(); ++j, ++next) {
+          if (j % 2 == 0) {
+            dram_key17('k', (next * 0x9E3779B97F4A7C15ull) % (kDramPreload / 2),
+                       keys[j]);
+          } else {
+            dram_key17('r', next, keys[j]);
+          }
+        }
+      },
+      [&](std::span<const std::string> keys) {
+        f.contains_batch(keys, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      });
+}
+
+// 64 scalar erases of live preloaded keys per call, as the churn's erase
+// calls are. The multiplier is odd, so the picks repeat no key within
+// kDramPreload picks; each spent block is re-inserted (untimed) before
+// the next one is picked, and the last one after the run.
+void BM_MPCBF1_EraseLoop_DRAM(benchmark::State& state) {
+  auto& f = dram_filter();
+  static std::uint64_t next = 0;
+  std::vector<std::uint8_t> ok(kBatchLen);
+  auto [keys, spent] = dram_call_series(
+      state,
+      [&](std::vector<std::string>& block, bool erased) {
+        if (erased) f.insert_batch(block, ok);
+        for (auto& key : block) {
+          dram_key('d', (next++ * 0x9E3779B97F4A7C15ull) % kDramPreload, key);
+        }
+      },
+      [&](std::span<const std::string> block) {
+        for (const auto& key : block) benchmark::DoNotOptimize(f.erase(key));
+      });
+  f.insert_batch(std::span<const std::string>(keys.data(), spent),
+                 std::span<std::uint8_t>(ok.data(), spent));
+}
+
+BENCHMARK(BM_MPCBF1_QueryBatch_DRAM_Key17);
+BENCHMARK(BM_MPCBF1_EraseLoop_DRAM);
 
 // --- cache-resident MPCBF-1 batch calls -----------------------------------
 //

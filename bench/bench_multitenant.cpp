@@ -17,7 +17,7 @@
 // scheduling hiccup slows one pass, not the median, and both sides of
 // each ratio share the rep's conditions.
 //
-// Telemetry goes to results/json/BENCH_multitenant.json; the ns/key
+// Telemetry goes to BENCH_multitenant.json (bench_json.hpp); the ns/key
 // series are regression-gated by scripts/bench_compare.py. Min-of-reps
 // is reported per shape (interference only adds time).
 //

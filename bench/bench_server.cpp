@@ -6,7 +6,7 @@
 // the batched protocol (docs/server.md). The acceptance gate is
 // batch-64 >= 5x the per-key throughput of batch-1.
 //
-// Telemetry goes to results/json/BENCH_server.json; the ns/key series
+// Telemetry goes to BENCH_server.json (bench_json.hpp); the ns/key series
 // are regression-gated by scripts/bench_compare.py. Min-of-reps is
 // reported (interference only adds time).
 //

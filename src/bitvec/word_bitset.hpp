@@ -33,17 +33,17 @@ class WordBitset {
 
   [[nodiscard]] constexpr bool test(unsigned i) const noexcept {
     assert(i < W);
-    return (limbs_[i >> 6] >> (i & 63)) & 1;
+    return (limbs_[limb_of(i)] >> (i & 63)) & 1;
   }
 
   constexpr void set(unsigned i) noexcept {
     assert(i < W);
-    limbs_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    limbs_[limb_of(i)] |= std::uint64_t{1} << (i & 63);
   }
 
   constexpr void clear(unsigned i) noexcept {
     assert(i < W);
-    limbs_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    limbs_[limb_of(i)] &= ~(std::uint64_t{1} << (i & 63));
   }
 
   constexpr void reset() noexcept {
@@ -54,6 +54,10 @@ class WordBitset {
   [[nodiscard]] constexpr unsigned popcount_range(unsigned lo,
                                                   unsigned hi) const noexcept {
     assert(lo <= hi && hi <= W);
+    if constexpr (kLimbs == 1) {
+      return static_cast<unsigned>(
+          std::popcount(limbs_[0] & low_bits(hi) & ~low_bits(lo)));
+    }
     if (lo == hi) return 0;
     unsigned count = 0;
     unsigned limb_lo = lo >> 6;
@@ -82,6 +86,12 @@ class WordBitset {
   /// unused before calling (capacity check happens a level up).
   constexpr void insert_zero_at(unsigned pos) noexcept {
     assert(pos < W);
+    if constexpr (kLimbs == 1) {
+      const std::uint64_t keep = low_bits(pos);
+      limbs_[0] = (limbs_[0] & keep) | ((limbs_[0] & ~keep) << 1);
+      mask_top();
+      return;
+    }
     const unsigned limb_i = pos >> 6;
     const unsigned off = pos & 63;
     // Top-down so each limb reads its lower neighbour's original bit 63.
@@ -100,6 +110,11 @@ class WordBitset {
   constexpr bool remove_bit_at(unsigned pos) noexcept {
     assert(pos < W);
     const bool removed = test(pos);
+    if constexpr (kLimbs == 1) {
+      const std::uint64_t keep = low_bits(pos);
+      limbs_[0] = (limbs_[0] & keep) | ((limbs_[0] >> 1) & ~keep);
+      return removed;
+    }
     const unsigned limb_i = pos >> 6;
     const unsigned off = pos & 63;
     const std::uint64_t keep_mask =
@@ -145,6 +160,16 @@ class WordBitset {
   }
 
  private:
+  /// The limb holding bit `i`; a one-limb word's ops index no limb.
+  static constexpr unsigned limb_of(unsigned i) noexcept {
+    return kLimbs == 1 ? 0 : i >> 6;
+  }
+
+  /// The low `n` bits set (0 <= n <= 64), with no branch or shift by 64.
+  static constexpr std::uint64_t low_bits(unsigned n) noexcept {
+    return ~(~std::uint64_t{0} << (n & 63)) | (std::uint64_t{0} - (n >> 6));
+  }
+
   constexpr void mask_top() noexcept {
     constexpr unsigned rem = W & 63;
     if constexpr (rem != 0) {

@@ -121,17 +121,17 @@ struct Hcbf {
     if (!w.test(pos)) {
       return {};
     }
+    // Most chains end at level 1: one masked popcount, a bit test and a
+    // shift-merge. A level's size is counted only when the walk descends.
     unsigned level_start = 0;
     unsigned level_size = b1;
-    unsigned p = pos;
+    unsigned abs = pos;
     unsigned depth = 1;
     unsigned extra_bits = 0;
     for (;;) {
-      const unsigned abs = level_start + p;
-      const unsigned ones_before = w.popcount_range(level_start, abs);
       const unsigned next_start = level_start + level_size;
-      const unsigned next_size = w.popcount_range(level_start, next_start);
-      const unsigned next_abs = next_start + ones_before;
+      const unsigned next_abs =
+          next_start + w.popcount_range(level_start, abs);
       if (!w.test(next_abs)) {
         // `abs` is the last 1 of the chain; drop its terminator slot and
         // flip it back to 0 (the paper's delete, Sec. III-B.1).
@@ -139,8 +139,9 @@ struct Hcbf {
         w.clear(abs);
         return {true, depth - 1, extra_bits};
       }
+      const unsigned next_size = w.popcount_range(level_start, next_start);
       extra_bits += hash::ceil_log2(next_size);
-      p = ones_before;
+      abs = next_abs;
       level_start = next_start;
       level_size = next_size;
       ++depth;
@@ -153,18 +154,16 @@ struct Hcbf {
     if (!w.test(pos)) return 0;
     unsigned level_start = 0;
     unsigned level_size = b1;
-    unsigned p = pos;
+    unsigned abs = pos;
     unsigned depth = 1;
     for (;;) {
-      const unsigned abs = level_start + p;
-      const unsigned ones_before = w.popcount_range(level_start, abs);
       const unsigned next_start = level_start + level_size;
-      const unsigned next_size = w.popcount_range(level_start, next_start);
-      const unsigned next_abs = next_start + ones_before;
+      const unsigned next_abs =
+          next_start + w.popcount_range(level_start, abs);
       if (!w.test(next_abs)) return depth;
-      p = ones_before;
+      level_size = w.popcount_range(level_start, next_start);
+      abs = next_abs;
       level_start = next_start;
-      level_size = next_size;
       ++depth;
     }
   }

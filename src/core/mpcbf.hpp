@@ -349,18 +349,15 @@ class Mpcbf {
 
   // --- batch queries ------------------------------------------------------
 
-  /// Membership for a batch of keys through the engine's derive → gather
-  /// → resolve pipeline (engine::query_batch): a chunk of keys is hashed
-  /// first, then its words are demand-loaded in one tight loop so their
-  /// cache misses overlap, then the keys are resolved, eight per step in
-  /// vector lanes where the CPU has AVX-512, with one fail mask per
-  /// position. On a DRAM-resident filter this costs about half the
-  /// ns/key of a prefetch issued between hashes, which the core did not
-  /// overlap; a __builtin_prefetch per derived word on top of the gather
-  /// made perfbench's filter-dram call latency worse, re-measured after
-  /// the eight-key derive, so there is none (docs/architecture.md has
-  /// both measurements). `out[i]` is set to the verdict for `keys[i]`;
-  /// sizes must match.
+  /// Membership for a batch of keys through the engine's derive →
+  /// resolve pipeline (engine::query_batch): a chunk of keys is hashed
+  /// eight at a time, and each eight keys' words are prefetched as soon
+  /// as they are drawn, so their cache misses overlap the next keys'
+  /// hashing; then the keys are resolved, eight per step in vector lanes
+  /// where the CPU has AVX-512, with one fail mask per position.
+  /// docs/architecture.md compares this with a demand-load gather after
+  /// the whole chunk's derive and with prefetches on top of that gather.
+  /// `out[i]` is set to the verdict for `keys[i]`; sizes must match.
   ///
   /// Accounting: the resolve charges what the paper's lazy bit-by-bit
   /// walk would (short_circuit_ honoured, duplicate words deduplicated,

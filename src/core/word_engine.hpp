@@ -25,9 +25,10 @@
 //     runs: derive a chunk's targets (pure compute), gather its words
 //     with plain demand loads in one tight loop so the out-of-order core
 //     overlaps the cache misses, then resolve each key in key order.
-//   * query_batch — the one query path, scalar and batch: a batch runs
-//     the same three phases on a draw-major chunk record, one hash, one
-//     fetch per group word and one fail mask per position, eight keys
+//   * query_batch — the one query path, scalar and batch: a batch derives
+//     a draw-major chunk record eight keys at a time, prefetching their
+//     words as they are drawn, then resolves it: one hash, one fetch per
+//     group word and one fail mask per position, eight keys
 //     per resolve step where the CPU has AVX-512 (resolve_x8, else
 //     resolve_scalar), with the paper's lazy bit-by-bit accounting
 //     reproduced exactly; a one-key call runs that lazy walk itself
@@ -532,6 +533,18 @@ class PlainWords {
     return word.limb(0) + word.limb(Word::kLimbs - 1);
   }
 
+  /// Prefetches word `w` for the query path: the lines of its first and
+  /// last limb, the lines gather() loads.
+  void prefetch(std::size_t w) const noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    const std::uint64_t* limb = limbs() + w * Word::kLimbs;
+    __builtin_prefetch(limb);
+    if constexpr (Word::kLimbs > 1) __builtin_prefetch(limb + Word::kLimbs - 1);
+#else
+    (void)w;
+#endif
+  }
+
   /// The word array as 64-bit limbs: limb j of word w at
   /// limbs()[w * Word::kLimbs + j], the base the eight-lane resolve
   /// gathers from.
@@ -546,10 +559,6 @@ class PlainWords {
   HcbfResult increment(std::size_t w, unsigned b1, unsigned pos,
                        unsigned used) noexcept {
     return Hcbf<W>::increment(words_[w], b1, pos, used);
-  }
-
-  HcbfResult decrement(std::size_t w, unsigned b1, unsigned pos) noexcept {
-    return Hcbf<W>::decrement(words_[w], b1, pos);
   }
 
   [[nodiscard]] unsigned counter(std::size_t w, unsigned b1,
@@ -582,7 +591,7 @@ class PlainWords {
 /// Width-templated level walk over a full target set — the "bits spent
 /// only on non-zero counters" machinery of Sec. III-B, applied across the
 /// g words an operation touches. Storage must expose the PlainWords
-/// increment/decrement/counter signatures.
+/// increment/counter signatures and its words().
 template <unsigned W>
 struct LevelWalk {
   /// Applies every increment; the caller must have verified capacity
@@ -613,19 +622,26 @@ struct LevelWalk {
 
   /// Applies every decrement, continuing past underflowing positions
   /// (each counts one underflow) — the contract-violation semantics every
-  /// CBF shares.
+  /// CBF shares. Each hash group's word is loaded once, walked as a local
+  /// and stored once; groups that share a word run one after the other.
   template <class Storage>
   static DecrementResult decrement_all(Storage& s, unsigned b1,
                                        const Targets& t) noexcept {
     DecrementResult out;
-    for (unsigned i = 0; i < t.total_positions; ++i) {
-      const HcbfResult r = s.decrement(t.word_of(i), b1, t.pos(i));
-      if (r.ok) {
-        out.extra_bits += r.extra_bits;
-      } else {
-        out.ok = false;
-        ++out.underflows;
+    for (unsigned i = 0; i < t.total_positions;) {
+      const unsigned group = t.entry[i] >> kPosBits;
+      auto& stored = s.words()[t.group_word[group]];
+      auto word = stored;
+      for (; i < t.total_positions && t.entry[i] >> kPosBits == group; ++i) {
+        const HcbfResult r = Hcbf<W>::decrement(word, b1, t.pos(i));
+        if (r.ok) {
+          out.extra_bits += r.extra_bits;
+        } else {
+          out.ok = false;
+          ++out.underflows;
+        }
       }
+      stored = word;
     }
     return out;
   }
@@ -675,8 +691,7 @@ MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
 ///      one chunk that share a word see each other's writes;
 ///   3. resolve(key_i, slot) — each key in key order, exactly as the
 ///      scalar operation would.
-/// Queries run the same three phases in query_batch, on a compact record
-/// instead of per-key callbacks.
+/// Queries interleave the derive with prefetches instead (query_batch).
 template <class DeriveFn, class GatherFn, class ResolveFn>
 void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
                     ResolveFn&& resolve) {
@@ -758,8 +773,8 @@ template <class Word>
 
 /// Keys per query_batch chunk. A query record (g words and their
 /// positions) is a fraction of a Targets, so a chunk holds twice
-/// kBatchChunk keys: a batch-64 call is one chunk, and its 64 loads go
-/// out in one gather instead of two back to back. The records live in
+/// kBatchChunk keys: a batch-64 call is one chunk, so all 64 keys' misses
+/// are in flight before its one resolve. The records live in
 /// two small stack buffers (4 KiB together); shapes whose records do not
 /// fit 64 times (g > 4 or k > 16) run as many keys per chunk as fit.
 inline constexpr std::size_t kQueryChunk = 2 * kBatchChunk;
@@ -987,9 +1002,9 @@ MPCBF_ENGINE_X8 void resolve_x8(const Storage& store, const TargetDeriver& der,
 }
 #endif
 
-/// query_batch over more than one key: derive → gather → resolve, one
-/// chunk of up to kQueryChunk keys at a time, into one draw-major record
-/// whose stride is the chunk size.
+/// query_batch over more than one key: derive + prefetch, then resolve,
+/// one chunk of up to kQueryChunk keys at a time, into one draw-major
+/// record whose stride is the chunk size.
 template <class Storage, class Key, class Rescue>
 void query_chunks(const Storage& store, const TargetDeriver& der,
                   bool short_circuit, std::span<const Key> keys,
@@ -1008,14 +1023,17 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
     const bool timed = stats.should_sample();
     const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
 
-    derive_chunk(der, keys.subspan(base, count), seed, rec);
-
-    std::uint64_t loaded = 0;
-    for (unsigned wi = 0; wi < g; ++wi) {
-      const std::size_t* row = rec.word + wi * chunk;
-      for (std::size_t i = 0; i < count; ++i) loaded += store.gather(row[i]);
+    // Each group of eight keys' words are prefetched as soon as they are
+    // drawn, so their misses overlap the next group's derive.
+    for (std::size_t i = 0; i < count; i += 8) {
+      const std::size_t n = std::min<std::size_t>(8, count - i);
+      derive_chunk(der, keys.subspan(base + i, n), seed,
+                   {rec.word + i, rec.pos + i, chunk});
+      for (unsigned wi = 0; wi < g; ++wi) {
+        const std::size_t* row = rec.word + wi * chunk + i;
+        for (std::size_t j = 0; j < n; ++j) store.prefetch(row[j]);
+      }
     }
-    keep_loads(loaded);
 
     const auto chunk_rescue = [&](std::size_t i, std::size_t first_word) {
       return rescue(base + i, first_word);
@@ -1037,11 +1055,13 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
 }
 
 /// The one query path, batch and scalar, over plain storage. Per chunk:
-///   1. derive the keys into a draw-major record (derive_chunk): row wi
-///      holds every key's group-wi word, row d every key's d-th
-///      position;
-///   2. gather the chunk's group words (see batch_pipeline);
-///   3. resolve: per key and group, one loaded word and a fail mask
+///   1. derive the keys into a draw-major record (derive_chunk), eight
+///      at a time: row wi holds every key's group-wi word, row d every
+///      key's d-th position. Each group of eight keys' words are
+///      prefetched before the next group is derived, so the misses
+///      overlap the hashing; a demand load there would stall the next
+///      derive behind the miss at the head of the reorder buffer;
+///   2. resolve: per key and group, one loaded word and a fail mask
 ///      whose bit j is set when the group's j-th position reads 0; the
 ///      verdict is that no group fails. Where der.x8(), eight keys per
 ///      step in vector lanes (resolve_x8), else one at a time

@@ -2,9 +2,11 @@
 // bit-for-bit, counter round-trips, overflow behaviour, and an
 // oracle-based property suite (random increment/decrement sequences
 // checked against an exact multiset of counters with structural
-// validation after every step).
+// validation after every step), and the walks checked step by step
+// against a reference walk over a plain vector of bits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -17,6 +19,7 @@ namespace {
 using mpcbf::core::Hcbf;
 using mpcbf::core::HcbfResult;
 using mpcbf::core::HcbfWord;
+using mpcbf::hash::ceil_log2;
 using mpcbf::util::Xoshiro256;
 
 TEST(Hcbf, EmptyWordHasZeroCounters) {
@@ -271,6 +274,143 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PropertyParams{11, 10}, PropertyParams{12, 16},
                       PropertyParams{13, 20}, PropertyParams{99, 8},
                       PropertyParams{0xF00D, 24}));
+
+// ---- reference walk ------------------------------------------------------
+//
+// The level walk in its plainest form: every level's size counted before
+// the step, over a std::vector<bool> whose insertions and removals are
+// the vector's own. Hcbf<W> must match it bit for bit, whatever shortcuts
+// its steps and WordBitset's one-limb ops take.
+
+struct RefWord {
+  std::vector<bool> bits;
+
+  [[nodiscard]] unsigned ones(unsigned lo, unsigned hi) const {
+    return static_cast<unsigned>(
+        std::count(bits.begin() + lo, bits.begin() + hi, true));
+  }
+  void insert_zero_at(unsigned pos) {
+    bits.insert(bits.begin() + pos, false);
+    bits.pop_back();
+  }
+  void remove_bit_at(unsigned pos) {
+    bits.erase(bits.begin() + pos);
+    bits.push_back(false);
+  }
+};
+
+HcbfResult ref_increment(RefWord& w, unsigned b1, unsigned pos,
+                         unsigned used) {
+  if (b1 + used >= w.bits.size()) return {};
+  unsigned level_start = 0;
+  unsigned level_size = b1;
+  unsigned p = pos;
+  unsigned depth = 1;
+  unsigned extra_bits = 0;
+  for (;;) {
+    const unsigned abs = level_start + p;
+    const unsigned ones_before = w.ones(level_start, abs);
+    const unsigned next_start = level_start + level_size;
+    if (!w.bits[abs]) {
+      w.bits[abs] = true;
+      w.insert_zero_at(next_start + ones_before);
+      return {true, depth, extra_bits};
+    }
+    const unsigned next_size = w.ones(level_start, next_start);
+    extra_bits += ceil_log2(next_size);
+    p = ones_before;
+    level_start = next_start;
+    level_size = next_size;
+    ++depth;
+  }
+}
+
+HcbfResult ref_decrement(RefWord& w, unsigned b1, unsigned pos) {
+  if (!w.bits[pos]) return {};
+  unsigned level_start = 0;
+  unsigned level_size = b1;
+  unsigned p = pos;
+  unsigned depth = 1;
+  unsigned extra_bits = 0;
+  for (;;) {
+    const unsigned abs = level_start + p;
+    const unsigned ones_before = w.ones(level_start, abs);
+    const unsigned next_start = level_start + level_size;
+    const unsigned next_size = w.ones(level_start, next_start);
+    const unsigned next_abs = next_start + ones_before;
+    if (!w.bits[next_abs]) {
+      w.remove_bit_at(next_abs);
+      w.bits[abs] = false;
+      return {true, depth - 1, extra_bits};
+    }
+    extra_bits += ceil_log2(next_size);
+    p = ones_before;
+    level_start = next_start;
+    level_size = next_size;
+    ++depth;
+  }
+}
+
+unsigned ref_counter(RefWord w, unsigned b1, unsigned pos) {
+  unsigned value = 0;
+  while (ref_decrement(w, b1, pos).ok) ++value;
+  return value;
+}
+
+/// The word's bits read through its raw limbs, not through test().
+template <unsigned W>
+std::vector<bool> bits_of(const mpcbf::bits::WordBitset<W>& w) {
+  std::vector<bool> bits(W);
+  for (unsigned i = 0; i < W; ++i) bits[i] = (w.limb(i / 64) >> (i % 64)) & 1;
+  return bits;
+}
+
+// Random increments and decrements, three in four of them on two hot
+// positions (one takes half of all steps) so chains grow past depth 6 and levels spread across limb boundaries;
+// each step's result, extra bits and word are compared with the
+// reference's, and the touched counter is read back.
+template <unsigned W>
+void walk_against_reference(unsigned b1, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message() << "W=" << W << " b1=" << b1);
+  Xoshiro256 rng(seed);
+  mpcbf::bits::WordBitset<W> word;
+  RefWord ref{std::vector<bool>(W)};
+  unsigned used = 0;
+  unsigned deepest = 0;
+  const auto draw = [&] { return static_cast<unsigned>(rng.bounded(b1)); };
+  const unsigned hot[2] = {draw(), draw()};
+  for (int it = 0; it < 3000; ++it) {
+    const auto pick = rng.bounded(4);
+    const unsigned pos = pick == 3 ? draw() : hot[pick / 2];
+    const bool increment = rng.bounded(100) < 55;
+    const HcbfResult got =
+        increment ? Hcbf<W>::increment(word, b1, pos, used)
+                  : Hcbf<W>::decrement(word, b1, pos);
+    const HcbfResult want = increment ? ref_increment(ref, b1, pos, used)
+                                      : ref_decrement(ref, b1, pos);
+    ASSERT_EQ(got.ok, want.ok) << "it=" << it;
+    ASSERT_EQ(got.value, want.value) << "it=" << it;
+    ASSERT_EQ(got.extra_bits, want.extra_bits) << "it=" << it;
+    ASSERT_EQ(bits_of(word), ref.bits) << "it=" << it;
+    ASSERT_EQ(Hcbf<W>::counter(word, b1, pos), ref_counter(ref, b1, pos))
+        << "it=" << it;
+    if (got.ok) used = increment ? used + 1 : used - 1;
+    deepest = std::max(deepest, increment ? got.value : got.value + 1);
+  }
+  EXPECT_GE(deepest, 6u);
+  EXPECT_EQ(Hcbf<W>::hierarchy_bits(word, b1), used);
+}
+
+TEST(Hcbf, WalksMatchTheReferenceAtEveryDepth) {
+  std::uint64_t seed = 1;
+  for (const unsigned b1 : {8u, 24u, 48u}) walk_against_reference<64>(b1, ++seed);
+  for (const unsigned b1 : {40u, 60u, 64u, 100u}) {
+    walk_against_reference<128>(b1, ++seed);
+  }
+  for (const unsigned b1 : {60u, 126u, 128u, 192u, 230u}) {
+    walk_against_reference<256>(b1, ++seed);
+  }
+}
 
 // Canonicality: a word reached by inserts+deletes equals a word built by
 // the surviving inserts alone (the structure has no history).

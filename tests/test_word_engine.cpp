@@ -363,7 +363,7 @@ TEST(WordEngine, CapacityOkAggregatesCollidingGroups) {
   EXPECT_EQ(u.used[1], 11u);
   bump(2, 1);
   EXPECT_FALSE(engine::capacity_ok(store, kB1, t, u));  // word 2 would hit 14
-  ASSERT_TRUE(store.decrement(2, kB1, 0).ok);
+  ASSERT_TRUE(mpcbf::core::Hcbf<64>::decrement(store.words()[2], kB1, 0).ok);
   bump(5, 2);
   EXPECT_FALSE(engine::capacity_ok(store, kB1, t, u));  // word 5 full
 }
@@ -384,6 +384,38 @@ TEST(WordEngine, IncrementAllAdvancesTheDerivedUsage) {
   EXPECT_EQ(store.hierarchy_bits(1, kB1), 9u);
   EXPECT_EQ(store.hierarchy_bits(3, kB1), 3u);
   EXPECT_EQ(store.counter(1, kB1, 3), 6u);
+}
+
+TEST(WordEngine, DecrementAllMatchesOneDecrementPerPosition) {
+  // Groups 0 and 2 share word 1 and each walks its own local copy of it,
+  // so group 2 must see group 0's stored result; the repeated position 3
+  // and the never-set position 20 underflow on the second pass.
+  constexpr unsigned kB1 = 24;
+  engine::PlainWords<128> walked;
+  walked.init(4);
+  for (const unsigned pos : {3u, 3u, 3u, 9u, 9u, 5u}) {
+    ASSERT_TRUE(
+        walked.increment(1, kB1, pos, walked.hierarchy_bits(1, kB1)).ok);
+  }
+  ASSERT_TRUE(walked.increment(2, kB1, 7, 0).ok);
+  auto stepped = walked;
+  const auto t = make_targets({{1, 3}, {1, 9}, {2, 7}, {1, 3}, {1, 20}});
+  for (int pass = 0; pass < 3; ++pass) {
+    engine::LevelWalk<128>::DecrementResult want;
+    for (unsigned i = 0; i < t.total_positions; ++i) {
+      const auto r = mpcbf::core::Hcbf<128>::decrement(
+          stepped.words()[t.word_of(i)], kB1, t.pos(i));
+      want.ok &= r.ok;
+      want.extra_bits += r.extra_bits;
+      want.underflows += r.ok ? 0 : 1;
+    }
+    const auto got = engine::LevelWalk<128>::decrement_all(walked, kB1, t);
+    EXPECT_EQ(got.ok, want.ok) << "pass " << pass;
+    EXPECT_EQ(got.extra_bits, want.extra_bits) << "pass " << pass;
+    EXPECT_EQ(got.underflows, want.underflows) << "pass " << pass;
+    EXPECT_EQ(walked.words(), stepped.words()) << "pass " << pass;
+  }
+  EXPECT_EQ(walked.counter(1, kB1, 3), 0u);
 }
 
 // --- query_batch --------------------------------------------------------
