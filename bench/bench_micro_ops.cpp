@@ -377,8 +377,34 @@ void BM_MPCBF1_EraseLoop_DRAM(benchmark::State& state) {
                  std::span<std::uint8_t>(ok.data(), spent));
 }
 
+// The same picks erased 64 per erase_batch call, the batch path of the
+// churn's erase calls; each call's keys are re-inserted with timing
+// paused, so the filter's load holds.
+void BM_MPCBF1_EraseBatch_DRAM(benchmark::State& state) {
+  auto& f = dram_filter();
+  static std::uint64_t next = 0;
+  std::vector<std::string> keys(kDramCallLen);
+  std::vector<std::uint8_t> ok(kDramCallLen);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (auto& key : keys) {
+      dram_key('d', (next++ * 0x9E3779B97F4A7C15ull) % kDramPreload, key);
+    }
+    state.ResumeTiming();
+    f.erase_batch(keys, ok);
+    benchmark::DoNotOptimize(ok.data());
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    f.insert_batch(keys, ok);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kDramCallLen));
+}
+
 BENCHMARK(BM_MPCBF1_QueryBatch_DRAM_Key17);
 BENCHMARK(BM_MPCBF1_EraseLoop_DRAM);
+BENCHMARK(BM_MPCBF1_EraseBatch_DRAM);
 
 // --- cache-resident MPCBF-1 batch calls -----------------------------------
 //

@@ -1,16 +1,10 @@
-// Observability overhead — the cost of the metrics layer on the paths
-// that matter. Built twice by CMake: `bench_observability` with stats
-// enabled and `bench_observability_nostats` with
-// MPCBF_DISABLE_ACCESS_STATS, so running both and comparing ns/op gives
-// the instrumentation overhead directly (the header-inlined recording
-// compiles out in the nostats TU). The acceptance target is <5% on the
-// batch query hot path, whose accounting is chunk-aggregated (one atomic
-// trio per op class per 32-key chunk) precisely to stay under it; scalar
-// contains() pays a sampled-latency tick plus three relaxed adds per op
-// and is reported alongside for honesty.
-//
-// Also reports the primitive costs (histogram record, registry counter
-// inc) so regressions in the metrics layer itself show up without the
+// Observability overhead — the filter paths the metrics layer records
+// on, beside the cost of its primitives. The batch query path's
+// accounting is aggregated per call (one atomic trio per op class hit
+// and one sampled latency per chunk), so its share is far below a
+// scalar contains(), which pays a sampled-latency tick plus three
+// relaxed adds per op. The primitive costs (histogram record, registry
+// counter inc) show regressions in the metrics layer itself without the
 // filter in the way.
 //
 // Usage: bench_observability [--n 100000] [--queries 1000000] [--seed 7]
@@ -44,16 +38,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.get_uint("seed", 7);
   const std::string csv = args.get_string("csv", "");
   args.reject_unknown({"n", "queries", "seed", "csv"});
-  mpcbf::bench::JsonReport report(mpcbf::metrics::kStatsEnabled
-                                    ? "observability"
-                                    : "observability_nostats");
+  mpcbf::bench::JsonReport report("observability");
   report.config("n", n);
   report.config("queries", num_queries);
   report.config("seed", seed);
-  report.config("stats_enabled", mpcbf::metrics::kStatsEnabled);
 
-  std::cout << "=== Observability overhead (stats="
-            << (metrics::kStatsEnabled ? "on" : "off") << ") ===\n"
+  std::cout << "=== Observability overhead ===\n"
             << "n=" << n << " queries=" << num_queries << " seed=" << seed
             << "\n\n";
 
@@ -120,8 +110,7 @@ int main(int argc, char** argv) {
 
   if (!csv.empty()) {
     std::ofstream os(csv);
-    os << "stats,scalar_ns,batch_ns,update_ns,hist_ns,ctr_ns\n"
-       << (metrics::kStatsEnabled ? "on" : "off") << ","
+    os << "scalar_ns,batch_ns,update_ns,hist_ns,ctr_ns\n"
        << scalar_ns << "," << batch_ns << "," << update_ns << ","
        << hist_ns << "," << ctr_ns << "\n";
   }

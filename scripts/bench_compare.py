@@ -49,7 +49,7 @@ import json
 import os
 import sys
 
-DEFAULT_BENCHES = "micro_ops,fig08_query_time,server,elastic,multitenant"
+DEFAULT_BENCHES = "micro_ops,fig08_query_time,server,elastic,multitenant,admin"
 
 # Gated units: unit -> True when higher is better.
 GATED_UNITS = {"ns": False, "qps": True}

@@ -138,8 +138,7 @@ class WordBitset {
     return removed;
   }
 
-  /// Raw limb access for the concurrent variant (W == 64 only), the
-  /// batch gather and tests.
+  /// Raw limb access for the batch resolve and tests.
   [[nodiscard]] constexpr std::uint64_t limb(unsigned j) const noexcept {
     return limbs_[j];
   }

@@ -298,14 +298,13 @@ class Durable {
   /// removed.
   void snapshot() {
     MPCBF_TRACE_SPAN(span, kIo, "durable.snapshot");
-    const std::uint64_t t0 =
-        metrics::kStatsEnabled ? metrics::now_ns() : 0;
+    const std::uint64_t t0 = metrics::now_ns();
     const std::uint64_t last_seq = flush_journal();
     publish(last_seq,
             [&](std::ostream& os) { write_snapshot(os, last_seq); });
     auto& m = detail::durable_metrics();
     m.snapshots.inc();
-    if (metrics::kStatsEnabled) m.snapshot_ns.record(metrics::now_ns() - t0);
+    m.snapshot_ns.record(metrics::now_ns() - t0);
   }
 
   /// Journal records appended since the last flush (the crash-loss

@@ -379,8 +379,9 @@ class Mpcbf {
     contains_batch_impl<std::string_view>(keys, out);
   }
 
-  /// Inserts a batch of keys through the same derive → gather → resolve
-  /// pipeline (engine::batch_pipeline); `ok[i]` receives
+  /// Inserts a batch of keys through the query's chunk skeleton
+  /// (engine::for_each_chunk: derive and prefetch a chunk, then resolve
+  /// its keys in key order); `ok[i]` receives
   /// insert(keys[i])'s return value. Stats and overflow behaviour match a
   /// scalar insert loop op for op: the kInsert tallies are summed per
   /// call and published once, each key keeps its own sampled latency,
@@ -394,7 +395,7 @@ class Mpcbf {
     insert_batch_impl<std::string_view>(keys, ok);
   }
 
-  /// Erases a batch of keys through the same pipeline; `ok[i]` receives
+  /// Erases a batch of keys through the same skeleton; `ok[i]` receives
   /// erase(keys[i])'s return value. Each key resolves exactly as a scalar
   /// erase, in key order against the live words: stash first, underflows
   /// counted, size() shrunk only on success, and a key listed twice is
@@ -859,32 +860,30 @@ class Mpcbf {
                  });
   }
 
-  /// The batch pipeline of the two mutations: `apply(key_i, targets,
-  /// derive_bits, tally)` runs each key's scalar body in key order
-  /// against the live words. Each key keeps its sampled latency (class
-  /// `c`) exactly as the scalar operation records it; the tallies are
+  /// The batch body of the two mutations, on the query's chunk skeleton:
+  /// `apply(key_i, targets, derive_bits, tally)` runs each key's scalar
+  /// body in key order against the live words, its Targets filled from
+  /// the chunk record. Each key keeps its sampled latency (class `c`)
+  /// exactly as the scalar operation records it; the tallies are
   /// published once per call, also when an overflow throws mid-batch.
   template <class Key, class Apply>
   void mutate_batch(metrics::OpClass c, std::span<const Key> keys,
                     Apply&& apply) {
-    std::array<engine::Targets, engine::kBatchChunk> targets;
     const std::uint64_t derive_bits = der_.derive_bits();
     engine::OpTally tally;
+    engine::Targets t;
     try {
-      engine::batch_pipeline(
-          keys.size(),
-          [&](std::size_t base, std::size_t count) {
-            engine::derive_targets(der_, keys.subspan(base, count), seed_,
-                                   targets.data());
-          },
-          [&](std::size_t slot) {
-            return engine::gather_targets(store_, targets[slot], der_.g());
-          },
-          [&](std::size_t key_i, std::size_t slot) {
-            const bool timed = stats_.should_sample();
-            const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-            apply(key_i, targets[slot], derive_bits, tally);
-            sample_latency(c, timed, t0);
+      engine::for_each_chunk(
+          store_, der_, keys, seed_,
+          [&](std::size_t base, std::size_t count,
+              const engine::DrawBlock& rec) {
+            for (std::size_t i = 0; i < count; ++i) {
+              engine::targets_of(der_, rec, i, t);
+              const bool timed = stats_.should_sample();
+              const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
+              apply(base + i, t, derive_bits, tally);
+              sample_latency(c, timed, t0);
+            }
           });
     } catch (...) {
       tally.publish(stats_);

@@ -21,24 +21,23 @@
 //     external synchronization, with no out-of-word metadata: a word's
 //     hierarchy usage is re-derived from its value, once per distinct word
 //     per operation.
-//   * batch_pipeline — the batch skeleton every insert_batch/erase_batch
-//     runs: derive a chunk's targets (pure compute), gather its words
-//     with plain demand loads in one tight loop so the out-of-order core
-//     overlaps the cache misses, then resolve each key in key order.
-//   * query_batch — the one query path, scalar and batch: a batch derives
-//     a draw-major chunk record eight keys at a time, prefetching their
-//     words as they are drawn, then resolves it: one hash, one fetch per
-//     group word and one fail mask per position, eight keys
-//     per resolve step where the CPU has AVX-512 (resolve_x8, else
-//     resolve_scalar), with the paper's lazy bit-by-bit accounting
-//     reproduced exactly; a one-key call runs that lazy walk itself
-//     (tests/test_stats_parity.cpp).
+//   * for_each_chunk — the one batch skeleton: it derives up to kChunk
+//     keys into a draw-major record eight at a time, prefetching each
+//     eight keys' words as they are drawn, and hands the record to a
+//     per-chunk body. Batch queries resolve it (below); insert_batch and
+//     erase_batch fill one Targets per key from it (targets_of) and
+//     mutate the live words in key order.
+//   * query_batch — the one query path, scalar and batch: a batch
+//     resolves each chunk record with one fetch per group word and one
+//     fail mask per position, eight keys per resolve step where the CPU
+//     has AVX-512 (resolve_x8, else resolve_scalar), with the paper's
+//     lazy bit-by-bit accounting reproduced exactly; a one-key call runs
+//     that lazy walk itself (tests/test_stats_parity.cpp).
 //   * OpTally — call-local per-class tallies, published once per call.
 //
 // Stats/trace stay pluggable: the engine records through the caller's
-// AccessStats (the MPCBF_DISABLE_ACCESS_STATS twin compiles it out) and
-// spans come from the MPCBF_TRACE_* macros at the filter layer, which
-// cost one relaxed load while the tracer is disarmed.
+// AccessStats and spans come from the MPCBF_TRACE_* macros at the filter
+// layer, which cost one relaxed load while the tracer is disarmed.
 #pragma once
 
 #include <algorithm>
@@ -146,12 +145,12 @@ static_assert(kMaxG <= (1u << (16 - kPosBits)), "group index must fit");
 /// word t, then its positions — the order queries consume, so inserts,
 /// deletes and queries agree on every hash bit. Compact on purpose: each
 /// entry is one u16 (group index << kPosBits | position) and the word
-/// index lives once per group, so a 32-key batch chunk's targets fit in
-/// L1d next to the words being resolved.
+/// index lives once per group, so the one Targets a batch mutation fills
+/// per key from its chunk record (targets_of) stays a few cache lines.
 struct Targets {
   // Word index per hash group, including groups with zero positions
   // (uneven k/g splits): those words have no entry yet still cost a
-  // memory touch, which batch accounting and the gather must replicate.
+  // memory touch, which the accounting must replicate.
   std::array<std::size_t, kMaxG> group_word;
   std::array<std::uint16_t, kMaxPositions> entry;
   unsigned total_positions = 0;
@@ -170,7 +169,7 @@ struct Targets {
         static_cast<std::uint16_t>(group << kPosBits | pos);
   }
 };
-static_assert(sizeof(Targets) <= 640, "a batch chunk's targets must fit L1d");
+static_assert(sizeof(Targets) <= 640, "Targets must stay a few cache lines");
 
 /// A run of keys' draws, draw-major: the word of hash group wi of key i
 /// at word[wi * stride + i], and its d-th position (counted over all
@@ -420,35 +419,22 @@ MPCBF_ENGINE_INLINE void derive_chunk(const TargetDeriver& der,
   for (; i < keys.size(); ++i) scalar(i);
 }
 
-/// derive_chunk into one Targets per key (out[i] for keys[i]), with
-/// derive_all's distinct-word count: each group of eight keys is derived
-/// into an eight-lane block, then transposed key by key.
-template <class Key>
-MPCBF_ENGINE_INLINE void derive_targets(const TargetDeriver& der,
-                                        std::span<const Key> keys,
-                                        std::uint64_t seed, Targets* out) {
-  constexpr std::size_t kLanes = 8;
-  std::array<std::size_t, kMaxG * kLanes> words;
-  std::array<std::uint16_t, kMaxPositions * kLanes> positions;
-  const DrawBlock block{words.data(), positions.data(), kLanes};
-  for (std::size_t base = 0; base < keys.size(); base += kLanes) {
-    const std::size_t n = std::min(kLanes, keys.size() - base);
-    derive_chunk(der, keys.subspan(base, n), seed, block);
-    for (std::size_t j = 0; j < n; ++j) {
-      Targets& t = out[base + j];
-      t.total_positions = 0;
-      SeenWords seen;
-      const std::uint16_t* pos = &positions[j];
-      for (unsigned wi = 0; wi < der.g(); ++wi) {
-        t.group_word[wi] = words[wi * kLanes + j];
-        seen.add(t.group_word[wi]);
-        for (unsigned d = der.positions_in(wi); d > 0; --d, pos += kLanes) {
-          t.push(wi, *pos);
-        }
-      }
-      t.distinct_words = seen.count;
+/// Key i's Targets from a derived record, with derive_all's distinct-word
+/// count: the record holds the same draws in the same order.
+MPCBF_ENGINE_INLINE void targets_of(const TargetDeriver& der,
+                                    const DrawBlock& rec, std::size_t i,
+                                    Targets& t) noexcept {
+  SeenWords seen;
+  t.total_positions = 0;
+  const std::uint16_t* pos = rec.pos + i;
+  for (unsigned wi = 0; wi < der.g(); ++wi) {
+    t.group_word[wi] = rec.word[wi * rec.stride + i];
+    seen.add(t.group_word[wi]);
+    for (unsigned d = der.positions_in(wi); d > 0; --d, pos += rec.stride) {
+      t.push(wi, *pos);
     }
   }
+  t.distinct_words = seen.count;
 }
 
 /// Hierarchy usage of the distinct words one insert touches: derived from
@@ -522,20 +508,11 @@ class PlainWords {
   [[nodiscard]] const Word& word(std::size_t w) const noexcept {
     return words_[w];
   }
-  /// Demand-loads word `w` for the batch gather: its first and last limb,
-  /// which between them touch every cache line a word of at most 64
-  /// bytes spans however the array is aligned. The loads are folded with
-  /// `+`, never `^`: for a one-limb word `x ^ x` folds to 0 at compile
-  /// time and the optimiser would drop the load.
-  [[nodiscard]] std::uint64_t gather(std::size_t w) const noexcept {
-    static_assert(sizeof(Word) <= 64, "gather covers at most two lines");
-    const Word& word = words_[w];
-    return word.limb(0) + word.limb(Word::kLimbs - 1);
-  }
-
-  /// Prefetches word `w` for the query path: the lines of its first and
-  /// last limb, the lines gather() loads.
+  /// Prefetches word `w` for a batch chunk: the lines of its first and
+  /// last limb, which between them cover every cache line a word of at
+  /// most 64 bytes spans however the array is aligned.
   void prefetch(std::size_t w) const noexcept {
+    static_assert(sizeof(Word) <= 64, "a word spans at most two lines");
 #if defined(__GNUC__) || defined(__clang__)
     const std::uint64_t* limb = limbs() + w * Word::kLimbs;
     __builtin_prefetch(limb);
@@ -660,59 +637,59 @@ struct LevelWalk {
   }
 };
 
-// --- batch pipeline ------------------------------------------------------
+// --- batch chunks --------------------------------------------------------
 
-/// Keys per pipeline chunk: enough independent word loads in one gather
-/// to keep the core's miss-handling slots busy, few enough that a chunk's
-/// targets stay in L1d.
-inline constexpr std::size_t kBatchChunk = 32;
+/// Keys per batch chunk: a batch-64 call (the served frame) is one chunk,
+/// so all its keys' misses are in flight before its first key resolves.
+/// A chunk's record lives in two stack buffers (4 KiB together); shapes
+/// whose records do not fit kChunk times (g > 4 or k > 16) run as many
+/// keys per chunk as fit (chunk_keys).
+inline constexpr std::size_t kChunk = 64;
+inline constexpr std::size_t kChunkWordSlots = 256;
+inline constexpr std::size_t kChunkPositionSlots = 1024;
+static_assert(kChunkWordSlots >= kMaxG &&
+                  kChunkPositionSlots >= kMaxPositions,
+              "a chunk must hold at least one key of any shape");
 
-/// Hands `v` to an empty asm statement so the optimiser must keep every
-/// load folded into it, even though nothing else reads the value. Other
-/// compilers may drop the gather, which costs speed, never correctness.
-MPCBF_ENGINE_INLINE void keep_loads(std::uint64_t v) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  asm volatile("" : : "r"(v));
-#else
-  (void)v;
-#endif
+/// Keys per chunk for `der`'s shape: kChunk, or as many as the record
+/// buffers hold.
+[[nodiscard]] inline std::size_t chunk_keys(const TargetDeriver& der) noexcept {
+  return std::min({kChunk, kChunkWordSlots / der.g(),
+                   kChunkPositionSlots / der.total_positions()});
 }
 
-/// The batch skeleton of the mutations. Each chunk of kBatchChunk keys
-/// runs in three phases:
-///   1. derive(base, count) — hash keys [base, base + count) into slots
-///      0..count-1 (derive_targets): pure compute, no memory hint;
-///   2. gather(slot) — demand-load the slot's words and return them
-///      folded into one value, in a tight loop over the chunk. The loads
-///      are independent, so the out-of-order core keeps many cache misses
-///      in flight at once — the software analogue of the pipelined
-///      lookups the paper targets in hardware. The gather only warms the
-///      cache: mutations still resolve against the live word, so keys of
-///      one chunk that share a word see each other's writes;
-///   3. resolve(key_i, slot) — each key in key order, exactly as the
-///      scalar operation would.
-/// Queries interleave the derive with prefetches instead (query_batch).
-template <class DeriveFn, class GatherFn, class ResolveFn>
-void batch_pipeline(std::size_t n, DeriveFn&& derive, GatherFn&& gather,
-                    ResolveFn&& resolve) {
-  for (std::size_t base = 0; base < n; base += kBatchChunk) {
-    const std::size_t count = std::min(kBatchChunk, n - base);
-    derive(base, count);
-    std::uint64_t loaded = 0;
-    for (std::size_t i = 0; i < count; ++i) loaded += gather(i);
-    keep_loads(loaded);
-    for (std::size_t i = 0; i < count; ++i) resolve(base + i, i);
+/// The one batch skeleton, of queries and mutations alike. Per chunk of
+/// chunk_keys(der) keys it derives the keys into a draw-major record
+/// whose stride is the chunk size (derive_chunk): row wi holds every
+/// key's group-wi word, row d every key's d-th position. Each aligned
+/// group of eight keys' words are prefetched as soon as they are drawn,
+/// so the misses overlap the next group's derive; a demand load there
+/// would stall the next derive behind the miss at the head of the
+/// reorder buffer. Then `body(base, count, rec)` runs with keys
+/// [base, base + count) in lanes 0..count-1 of `rec`. The prefetches only
+/// warm the cache: a mutation body still resolves against the live
+/// words, so keys of one chunk that share a word see each other's writes.
+template <class Storage, class Key, class Body>
+void for_each_chunk(const Storage& store, const TargetDeriver& der,
+                    std::span<const Key> keys, std::uint64_t seed,
+                    Body&& body) {
+  const std::size_t chunk = chunk_keys(der);
+  std::array<std::size_t, kChunkWordSlots> words;
+  std::array<std::uint16_t, kChunkPositionSlots> positions;
+  const DrawBlock rec{words.data(), positions.data(), chunk};
+  for (std::size_t base = 0; base < keys.size(); base += chunk) {
+    const std::size_t count = std::min(chunk, keys.size() - base);
+    for (std::size_t i = 0; i < count; i += 8) {
+      const std::size_t n = std::min<std::size_t>(8, count - i);
+      derive_chunk(der, keys.subspan(base + i, n), seed,
+                   {rec.word + i, rec.pos + i, chunk});
+      for (unsigned wi = 0; wi < der.g(); ++wi) {
+        const std::size_t* row = rec.word + wi * chunk + i;
+        for (std::size_t j = 0; j < n; ++j) store.prefetch(row[j]);
+      }
+    }
+    body(base, count, rec);
   }
-}
-
-/// Gathers the g group words of one key's targets (duplicates included:
-/// a repeated word is an L1 hit, cheaper than the branch that skips it).
-template <class Storage>
-[[nodiscard]] MPCBF_ENGINE_INLINE std::uint64_t gather_targets(
-    const Storage& s, const Targets& t, unsigned g) noexcept {
-  std::uint64_t v = 0;
-  for (unsigned wi = 0; wi < g; ++wi) v += s.gather(t.group_word[wi]);
-  return v;
 }
 
 /// Call-local tallies per op class, published as one atomic trio per
@@ -771,19 +748,6 @@ template <class Word>
   return fail;
 }
 
-/// Keys per query_batch chunk. A query record (g words and their
-/// positions) is a fraction of a Targets, so a chunk holds twice
-/// kBatchChunk keys: a batch-64 call is one chunk, so all 64 keys' misses
-/// are in flight before its one resolve. The records live in
-/// two small stack buffers (4 KiB together); shapes whose records do not
-/// fit 64 times (g > 4 or k > 16) run as many keys per chunk as fit.
-inline constexpr std::size_t kQueryChunk = 2 * kBatchChunk;
-inline constexpr std::size_t kQueryWordSlots = 256;
-inline constexpr std::size_t kQueryPositionSlots = 1024;
-static_assert(kQueryWordSlots >= kMaxG &&
-                  kQueryPositionSlots >= kMaxPositions,
-              "a chunk must hold at least one key of any shape");
-
 /// A one-key call (scalar contains) is the paper's lazy walk itself:
 /// with no other key's misses to overlap, it draws each group's word and
 /// positions as it tests them and stops where the walk stops, so a
@@ -841,7 +805,7 @@ struct QueryTally {
   }
 };
 
-/// Resolves keys [0, count) of a derived, gathered chunk record `rec`
+/// Resolves keys [0, count) of a derived, prefetched chunk record `rec`
 /// one key at a time: per group, one loaded word and a fail mask whose
 /// bit j is set when the group's j-th position reads 0. out[i] is the
 /// verdict of key i; `rescue(i, first_word)` decides a key the words
@@ -1002,39 +966,27 @@ MPCBF_ENGINE_X8 void resolve_x8(const Storage& store, const TargetDeriver& der,
 }
 #endif
 
-/// query_batch over more than one key: derive + prefetch, then resolve,
-/// one chunk of up to kQueryChunk keys at a time, into one draw-major
-/// record whose stride is the chunk size.
+/// query_batch over more than one key: for_each_chunk, each chunk's
+/// record resolved by resolve_x8 or resolve_scalar. A sampled chunk
+/// records its per-key average latency, derive and resolve together: the
+/// sample is drawn and the clock read before the skeleton derives it,
+/// i.e. at the start of the call or at the end of the previous chunk.
 template <class Storage, class Key, class Rescue>
 void query_chunks(const Storage& store, const TargetDeriver& der,
                   bool short_circuit, std::span<const Key> keys,
                   std::uint64_t seed, std::span<std::uint8_t> out,
                   metrics::AccessStats& stats, Rescue& rescue) {
-  const unsigned g = der.g();
-  const std::size_t chunk =
-      std::min({kQueryChunk, kQueryWordSlots / g,
-                kQueryPositionSlots / der.total_positions()});
-  std::array<std::size_t, kQueryWordSlots> group_words;
-  std::array<std::uint16_t, kQueryPositionSlots> positions;
-  const DrawBlock rec{group_words.data(), positions.data(), chunk};
   QueryTally tally;
-  for (std::size_t base = 0; base < keys.size(); base += chunk) {
-    const std::size_t count = std::min(chunk, keys.size() - base);
-    const bool timed = stats.should_sample();
-    const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
-
-    // Each group of eight keys' words are prefetched as soon as they are
-    // drawn, so their misses overlap the next group's derive.
-    for (std::size_t i = 0; i < count; i += 8) {
-      const std::size_t n = std::min<std::size_t>(8, count - i);
-      derive_chunk(der, keys.subspan(base + i, n), seed,
-                   {rec.word + i, rec.pos + i, chunk});
-      for (unsigned wi = 0; wi < g; ++wi) {
-        const std::size_t* row = rec.word + wi * chunk + i;
-        for (std::size_t j = 0; j < n; ++j) store.prefetch(row[j]);
-      }
-    }
-
+  bool timed = false;
+  std::uint64_t t0 = 0;
+  const auto start_clock = [&] {
+    timed = stats.should_sample();
+    t0 = timed ? metrics::now_ns() : 0;
+  };
+  start_clock();
+  for_each_chunk(store, der, keys, seed, [&](std::size_t base,
+                                             std::size_t count,
+                                             const DrawBlock& rec) {
     const auto chunk_rescue = [&](std::size_t i, std::size_t first_word) {
       return rescue(base + i, first_word);
     };
@@ -1048,19 +1000,14 @@ void query_chunks(const Storage& store, const TargetDeriver& der,
       resolve_scalar(store, der, short_circuit, rec, count, out.data() + base,
                      tally, chunk_rescue);
     }
-
     if (timed) stats.record_batch_latency((metrics::now_ns() - t0) / count);
-  }
+    if (base + count < keys.size()) start_clock();
+  });
   tally.publish(stats);
 }
 
 /// The one query path, batch and scalar, over plain storage. Per chunk:
-///   1. derive the keys into a draw-major record (derive_chunk), eight
-///      at a time: row wi holds every key's group-wi word, row d every
-///      key's d-th position. Each group of eight keys' words are
-///      prefetched before the next group is derived, so the misses
-///      overlap the hashing; a demand load there would stall the next
-///      derive behind the miss at the head of the reorder buffer;
+///   1. derive and prefetch the keys' record (for_each_chunk);
 ///   2. resolve: per key and group, one loaded word and a fail mask
 ///      whose bit j is set when the group's j-th position reads 0; the
 ///      verdict is that no group fails. Where der.x8(), eight keys per

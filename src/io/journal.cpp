@@ -196,7 +196,7 @@ std::uint64_t Journal::append(JournalOp op, std::string_view key) {
 
 void Journal::flush(bool sync) {
   auto& m = JournalMetrics::get();
-  const std::uint64_t t0 = metrics::kStatsEnabled ? metrics::now_ns() : 0;
+  const std::uint64_t t0 = metrics::now_ns();
   out_.flush();
   if (!out_) {
     throw std::runtime_error("journal: flush failed: " + path_);
@@ -207,7 +207,7 @@ void Journal::flush(bool sync) {
     m.syncs.inc();
   }
   m.flushes.inc();
-  if (metrics::kStatsEnabled) m.flush_ns.record(metrics::now_ns() - t0);
+  m.flush_ns.record(metrics::now_ns() - t0);
 }
 
 void Journal::reset(std::uint64_t base_seq) {

@@ -17,8 +17,7 @@
 // under concurrent readers (filters hold an AccessStats as a `mutable`
 // member and bump it from contains()). Relaxed ordering is sufficient:
 // the counters are independent monotonic tallies, never used to
-// synchronize other memory. Define MPCBF_DISABLE_ACCESS_STATS to compile
-// recording out entirely on hot paths that cannot afford the atomic adds.
+// synchronize other memory.
 //
 // Latency is sampled, not per-op: timing every operation would cost two
 // clock reads (~40ns) against query costs of the same order. should_sample
@@ -106,15 +105,10 @@ class AccessStats {
   /// kLatencySampleEvery). The tick is thread-local — an atomic tick
   /// would cost as much as the tallies it gates on machines with slow
   /// relaxed RMWs — so the sample rate holds per thread, across every
-  /// AccessStats instance that thread touches. Always false when stats
-  /// are compiled out, so callers skip the clock reads entirely.
+  /// AccessStats instance that thread touches.
   [[nodiscard]] bool should_sample() noexcept {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-    return false;
-#else
     thread_local std::uint64_t tick = 0;
     return (tick++ % kLatencySampleEvery) == 0;
-#endif
   }
 
   /// Records one sampled operation latency in nanoseconds.

@@ -1,8 +1,7 @@
 // Build identity and process uptime as metrics — the two series every
 // fleet dashboard joins against: `mpcbf_build_info` (value 1, identity
-// in the labels: version, git sha, which instrumentation twins were
-// compiled in) and `mpcbf_server_uptime_seconds` (refreshed at scrape
-// time, so a restart is visible as a sawtooth).
+// in the labels: version and git sha) and `mpcbf_server_uptime_seconds`
+// (refreshed at scrape time, so a restart is visible as a sawtooth).
 //
 // Header-only; the git sha arrives as the MPCBF_GIT_SHA compile
 // definition (src/CMakeLists.txt runs `git rev-parse`) and degrades to
@@ -39,17 +38,10 @@ inline constexpr const char* kBuildVersion = "0.8.0";
 /// `reg`. Call before every exposition — /metrics, the STATS opcode and
 /// the final `serve` dump all route through here so the three agree.
 inline void publish_build_info(Registry& reg = Registry::global()) {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-  const char* stats = "off";
-#else
-  const char* stats = "on";
-#endif
   reg.gauge("mpcbf_build_info",
             "Build identity; the value is always 1, the labels carry "
-            "version, git sha and compiled-in instrumentation",
-            {{"version", kBuildVersion},
-             {"git_sha", build_git_sha()},
-             {"stats", stats}})
+            "version and git sha",
+            {{"version", kBuildVersion}, {"git_sha", build_git_sha()}})
       .set(1.0);
   reg.gauge("mpcbf_server_uptime_seconds",
             "Process uptime, refreshed at scrape time")

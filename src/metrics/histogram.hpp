@@ -6,7 +6,7 @@
 // upper bound is at most 25% above its lower bound and quantile estimates
 // carry bounded relative error. Recording is a handful of relaxed atomic
 // adds — safe from concurrent readers/writers, never a synchronization
-// point — and compiles to nothing when MPCBF_DISABLE_ACCESS_STATS is set.
+// point.
 //
 // Quantiles are conservative: quantile(q) returns the upper bound of the
 // bucket holding the rank-⌈q·count⌉ sample, so at least that many recorded
@@ -39,9 +39,6 @@ class Histogram {
   }
 
   void record(std::uint64_t value) noexcept {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-    (void)value;
-#else
     buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
@@ -51,7 +48,6 @@ class Histogram {
            !max_.compare_exchange_weak(seen, value,
                                        std::memory_order_relaxed)) {
     }
-#endif
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept {

@@ -10,10 +10,8 @@
 //   flushes.inc();
 //
 // Cells are never deallocated while the registry lives, so cached
-// references stay valid for the process lifetime. Recording compiles to
-// nothing under MPCBF_DISABLE_ACCESS_STATS (registration still works, so
-// exporters keep linking); see docs/observability.md for the metric
-// naming and label conventions.
+// references stay valid for the process lifetime; see
+// docs/observability.md for the metric naming and label conventions.
 #pragma once
 
 #include <atomic>
@@ -35,11 +33,7 @@ namespace mpcbf::metrics {
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-    (void)n;
-#else
     v_.fetch_add(n, std::memory_order_relaxed);
-#endif
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
@@ -55,22 +49,12 @@ class Counter {
 /// std::atomic<double> has no fetch_add until C++20's is optional.
 class Gauge {
  public:
-  void set(double v) noexcept {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-    (void)v;
-#else
-    v_.store(v, std::memory_order_relaxed);
-#endif
-  }
+  void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
   void add(double delta) noexcept {
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-    (void)delta;
-#else
     double cur = v_.load(std::memory_order_relaxed);
     while (!v_.compare_exchange_weak(cur, cur + delta,
                                      std::memory_order_relaxed)) {
     }
-#endif
   }
   [[nodiscard]] double value() const noexcept {
     return v_.load(std::memory_order_relaxed);

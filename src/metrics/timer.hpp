@@ -1,10 +1,8 @@
 // Monotonic nanosecond clock helpers for latency metrics.
 //
-// kStatsEnabled mirrors MPCBF_DISABLE_ACCESS_STATS so hot paths can guard
-// clock reads with `if constexpr` and compile them out entirely in
-// stats-disabled builds. ScopedLatency records elapsed nanoseconds into a
-// Histogram at scope exit — the one-liner the IO and mapreduce layers use
-// where the op is orders of magnitude above clock cost.
+// ScopedLatency records elapsed nanoseconds into a Histogram at scope
+// exit — the one-liner the IO and mapreduce layers use where the op is
+// orders of magnitude above clock cost.
 #pragma once
 
 #include <chrono>
@@ -14,12 +12,6 @@
 
 namespace mpcbf::metrics {
 
-#ifdef MPCBF_DISABLE_ACCESS_STATS
-inline constexpr bool kStatsEnabled = false;
-#else
-inline constexpr bool kStatsEnabled = true;
-#endif
-
 [[nodiscard]] inline std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -27,22 +19,18 @@ inline constexpr bool kStatsEnabled = true;
           .count());
 }
 
-/// Records the lifetime of the scope into `sink` (nanoseconds). A no-op
-/// (no clock read) when stats are compiled out.
+/// Records the lifetime of the scope into `sink` (nanoseconds).
 class ScopedLatency {
  public:
-  explicit ScopedLatency(Histogram& sink) noexcept : sink_(sink) {
-    if constexpr (kStatsEnabled) start_ = now_ns();
-  }
-  ~ScopedLatency() {
-    if constexpr (kStatsEnabled) sink_.record(now_ns() - start_);
-  }
+  explicit ScopedLatency(Histogram& sink) noexcept
+      : sink_(sink), start_(now_ns()) {}
+  ~ScopedLatency() { sink_.record(now_ns() - start_); }
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
 
  private:
   Histogram& sink_;
-  std::uint64_t start_ = 0;
+  std::uint64_t start_;
 };
 
 }  // namespace mpcbf::metrics

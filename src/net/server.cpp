@@ -380,19 +380,16 @@ void Server::sweep_stalled(Worker& w) {
 void Server::serve_frame(Connection& c, const Frame& frame) {
   const bool traced = trace::Tracer::armed();
   const bool slow_capture = options_.slow_request_threshold.count() >= 0;
-  const bool timed = metrics::kStatsEnabled || slow_capture || traced;
-  const std::uint64_t t0 = timed ? metrics::now_ns() : 0;
+  const std::uint64_t t0 = metrics::now_ns();
   served_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t trace_id = 0;
   std::size_t batch_keys = 0;
   const bool answered = answer_frame(c, frame, trace_id, batch_keys);
-  // Error replies feed only the tracer; untimed servers stop here.
-  if (!timed || (!answered && !traced)) return;
+  // Error replies feed only the tracer.
+  if (!answered && !traced) return;
   const std::uint64_t dur = metrics::now_ns() - t0;
   const std::uint8_t opcode = frame.header.opcode;
-  if (answered && metrics::kStatsEnabled) {
-    metrics_->duration_ns[opcode - 1]->record(dur);
-  }
+  if (answered) metrics_->duration_ns[opcode - 1]->record(dur);
   trace::Span span;
   span.ts_ns = t0;
   span.dur_ns = std::max<std::uint64_t>(1, dur);  // 0 encodes an instant

@@ -176,6 +176,15 @@ TEST(MpcbfBatchParity, W256G3UnevenKRoomy) {
   run_mpcbf_parity<256>(
       parity_config(1024, 256, 7, 3, 8, OverflowPolicy::kStash), 2000, 613);
 }
+// Shapes whose chunk record does not fit 64 keys run smaller chunks:
+// k = 17 (60 keys, not a multiple of eight) and g = 8 (32 keys, with
+// colliding group words inside one key).
+TEST(MpcbfBatchParity, ReducedChunkCollidingWithStash) {
+  run_mpcbf_parity<256>(
+      parity_config(16, 256, 17, 1, 6, OverflowPolicy::kStash), 300, 615);
+  run_mpcbf_parity<256>(
+      parity_config(16, 256, 16, 8, 8, OverflowPolicy::kStash), 300, 617);
+}
 
 // Every width with g = 1, 2, 3 (k = 3, 3 + 2, and 2 + 2 + 0, whose last
 // group draws a word but no position), short circuit on and off. Each

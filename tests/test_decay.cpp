@@ -313,11 +313,9 @@ TEST(DurableDecay, RecoveryRecordsDurableMetrics) {
   const std::uint64_t replayed_before = replayed.value();
   DurableDecayingMpcbf<64> g(dir, cfg, fast_durable());
   EXPECT_EQ(g.ticks(), 1u);
-  if (metrics::kStatsEnabled) {
-    EXPECT_EQ(recoveries.value() - recoveries_before, 1u);
-    // The journal tail above the snapshot: 30 inserts and one tick.
-    EXPECT_EQ(replayed.value() - replayed_before, 31u);
-  }
+  EXPECT_EQ(recoveries.value() - recoveries_before, 1u);
+  // The journal tail above the snapshot: 30 inserts and one tick.
+  EXPECT_EQ(replayed.value() - replayed_before, 31u);
 }
 
 }  // namespace

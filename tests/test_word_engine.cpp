@@ -275,21 +275,20 @@ TEST(WordEngine, DeriveChunkEmitsTheScalarDraws) {
                 stream_draws(d, keys[i], seed))
           << "key " << i;
     }
-    // derive_targets: the same draws, plus derive_all's word count.
-    std::vector<engine::Targets> t(keys.size());
-    engine::derive_targets(d, std::span<const std::string>(keys), seed,
-                           t.data());
+    // targets_of: the same draws, plus derive_all's word count.
     for (std::size_t i = 0; i < keys.size(); ++i) {
+      engine::Targets t;
+      engine::targets_of(d, buffers.block, i, t);
       engine::Targets want;
       mpcbf::hash::HashBitStream s(keys[i], seed);
       d.derive_all(s, want);
-      ASSERT_EQ(t[i].total_positions, want.total_positions);
-      ASSERT_EQ(t[i].distinct_words, want.distinct_words);
+      ASSERT_EQ(t.total_positions, want.total_positions);
+      ASSERT_EQ(t.distinct_words, want.distinct_words);
       for (unsigned wi = 0; wi < d.g(); ++wi) {
-        ASSERT_EQ(t[i].group_word[wi], want.group_word[wi]);
+        ASSERT_EQ(t.group_word[wi], want.group_word[wi]);
       }
       for (unsigned j = 0; j < want.total_positions; ++j) {
-        ASSERT_EQ(t[i].entry[j], want.entry[j]);
+        ASSERT_EQ(t.entry[j], want.entry[j]);
       }
       EXPECT_EQ(d.derive_bits(), s.accounted_bits());
     }
@@ -471,7 +470,7 @@ TEST(WordEngine, QueryBatchStopsAtFirstMissWhenShortCircuiting) {
   engine::PlainWords<64> store;
   store.init(16);
   // Two full chunks and a partial one.
-  const auto keys = query_keys(2 * engine::kQueryChunk + 6);
+  const auto keys = query_keys(2 * engine::kChunk + 6);
   const auto r = run_query_batch(store, keys, /*short_circuit=*/true);
   EXPECT_EQ(r.out, std::vector<std::uint8_t>(keys.size(), 0));
   EXPECT_EQ(r.rescued, keys.size());
@@ -487,7 +486,7 @@ TEST(WordEngine, QueryBatchConsumesFullBudgetWithoutShortCircuit) {
   // both groups' words, counted once when they collide.
   engine::PlainWords<64> store;
   store.init(16);
-  const auto keys = query_keys(2 * engine::kQueryChunk + 6);
+  const auto keys = query_keys(2 * engine::kChunk + 6);
   std::uint64_t distinct = 0;
   for (const auto& k : keys) distinct += targets_of(k).distinct_words;
   ASSERT_LT(distinct, 2 * keys.size()) << "want some colliding groups";
@@ -540,65 +539,64 @@ TEST(WordEngine, QueryBatchChargesPositionsUpToTheFirstFailure) {
   EXPECT_EQ(rescued.stats.bits(OpClass::kQueryPositive), 10u);
 }
 
-// --- batch_pipeline -----------------------------------------------------
+// --- for_each_chunk -----------------------------------------------------
 
-TEST(WordEngine, BatchPipelineDerivesThenGathersThenResolvesPerChunk) {
-  // Phase order within a chunk: every derive, then every gather, then
-  // the resolves in key order; chunks run one after another.
-  const std::size_t n = engine::kBatchChunk + 5;  // one full + one partial
-  std::vector<std::string> events;
-  const auto event = [&](char phase, std::size_t i) {
-    std::string e(1, phase);
-    e += std::to_string(i);
-    events.push_back(std::move(e));
-  };
-  engine::batch_pipeline(
-      n,
-      [&](std::size_t base, std::size_t count) {
-        EXPECT_EQ(base % engine::kBatchChunk, 0u);
-        for (std::size_t i = 0; i < count; ++i) event('d', base + i);
-      },
-      [&](std::size_t slot) {
-        event('g', slot);
-        return std::uint64_t{slot};
-      },
-      [&](std::size_t key_i, std::size_t slot) {
-        EXPECT_EQ(slot, key_i % engine::kBatchChunk);
-        event('r', key_i);
-      });
+// Storage that logs the words the skeleton prefetches.
+struct PrefetchLog {
+  mutable std::vector<std::size_t> fetched;
+  void prefetch(std::size_t w) const { fetched.push_back(w); }
+};
 
-  const std::vector<std::string> got = std::move(events);
-  events.clear();
-  for (std::size_t base = 0; base < n; base += engine::kBatchChunk) {
-    const std::size_t count = std::min(engine::kBatchChunk, n - base);
-    for (std::size_t i = 0; i < count; ++i) event('d', base + i);
-    for (std::size_t i = 0; i < count; ++i) event('g', i);
-    for (std::size_t i = 0; i < count; ++i) event('r', base + i);
+TEST(WordEngine, ForEachChunkDerivesAndPrefetchesEachChunkBeforeItsBody) {
+  // Bodies run in key order, one per chunk, at multiples of the chunk
+  // size; when a body runs, its record holds the stream's draws of every
+  // key of its chunk and each of their group words has been prefetched.
+  // Shapes whose record does not fit kChunk times get smaller chunks,
+  // one of them not a multiple of eight.
+  mpcbf::util::SplitMix64 rng(0xC4F);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 150; ++i) {
+    keys.push_back(random_key(rng, i % 50 < 40 ? 17 : 5 + i % 3));
   }
-  EXPECT_EQ(got, events);
-}
-
-TEST(WordEngine, GatherReadsEveryLimbBoundaryOfTheWord) {
-  // A 512-bit word spans two cache lines unless 64-byte aligned; the
-  // gather folds its first and last limb, so both lines are loaded.
-  engine::PlainWords<512> store;
-  store.init(3);
-  auto& words = store.words();
-  words[1].set_limb(0, 0xF0);
-  words[1].set_limb(7, 0x0F);
-  EXPECT_EQ(store.gather(1), 0xFFu);
-  EXPECT_EQ(store.gather(0), 0u);
-  engine::Targets t;
-  t.group_word = {1, 1, 2};
-  EXPECT_EQ(engine::gather_targets(store, t, 3), 0x1FEu);
-  EXPECT_EQ(engine::gather_targets(store, t, 1), 0xFFu);
-
-  // A one-limb word's gather must still depend on the loaded value; a
-  // fold that cancelled (limb(0) ^ limb(0)) would let the load vanish.
-  engine::PlainWords<64> narrow;
-  narrow.init(2);
-  narrow.words()[1].set_limb(0, 0x40);
-  EXPECT_NE(narrow.gather(1), 0u);
+  struct Shape {
+    engine::TargetDeriver der;
+    std::size_t chunk;
+  };
+  for (const auto& [d, chunk] :
+       {Shape{engine::TargetDeriver(std::size_t{1} << 27, 3, 1, 52),
+              engine::kChunk},
+        Shape{engine::TargetDeriver(1000, 16, 8, 40), 32},
+        Shape{engine::TargetDeriver(4096, 32, 2, 40), 32},
+        Shape{engine::TargetDeriver(4096, 17, 1, 40), 60}}) {
+    ASSERT_EQ(engine::chunk_keys(d), chunk) << "k=" << d.k() << " g=" << d.g();
+    const std::uint64_t seed = rng.next();
+    PrefetchLog store;
+    std::size_t next = 0;
+    engine::for_each_chunk(
+        store, d, std::span<const std::string>(keys), seed,
+        [&](std::size_t base, std::size_t count,
+            const engine::DrawBlock& rec) {
+          EXPECT_EQ(base, next);
+          EXPECT_EQ(base % chunk, 0u);
+          EXPECT_EQ(count, std::min(chunk, keys.size() - base));
+          EXPECT_EQ(rec.stride, chunk);
+          std::vector<std::size_t> words;
+          for (std::size_t i = 0; i < count; ++i) {
+            ASSERT_EQ(block_draws(d, rec, i),
+                      stream_draws(d, keys[base + i], seed))
+                << "key " << base + i;
+            for (unsigned wi = 0; wi < d.g(); ++wi) {
+              words.push_back(rec.word[wi * rec.stride + i]);
+            }
+          }
+          std::sort(words.begin(), words.end());
+          std::sort(store.fetched.begin(), store.fetched.end());
+          EXPECT_EQ(store.fetched, words) << "chunk at " << base;
+          store.fetched.clear();
+          next = base + count;
+        });
+    EXPECT_EQ(next, keys.size());
+  }
 }
 
 // --- eight-lane resolve -------------------------------------------------
